@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import dft, idft
+from .spectral import dft, irdft, rdft
 
 __all__ = ["Circulant", "make_shift", "ls_circulant_fit"]
 
 # Relative cutoff below which a spectral row counts as zero.
 ZERO_ROW_TOL = 1e-12
-# Allowed imaginary leakage (relative to the input norm) in apply().
-_IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,21 +54,17 @@ class Circulant:
     def apply(self, x) -> np.ndarray:
         """Multiply by a real vector via the Fourier diagonalization.
 
-        Computes idft(eigenvalues * dft(x)) and strips the (numerically
-        tiny) imaginary part. A large imaginary residual would mean the
-        eigenvalue bookkeeping is inconsistent, so it raises rather than
-        silently truncating.
+        Computes idft(eigenvalues * dft(x)) on Fourier modes 0..n//2
+        only: the matrix and x are real, so both spectra are
+        conjugate-symmetric and the real inverse transform
+        :func:`~cycshift.spectral.irdft` implies the other modes. The
+        result is therefore real by construction.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"dimension mismatch: matrix is {self.n}, vector has shape {x.shape}")
-        y = idft(self.eigenvalues() * dft(x))
-        if np.linalg.norm(y.imag) > _IMAG_TOL * np.linalg.norm(x):
-            raise RuntimeError(
-                "circulant application produced a non-real result; "
-                "eigenvalue/transform conventions are inconsistent"
-            )
-        return y.real
+        n = self.n
+        return irdft(np.sqrt(n) * rdft(self.first_column) * rdft(x), n)
 
 
 def make_shift(n: int, s: int) -> Circulant:
@@ -97,9 +91,10 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
 
         sigma_k = <x_row_k, y_row_k> / ||x_row_k||^2.
 
-    Only the first floor(n/2)+1 eigenvalues are computed; the rest are
-    mirrored as conjugates so the recovered first column is exactly
-    real. Rows of X with negligible energy (relative threshold
+    Only the first floor(n/2)+1 spectral rows are transformed and
+    fitted; the rest are conjugate mirrors, so the real inverse
+    transform yields an exactly real first column. Rows of X with
+    negligible energy (relative threshold
     ``ZERO_ROW_TOL``) get a zero eigenvalue, which is the minimum-norm
     choice among the equally optimal ones.
 
@@ -125,21 +120,20 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
         raise ValueError(f"X and Y must be real matrices of identical shape, got {X.shape} vs {Y.shape}")
     n = X.shape[0]
 
-    Xs = np.fft.fft(X, axis=0, norm="ortho")
-    Ys = np.fft.fft(Y, axis=0, norm="ortho")
+    Xs = rdft(X, axis=0)
+    Ys = rdft(Y, axis=0)
     energy = np.sum(np.abs(Xs) ** 2, axis=1)
     cross = np.sum(np.conj(Xs) * Ys, axis=1)
 
-    sigma = np.zeros(n, dtype=np.complex128)
-    half = n // 2 + 1
-    live = energy[:half] > ZERO_ROW_TOL * energy.max()
-    sigma[:half][live] = cross[:half][live] / energy[:half][live]
-    sigma[0] = sigma[0].real
-    if n % 2 == 0:
-        sigma[n // 2] = sigma[n // 2].real
-    if half < n:
-        sigma[half:] = np.conj(sigma[1 : n - half + 1][::-1])
+    sigma = np.zeros(Xs.shape[0], dtype=np.complex128)
+    live = energy > ZERO_ROW_TOL * energy.max()
+    sigma[live] = cross[live] / energy[live]
+    col = irdft(sigma, n) / np.sqrt(n)
 
-    col = (idft(sigma) / np.sqrt(n)).real  # symmetry makes the imaginary part vanish
-    residual = np.linalg.norm(Ys - sigma[:, None] * Xs)  # Frobenius norm is unitarily invariant
+    # The Frobenius norm is unitarily invariant, so the residual is summed
+    # over the spectral rows; each row strictly between 0 and n/2 stands
+    # for itself and its conjugate mirror.
+    row_err = np.sum(np.abs(Ys - sigma[:, None] * Xs) ** 2, axis=1)
+    mirrored = np.arange(row_err.size) * 2 % n != 0
+    residual = np.sqrt(row_err.sum() + row_err[mirrored].sum())
     return Circulant(col), float(residual)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, bench, compressive, retrieval
 from .errors import IdentifiabilityError
-from .fileio import load_measurement, load_signal, save_signal, sniff_kind
+from .fileio import load_any, load_signal, save_signal
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -68,14 +68,12 @@ def _cmd_gen(args) -> int:
 
 def _load_pair(args):
     """Load x/y inputs, transparently accepting measurement files."""
-    x_kind = sniff_kind(args.x)
-    y_kind = sniff_kind(args.y)
-    if x_kind != y_kind:
+    x = load_any(args.x)
+    y = load_any(args.y)
+    if isinstance(x, compressive.Measurement) != isinstance(y, compressive.Measurement):
         raise ValueError("x and y files must both be signals or both be measurements")
-    if x_kind == "measurement":
-        return None, None, load_measurement(args.y), load_measurement(args.x)
-    x = load_signal(args.x)
-    y = load_signal(args.y)
+    if isinstance(x, compressive.Measurement):
+        return None, None, y, x
     if x.size != y.size:
         raise ValueError(f"length mismatch: {args.x} has {x.size}, {args.y} has {y.size}")
     return x, y, None, None

@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from .circulant import make_shift
-from .errors import IdentifiabilityError
+from .errors import IdentifiabilityError, require_finite
 from .oracle import materialize
 from .retrieval import ZERO_BIN_TOL, ShiftEstimate
 from .spectral import dft, dft_entry, fourier_column
@@ -87,11 +87,12 @@ def measure(x, sensing: SensingSet) -> Measurement:
     """Measure a signal: unitary-DFT entries at the sensing indices.
 
     Each entry is evaluated directly in O(n); the sensing matrix is
-    never materialized.
+    never materialized. Raises ValueError on NaN or infinite samples.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (sensing.n,):
         raise ValueError(f"signal shape {x.shape} does not match ambient dimension {sensing.n}")
+    require_finite(x, "signal")
     vals = np.array([dft_entry(x, k) for k in sensing.indices])
     return Measurement(vals, sensing)
 
@@ -167,7 +168,8 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     holds with alpha = 1 by construction for distinct rows of the
     unitary Fourier matrix; (c) absence of shift ambiguity, i.e. all n
     columns of the measured-shift matrix pairwise distinct beyond
-    ``DUPLICATE_COLUMN_TOL``. Purely diagnostic: never raises.
+    ``DUPLICATE_COLUMN_TOL``. Purely diagnostic: raises only on
+    malformed input (wrong length, NaN or infinite samples).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (sensing.n,):

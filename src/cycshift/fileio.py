@@ -14,12 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from .compressive import Measurement, SensingSet
+from .errors import require_finite
 
 __all__ = [
     "save_signal",
     "load_signal",
     "save_measurement",
     "load_measurement",
+    "load_any",
     "sniff_kind",
 ]
 
@@ -61,10 +63,7 @@ def _parse(path):
     return headers, data
 
 
-def load_signal(path) -> np.ndarray:
-    headers, data = _parse(path)
-    if "K" in headers:
-        raise ValueError(f"{path} is a measurement file, not a signal file")
+def _signal_from(path, headers, data) -> np.ndarray:
     if not data:
         raise ValueError(f"{path} contains no values")
     try:
@@ -75,11 +74,11 @@ def load_signal(path) -> np.ndarray:
         raise ValueError(
             f"{path}: header says n={headers['n']} but file has {values.size} values"
         )
+    require_finite(values, str(path))
     return values
 
 
-def load_measurement(path) -> Measurement:
-    headers, data = _parse(path)
+def _measurement_from(path, headers, data) -> Measurement:
     if "K" not in headers or "n" not in headers:
         raise ValueError(f"{path}: measurement files need '# n=' and '# K=' headers")
     sensing = SensingSet(int(headers["n"]), tuple(int(k) for k in headers["K"].split(",")))
@@ -90,7 +89,33 @@ def load_measurement(path) -> Measurement:
             vals.append(complex(float(re_s), float(im_s)))
         except ValueError as exc:
             raise ValueError(f"{path}: could not parse measurement value ({exc})") from None
+    require_finite(vals, str(path))
     return Measurement(np.array(vals), sensing)
+
+
+def load_signal(path) -> np.ndarray:
+    """Read a signal file. Raises ValueError on NaN or infinite values."""
+    headers, data = _parse(path)
+    if "K" in headers:
+        raise ValueError(f"{path} is a measurement file, not a signal file")
+    return _signal_from(path, headers, data)
+
+
+def load_measurement(path) -> Measurement:
+    """Read a measurement file. Raises ValueError on NaN or infinite values."""
+    return _measurement_from(path, *_parse(path))
+
+
+def load_any(path) -> np.ndarray | Measurement:
+    """Read a signal or a measurement file, telling them apart as :func:`sniff_kind` does.
+
+    The file is read once; a measurement comes back as a
+    :class:`~cycshift.compressive.Measurement`, a signal as an array.
+    """
+    headers, data = _parse(path)
+    if "K" in headers:
+        return _measurement_from(path, headers, data)
+    return _signal_from(path, headers, data)
 
 
 def sniff_kind(path) -> str:

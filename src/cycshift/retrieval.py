@@ -24,8 +24,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import IdentifiabilityError
-from .spectral import dft, dft_entry, idft
+from .errors import IdentifiabilityError, require_finite
+from .spectral import dft_entry, irdft, rdft
 
 __all__ = [
     "ShiftEstimate",
@@ -86,22 +86,51 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("signals are empty")
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    require_finite(x, "x")
+    require_finite(y, "y")
     return x, y
+
+
+def _norm(v: np.ndarray) -> float:
+    # Euclidean norm via einsum's single-threaded loop; np.linalg.norm
+    # goes through BLAS, whose thread start-up dominates on long signals.
+    return float(np.sqrt(np.einsum("i,i->", v, v)))
+
+
+def _coprime_mask(size: int, n: int) -> np.ndarray:
+    """Boolean mask of gcd(i, n) == 1 for i in 0..size-1.
+
+    Sieves out the multiples of each prime factor of n, which is much
+    cheaper than an elementwise gcd on long spectra.
+    """
+    mask = np.ones(size, dtype=bool)
+    rest, p = n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            mask[::p] = False
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        mask[::rest] = False
+    return mask
 
 
 def shift_by_crosscorr(x, y) -> ShiftEstimate:
     """Classic estimator: peak of the circular cross-correlation.
 
-    The score vector is computed as sqrt(n) * idft(conj(dft(x)) * dft(y)),
-    whose entry s equals the alignment inner product
+    The score vector is sqrt(n) * idft(conj(dft(x)) * dft(y)), whose
+    entry s equals the alignment inner product
     sum_t x[(t-s) mod n] * y[t]. For y an exact delay of x the peak
-    value is ||x||^2.
+    value is ||x||^2. Both signals are real, so the product is formed
+    on bins 0..n//2 only (:func:`~cycshift.spectral.rdft`) and the
+    real inverse :func:`~cycshift.spectral.irdft` implies the rest.
     """
     x, y = _pair(x, y)
     if not x.any() or not y.any():
         raise IdentifiabilityError("cross-correlation needs nonzero signals")
     n = x.size
-    scores = (np.sqrt(n) * idft(np.conj(dft(x)) * dft(y))).real
+    scores = np.sqrt(n) * irdft(np.conj(rdft(x)) * rdft(y), n)
     s = int(np.argmax(scores))
     return ShiftEstimate("crosscorr", n, s, float(scores[s]), scores)
 
@@ -113,18 +142,22 @@ def shift_by_ratio(x, y) -> ShiftEstimate:
     zero threshold), zeros the rest, and inverse-transforms with a 1/n
     scale so an exactly shifted pair with no excluded bin yields the
     unit impulse e_{s+1}. With excluded bins the impulse degrades but
-    its argmax still marks the shift for generic signals.
+    its argmax still marks the shift for generic signals. The ratio of
+    two real signals' spectra is conjugate-symmetric, so only bins
+    0..n//2 are divided and the real inverse transform implies the
+    rest.
     """
     x, y = _pair(x, y)
     n = x.size
-    xs, ys = dft(x), dft(y)
-    peak = np.abs(xs).max()
+    xs, ys = rdft(x), rdft(y)
+    mags = np.abs(xs)
+    peak = mags.max()
     if peak == 0.0:
         raise IdentifiabilityError("reference signal has no usable spectral bin (all zero)")
-    usable = np.abs(xs) > ZERO_BIN_TOL * peak
-    rho = np.zeros(n, dtype=np.complex128)
+    usable = mags > ZERO_BIN_TOL * peak
+    rho = np.zeros(xs.size, dtype=np.complex128)
     rho[usable] = ys[usable] / xs[usable]
-    d = (idft(rho) / np.sqrt(n)).real
+    d = irdft(rho, n) / np.sqrt(n)
     s = int(np.argmax(d))
     return ShiftEstimate("ratio", n, s, float(d[s]), d)
 
@@ -146,9 +179,17 @@ def select_bin(xspec) -> int:
     xs = np.asarray(xspec)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError("spectrum must be 1-D with length >= 2")
-    n = xs.size
-    mags = np.abs(xs)
-    eligible = (np.gcd(np.arange(n), n) == 1) & (mags > ZERO_BIN_TOL * mags.max())
+    return _strongest_bin(np.abs(xs), xs.size)
+
+
+def _strongest_bin(mags: np.ndarray, n: int) -> int:
+    """The :func:`select_bin` rule on magnitudes of bins 0..mags.size-1 of an n-point spectrum.
+
+    Taking the bins 0..n//2 of a real signal's spectrum gives the same
+    winner as the full spectrum up to its mirror n - i, which has equal
+    magnitude and identifies the same shift.
+    """
+    eligible = _coprime_mask(mags.size, n) & (mags > ZERO_BIN_TOL * mags.max())
     if not eligible.any():
         raise IdentifiabilityError(
             "no usable bin: every nonzero bin fails the gcd(i, n) = 1 "
@@ -173,8 +214,9 @@ def shift_single_bin(x, y, i: int | None = None, *, misfit_tol: float = 1e-6,
         Equal-length real signals.
     i : int, optional
         Spectral bin to use. Must satisfy gcd(i, n) = 1 and carry
-        energy. When omitted, the best bin is chosen from the full
-        spectrum of x (convenience path; costs a full transform).
+        energy. When omitted, the best bin is chosen by the
+        :func:`select_bin` rule from bins 0..n//2 of the spectrum of x
+        (convenience path; costs one real-input transform).
     misfit_tol : float
         If ``abs(|rho| - 1)`` exceeds this, the estimate is flagged
         ``"model_misfit"`` (y is not a pure delay of x) but still
@@ -189,8 +231,8 @@ def shift_single_bin(x, y, i: int | None = None, *, misfit_tol: float = 1e-6,
     x, y = _pair(x, y)
     n = x.size
     if i is None:
-        xs = dft(x)
-        i = select_bin(xs) if n >= 2 else 0
+        xs = rdft(x)
+        i = _strongest_bin(np.abs(xs), n) if n >= 2 else 0
         xi = complex(xs[i])
         if xi == 0.0:
             raise IdentifiabilityError("reference signal is zero")
@@ -204,7 +246,7 @@ def shift_single_bin(x, y, i: int | None = None, *, misfit_tol: float = 1e-6,
                 f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"
             )
         xi = complex(dft_entry(x, i))
-        if abs(xi) <= ZERO_BIN_TOL * np.linalg.norm(x):
+        if abs(xi) <= ZERO_BIN_TOL * _norm(x):
             raise IdentifiabilityError(f"bin {i} of the reference spectrum is numerically zero")
         yi = complex(dft_entry(y, i))
 
@@ -250,19 +292,19 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     if abs(total) <= ZERO_BIN_TOL * n * max(1.0, float(np.abs(x).max())):
         raise IdentifiabilityError("sum(x) is numerically zero: the offset term is unidentifiable")
 
-    xs, ys = dft(x), dft(y)
+    xs, ys = rdft(x), rdft(y)
     mags = np.abs(xs)
     usable = mags > ZERO_BIN_TOL * mags.max()
     usable[0] = True  # guaranteed nonzero by the sum(x) check
-    if not (usable & (np.gcd(np.arange(n), n) == 1)).any():
+    if not (usable & _coprime_mask(usable.size, n)).any():
         raise IdentifiabilityError("no usable coprime bin: the shift part is unidentifiable")
 
-    rho = np.zeros(n, dtype=np.complex128)
+    rho = np.zeros(xs.size, dtype=np.complex128)
     rho[usable] = ys[usable] / xs[usable]
-    d = (idft(rho) / np.sqrt(n)).real
+    d = irdft(rho, n) / np.sqrt(n)
 
     s = int(np.argmax(np.abs(d - d.mean())))
-    pedestal = float(np.delete(d, s).mean())
+    pedestal = float((d.sum() - d[s]) / (n - 1))  # mean of d without entry s
     alpha = float(d[s] - pedestal)
     beta = pedestal * total
 
@@ -270,5 +312,5 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     if abs(alpha) <= 1e-9 * max(1.0, float(np.abs(y).max())):
         flags = ("alpha_unidentifiable",)
 
-    residual = float(np.linalg.norm(y - alpha * np.roll(x, s) - beta))
+    residual = _norm(y - alpha * np.roll(x, s) - beta)
     return AffineShiftModel(s, alpha, beta, flags), residual

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from numpy.testing import assert_allclose
 
 from cycshift import SensingSet, measure
 from cycshift.cli import main
+from cycshift import fileio
 from cycshift.fileio import load_signal, save_measurement, save_signal
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +155,64 @@ def test_retrieve_parse_failure_exits_1(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize("method", ["crosscorr", "ratio", "single_bin", "compressive_ratio"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_retrieve_non_finite_signal_exits_1(tmp_path, capsys, method, bad):
+    x = tmp_path / "x.csv"
+    save_signal(x, np.arange(1.0, 9.0))
+    y = tmp_path / "y.csv"
+    y.write_text(f"# n=8\n1.0\n2.0\n{bad}\n4.0\n5.0\n6.0\n7.0\n8.0\n")
+    code, out, err = run_cli(capsys, "retrieve", str(x), str(y), "--method", method,
+                             "--sensing", "1,3")
+    assert code == 1
+    assert out == ""
+    assert "NaN or infinite" in err
+
+
+def test_retrieve_non_finite_measurement_exits_1(tmp_path, capsys):
+    K = SensingSet(8, (1, 3))
+    x = tmp_path / "x.csv"
+    save_measurement(x, measure(np.arange(1.0, 9.0), K))
+    y = tmp_path / "y.csv"
+    y.write_text("# n=8\n# K=1,3\n1.0,2.0\nnan,0.0\n")
+    code, _, err = run_cli(capsys, "retrieve", str(x), str(y), "--method", "compressive_ratio")
+    assert code == 1
+    assert "NaN or infinite" in err
+
+
+def test_retrieve_mixed_kinds_exits_1(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    save_signal(sig, np.arange(1.0, 9.0))
+    meas = tmp_path / "meas.csv"
+    save_measurement(meas, measure(np.arange(1.0, 9.0), SensingSet(8, (1,))))
+    for pair in ((sig, meas), (meas, sig)):
+        code, _, err = run_cli(capsys, "retrieve", *map(str, pair), "--method",
+                               "compressive_ratio", "--sensing", "1")
+        assert code == 1
+        assert "both be signals or both be measurements" in err
+
+
+@pytest.mark.parametrize("kind", ["signal", "measurement"])
+def test_retrieve_reads_each_file_once(tmp_path, capsys, monkeypatch, kind):
+    x = np.random.default_rng(4).standard_normal(8)
+    paths = [tmp_path / "x.csv", tmp_path / "y.csv"]
+    if kind == "signal":
+        save_signal(paths[0], x)
+        save_signal(paths[1], np.roll(x, 3))
+    else:
+        K = SensingSet(8, (1, 3))
+        save_measurement(paths[0], measure(x, K))
+        save_measurement(paths[1], measure(np.roll(x, 3), K))
+    opened = []
+    parse = fileio._parse
+    monkeypatch.setattr(fileio, "_parse", lambda path: opened.append(path) or parse(path))
+    code, out, _ = run_cli(capsys, "retrieve", *map(str, paths), "--method", "compressive_ratio",
+                           "--sensing", "1,3")
+    assert code == 0
+    assert json.loads(out)["shift"] == 3
+    assert sorted(opened) == sorted(map(str, paths))
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["retrieve"])  # missing required positionals
@@ -191,6 +253,18 @@ def test_bench_byte_deterministic_with_no_timing(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("n", [64, 255])
+def test_bench_no_timing_matches_golden_file(tmp_path, capsys, n):
+    # The golden files hold the output of the original complex-FFT
+    # estimators; a faster transform must not change a single byte.
+    out = tmp_path / "bench.csv"
+    code, _, _ = run_cli(capsys, "bench", "--n", str(n), "--trials", "300", "--seed", "5",
+                         "--snr-db", "inf,0,-10", "--sensing", "1,3", "--no-timing",
+                         "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"bench_n{n}.csv").read_bytes()
 
 
 def test_bench_json_format(capsys):

@@ -79,6 +79,21 @@ def test_measure_matches_dft_oracle_at_indices():
     assert_allclose(measure(x, K).values, sensing_matrix(K) @ x, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_measure_rejects_non_finite_signal(bad):
+    K = SensingSet(8, (1, 3))
+    x = np.arange(1.0, 9.0)
+    x[5] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        measure(x, K)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        check_sensing_conditions(x, K)
+    # the compressive estimators only see signals through measure()
+    for estimator in (shift_by_compressive_argmax, shift_by_compressive_ratio):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            estimator(measure(x, K), measure(np.arange(1.0, 9.0), K))
+
+
 def test_measure_dimension_mismatch():
     with pytest.raises(ValueError):
         measure(np.ones(7), SensingSet(8, (1,)))

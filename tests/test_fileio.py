@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from cycshift import Measurement, SensingSet, measure
 from cycshift.fileio import (
+    load_any,
     load_measurement,
     load_signal,
     save_measurement,
@@ -86,3 +87,36 @@ def test_sniff_kind(tmp_path):
     save_measurement(meas, Measurement(np.array([1j]), SensingSet(4, (1,))))
     assert sniff_kind(sig) == "signal"
     assert sniff_kind(meas) == "measurement"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_signal_loader_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "sig.csv"
+    path.write_text(f"1.0\n{bad}\n3.0\n")
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        load_signal(path)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        load_any(path)
+
+
+@pytest.mark.parametrize("line", ["nan,0.0", "1.0,inf", "-inf,-inf"])
+def test_measurement_loader_rejects_non_finite_values(tmp_path, line):
+    path = tmp_path / "meas.csv"
+    path.write_text(f"# n=8\n# K=1,3\n1.0,2.0\n{line}\n")
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        load_measurement(path)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        load_any(path)
+
+
+def test_load_any_tells_kinds_apart(tmp_path):
+    sig = tmp_path / "sig.csv"
+    save_signal(sig, [1.0, 2.0])
+    meas = tmp_path / "meas.csv"
+    original = Measurement(np.array([1j, 2.0]), SensingSet(4, (1, 3)))
+    save_measurement(meas, original)
+    assert_allclose(load_any(sig), [1.0, 2.0], atol=0)
+    loaded = load_any(meas)
+    assert isinstance(loaded, Measurement)
+    assert loaded.sensing == original.sensing
+    assert_allclose(loaded.values, original.values, atol=0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cycshift import Circulant, make_shift, shift_by_crosscorr
+from cycshift import Circulant, ls_circulant_fit, make_shift, shift_by_crosscorr
 from cycshift.oracle import brute_force_circulant_fit, brute_force_shift, materialize
 
 
@@ -32,6 +33,68 @@ def test_brute_force_scores_match_crosscorr(n):
     slow = brute_force_shift(x, y).scores
     fast = shift_by_crosscorr(x, y).scores
     assert_allclose(fast, slow, rtol=1e-9, atol=1e-9 * max(1, np.abs(slow).max()))
+
+
+# Odd, even and prime lengths up to 64, with the boundary cases pinned.
+lengths = st.integers(1, 64)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(lengths, seeds)
+@example(63, 0)
+@example(64, 0)
+@example(61, 0)
+@example(2, 0)
+@settings(max_examples=60, deadline=None)
+def test_crosscorr_scores_match_brute_force_property(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    slow = brute_force_shift(x, y).scores
+    fast = shift_by_crosscorr(x, y).scores
+    assert_allclose(fast, slow, rtol=0, atol=1e-10 * max(1.0, np.abs(x).sum() * np.abs(y).max()))
+
+
+@given(lengths, seeds)
+@example(63, 0)
+@example(64, 0)
+@example(61, 0)
+@settings(max_examples=60, deadline=None)
+def test_apply_matches_materialized_property(n, seed):
+    rng = np.random.default_rng(seed)
+    C = Circulant(rng.standard_normal(n))
+    x = rng.standard_normal(n)
+    dense = materialize(C) @ x
+    out = C.apply(x)
+    assert out.dtype == np.float64 and out.shape == (n,)
+    assert_allclose(out, dense, rtol=0, atol=1e-10 * max(1.0, np.abs(C.first_column).sum()
+                                                       * np.abs(x).max()))
+
+
+def rank_deficient(X, rng):
+    """X with a random subset of its spectral rows (and their mirrors) zeroed."""
+    n = X.shape[0]
+    spec = np.fft.rfft(X, axis=0)
+    spec[rng.random(spec.shape[0]) < 0.5] = 0.0
+    return np.fft.irfft(spec, n, axis=0)
+
+
+@given(st.integers(1, 24), st.integers(1, 3), seeds, st.booleans())
+@example(7, 2, 0, True)
+@example(8, 1, 0, True)
+@example(9, 3, 0, False)
+@settings(max_examples=60, deadline=None)
+def test_ls_fit_matches_brute_force_property(n, N, seed, deficient):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, N))
+    if deficient:
+        X = rank_deficient(X, rng)
+    Y = rng.standard_normal((n, N))
+    fit, res_fast = ls_circulant_fit(X, Y)
+    c_slow, res_slow = brute_force_circulant_fit(X, Y)
+    scale = max(1.0, np.abs(Y).max())
+    assert abs(res_fast - res_slow) <= 1e-8 * scale
+    assert_allclose(fit.first_column, c_slow, rtol=0, atol=1e-8 * scale)
 
 
 def test_brute_force_length_mismatch():

@@ -13,6 +13,8 @@ from cycshift import (
     shift_single_bin,
 )
 from cycshift.oracle import brute_force_shift
+from cycshift.retrieval import _coprime_mask, _strongest_bin
+from cycshift.spectral import rdft
 
 
 def full_spectrum_signal(n, seed):
@@ -282,6 +284,48 @@ def test_affine_zero_sum_fails():
     x = np.array([1.0, -1.0, 1.0, -1.0])
     with pytest.raises(IdentifiabilityError):
         shift_affine(x, np.roll(x, 1))
+
+
+def test_coprime_mask_matches_gcd():
+    for n in [*range(1, 130), 1 << 10, 2 * 3 * 5 * 7 * 11, 997 * 3, 65536 + 1]:
+        for size in (n // 2 + 1, n):
+            assert np.array_equal(_coprime_mask(size, n), np.gcd(np.arange(size), n) == 1), n
+
+
+@given(st.integers(2, 64), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_half_spectrum_bin_choice_matches_select_bin(n, seed):
+    x = np.random.default_rng(seed).standard_normal(n)
+    x[: seed % 3] = 0.0  # also exercise sparser spectra
+    try:
+        full = select_bin(dft(x))
+    except IdentifiabilityError:
+        with pytest.raises(IdentifiabilityError):
+            _strongest_bin(np.abs(rdft(x)), n)
+        return
+    # A bin and its mirror n - i have equal magnitude and identify the same shift.
+    assert _strongest_bin(np.abs(rdft(x)), n) in (full, n - full)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("estimator", [
+    shift_by_crosscorr,
+    shift_by_ratio,
+    shift_single_bin,
+    lambda x, y: shift_single_bin(x, y, 1),
+    shift_affine,
+], ids=["crosscorr", "ratio", "single_bin_auto", "single_bin_fixed", "affine"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_estimators_reject_non_finite_input(estimator, bad, which):
+    x = np.arange(1.0, 10.0)
+    y = np.roll(x, 2)
+    (x if which == "x" else y)[4] = bad
+    with pytest.raises(ValueError, match=f"{which} contains NaN or infinite"):
+        estimator(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cycshift import dft, dft_entry, fourier_column, idft
+from cycshift.spectral import irdft, rdft
 
 
 def naive_dft(x):
@@ -93,6 +94,31 @@ def test_dft_entry_matches_full_transform(n):
     for k in sorted({0, 1, n // 2, n - 1} & set(range(n))):
         got = dft_entry(x, k)
         assert abs(got - full[k]) <= 1e-10 * max(1.0, np.abs(full).max())
+
+
+@pytest.mark.parametrize("n", [4097, 5000, 1 << 20])
+@pytest.mark.parametrize("kind", ["real", "complex", "stack"])
+def test_dft_entry_blocked_path_matches_fft(n, kind):
+    # All three lengths take the blocked path; 4097 and 5000 are not
+    # multiples of the block length, so their last block is padded.
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((2, n) if kind == "stack" else n)
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(n)
+    full = np.fft.fft(x, norm="ortho")
+    for k in (0, 1, 2047, 2048, n // 2, n - 1, int(rng.integers(n))):
+        got = dft_entry(x, k)
+        assert np.abs(got - full[..., k]).max() <= 1e-10 * max(1.0, np.abs(full).max())
+
+
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_real_transform_pair_matches_full_transform(n, seed):
+    x = np.random.default_rng(seed).standard_normal(n)
+    half = rdft(x)
+    assert half.shape == (n // 2 + 1,)
+    assert_allclose(half, dft(x)[: n // 2 + 1], rtol=0, atol=1e-12 * max(1.0, np.abs(x).sum()))
+    assert_allclose(irdft(half, n), x, rtol=0, atol=1e-12 * max(1.0, np.abs(x).max()))
 
 
 def test_dft_entry_batched_rows():
