@@ -12,7 +12,6 @@ from .compressive import (
     Measurement,
     SensingReport,
     SensingSet,
-    argmax_identity_check,
     check_sensing_conditions,
     embed,
     measure,
@@ -20,6 +19,7 @@ from .compressive import (
     shift_by_compressive_ratio,
 )
 from .errors import IdentifiabilityError
+from .oracle import argmax_identity_check
 from .retrieval import (
     AffineShiftModel,
     ShiftEstimate,

@@ -9,8 +9,9 @@ Determinism: every trial draws from its own generator seeded by
 (master seed, trial index), so results do not depend on the order the
 (snr, method) cells run in and trials of the same index share signal,
 shift and raw noise across cells. Elapsed-time columns are the one
-inherently non-reproducible output; set ``measure_time=False`` to zero
-them when byte-identical files matter.
+inherently non-reproducible output; they cover the estimator call only
+(measuring the compressive methods' inputs is preparation, not timed).
+Set ``measure_time=False`` to zero them when byte-identical files matter.
 """
 
 from __future__ import annotations
@@ -26,11 +27,21 @@ import numpy as np
 from . import compressive, retrieval
 from .errors import IdentifiabilityError
 
-__all__ = ["METHODS", "COMPRESSIVE_METHODS", "ExperimentConfig", "config_from_file",
-           "parse_snr", "noise_sigma", "run_bench", "rows_to_csv", "rows_to_json"]
+__all__ = ["METHODS", "METHOD_TABLE", "estimate", "ExperimentConfig", "read_config",
+           "config_from_mapping", "config_from_file", "parse_snr", "noise_sigma",
+           "run_bench", "rows_to_csv", "rows_to_json"]
 
-METHODS = ("crosscorr", "ratio", "single_bin", "compressive_argmax", "compressive_ratio")
-COMPRESSIVE_METHODS = ("compressive_argmax", "compressive_ratio")
+# Method name -> (module, estimator name, whether it takes measurements).
+# The estimator is looked up on its module at each call, never stored,
+# so whoever rebinds the module attribute (a tracer, a test stub) is seen.
+METHOD_TABLE = {
+    "crosscorr": (retrieval, "shift_by_crosscorr", False),
+    "ratio": (retrieval, "shift_by_ratio", False),
+    "single_bin": (retrieval, "shift_single_bin", False),
+    "compressive_argmax": (compressive, "shift_by_compressive_argmax", True),
+    "compressive_ratio": (compressive, "shift_by_compressive_ratio", True),
+}
+METHODS = tuple(METHOD_TABLE)
 CSV_COLUMNS = ("snr_db", "method", "n", "m", "trials", "success_rate", "mean_elapsed_us")
 
 
@@ -60,7 +71,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if any(m in COMPRESSIVE_METHODS for m in self.methods):
+        if any(METHOD_TABLE[m][2] for m in self.methods):
             if self.sensing is None:
                 raise ValueError("compressive methods need a sensing index list")
             compressive.SensingSet(self.n, self.sensing)  # raises if invalid
@@ -74,13 +85,8 @@ def parse_snr(token: str) -> float:
     return float(token)
 
 
-def config_from_file(path) -> ExperimentConfig:
-    """Load a config from JSON or from flat key=value lines.
-
-    Recognized keys: n, trials, seed, snr_db_grid (or snr_db), methods,
-    sensing, output (or out), format, measure_time. List values are
-    comma-separated in the flat form.
-    """
+def read_config(path) -> dict:
+    """Read the raw key -> value mapping of a JSON or flat key=value config file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
@@ -96,7 +102,12 @@ def config_from_file(path) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             raw[key.strip()] = val.strip()
-    return _config_from_mapping(raw)
+    return raw
+
+
+def config_from_file(path) -> ExperimentConfig:
+    """Load a config from JSON or from flat key=value lines (see :func:`config_from_mapping`)."""
+    return config_from_mapping(read_config(path))
 
 
 def _split(val) -> list[str]:
@@ -105,7 +116,13 @@ def _split(val) -> list[str]:
     return list(val)
 
 
-def _config_from_mapping(raw) -> ExperimentConfig:
+def config_from_mapping(raw) -> ExperimentConfig:
+    """Build a config from raw values, as read from a file or given as flags.
+
+    Recognized keys: n, trials, seed, snr_db_grid (or snr_db), methods,
+    sensing, output (or out), format, measure_time. List values may be
+    comma-separated strings.
+    """
     known = {"n", "trials", "seed", "snr_db", "snr_db_grid", "methods", "method",
              "sensing", "output", "out", "format", "measure_time"}
     unknown = set(raw) - known
@@ -145,20 +162,14 @@ def noise_sigma(x: np.ndarray, snr_db: float) -> float:
     return float(np.sqrt(np.dot(x, x) / (x.size * snr)))
 
 
-def _estimate(method: str, x, y, sensing_set):
-    if method == "crosscorr":
-        return retrieval.shift_by_crosscorr(x, y).shift
-    if method == "ratio":
-        return retrieval.shift_by_ratio(x, y).shift
-    if method == "single_bin":
-        return retrieval.shift_single_bin(x, y).shift
-    v = compressive.measure(x, sensing_set)
-    z = compressive.measure(y, sensing_set)
-    if method == "compressive_argmax":
-        return compressive.shift_by_compressive_argmax(z, v).shift
-    if method == "compressive_ratio":
-        return compressive.shift_by_compressive_ratio(z, v).shift
-    raise ValueError(f"unknown method {method!r}")
+def estimate(method: str, x, y, *args):
+    """Run ``method``'s estimator on reference x and shifted y (signals or measurements).
+
+    Measurement estimators take (z, v), the measurements of y and x.
+    """
+    module, name, measured = METHOD_TABLE[method]
+    fn = getattr(module, name)
+    return fn(y, x, *args) if measured else fn(x, y, *args)
 
 
 def run_bench(config: ExperimentConfig) -> list[dict]:
@@ -170,6 +181,7 @@ def run_bench(config: ExperimentConfig) -> list[dict]:
     rows = []
     for snr_db in config.snr_db_grid:
         for method in config.methods:
+            measured = METHOD_TABLE[method][2]
             successes = 0
             elapsed = 0.0
             for trial in range(config.trials):
@@ -180,9 +192,12 @@ def run_bench(config: ExperimentConfig) -> list[dict]:
                 sigma = noise_sigma(x, snr_db)
                 if sigma > 0.0:
                     y = y + sigma * rng.standard_normal(config.n)
+                if measured:
+                    x = compressive.measure(x, sensing_set)
+                    y = compressive.measure(y, sensing_set)
                 t0 = time.perf_counter()
                 try:
-                    s_hat = _estimate(method, x, y, sensing_set)
+                    s_hat = estimate(method, x, y).shift
                 except IdentifiabilityError:
                     s_hat = None  # counted as a miss
                 elapsed += time.perf_counter() - t0
@@ -191,7 +206,7 @@ def run_bench(config: ExperimentConfig) -> list[dict]:
                 "snr_db": snr_db,
                 "method": method,
                 "n": config.n,
-                "m": sensing_set.m if (method in COMPRESSIVE_METHODS and sensing_set) else config.n,
+                "m": sensing_set.m if measured else config.n,
                 "trials": config.trials,
                 "success_rate": successes / config.trials,
                 "mean_elapsed_us": (

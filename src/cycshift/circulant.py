@@ -12,12 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import dft, irdft, rdft
+from .spectral import ZERO_BIN_TOL, dft, irdft, rdft
 
 __all__ = ["Circulant", "make_shift", "ls_circulant_fit"]
-
-# Relative cutoff below which a spectral row counts as zero.
-ZERO_ROW_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +91,9 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
     Only the first floor(n/2)+1 spectral rows are transformed and
     fitted; the rest are conjugate mirrors, so the real inverse
     transform yields an exactly real first column. Rows of X with
-    negligible energy (relative threshold
-    ``ZERO_ROW_TOL``) get a zero eigenvalue, which is the minimum-norm
-    choice among the equally optimal ones.
+    negligible energy (relative threshold ``ZERO_BIN_TOL`` on the
+    energy) get a zero eigenvalue, which is the minimum-norm choice
+    among the equally optimal ones.
 
     Parameters
     ----------
@@ -126,7 +123,7 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
     cross = np.sum(np.conj(Xs) * Ys, axis=1)
 
     sigma = np.zeros(Xs.shape[0], dtype=np.complex128)
-    live = energy > ZERO_ROW_TOL * energy.max()
+    live = energy > ZERO_BIN_TOL * energy.max()
     sigma[live] = cross[live] / energy[live]
     col = irdft(sigma, n) / np.sqrt(n)
 

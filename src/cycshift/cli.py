@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import __version__, bench, compressive, retrieval
+from . import __version__, bench, compressive
 from .errors import IdentifiabilityError
 from .fileio import load_any, load_signal, save_signal
 from .selftest import run_selftest
@@ -53,11 +53,9 @@ def _generate(kind: str, n: int, seed: int) -> np.ndarray:
         return rng.standard_normal(n)
     if kind == "uniform":
         return rng.uniform(-1.0, 1.0, n)
-    if kind == "impulse-train":
-        out = np.zeros(n)
-        out[::3] = 1.0  # comb with period 3: [1,0,0,1,0,0,...]
-        return out
-    raise ValueError(f"unknown kind {kind!r}")
+    out = np.zeros(n)  # impulse-train
+    out[::3] = 1.0  # comb with period 3: [1,0,0,1,0,0,...]
+    return out
 
 
 def _cmd_gen(args) -> int:
@@ -66,44 +64,26 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_pair(args):
-    """Load x/y inputs, transparently accepting measurement files."""
-    x = load_any(args.x)
-    y = load_any(args.y)
-    if isinstance(x, compressive.Measurement) != isinstance(y, compressive.Measurement):
-        raise ValueError("x and y files must both be signals or both be measurements")
-    if isinstance(x, compressive.Measurement):
-        return None, None, y, x
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {args.x} has {x.size}, {args.y} has {y.size}")
-    return x, y, None, None
-
-
 def _cmd_retrieve(args) -> int:
-    x, y, z, v = _load_pair(args)
-    method = args.method
-    compressive_method = method in bench.COMPRESSIVE_METHODS
-    if z is not None and not compressive_method:
-        raise ValueError(f"measurement files require a compressive method, not {method!r}")
-
-    if compressive_method and z is None:
+    # Signal or measurement files, told apart by the single read that loads them.
+    x, y = load_any(args.x), load_any(args.y)
+    measured = isinstance(x, compressive.Measurement)
+    if measured != isinstance(y, compressive.Measurement):
+        raise ValueError("x and y files must both be signals or both be measurements")
+    if not measured and x.size != y.size:
+        raise ValueError(f"length mismatch: {args.x} has {x.size}, {args.y} has {y.size}")
+    takes_measurements = bench.METHOD_TABLE[args.method][2]
+    if measured and not takes_measurements:
+        raise ValueError(f"measurement files require a compressive method, not {args.method!r}")
+    if takes_measurements and not measured:
         if args.sensing is None:
             raise ValueError("compressive methods need --sensing (e.g. --sensing 1,3)")
         sensing = _parse_sensing(args.sensing, x.size)
-        v = compressive.measure(x, sensing)
-        z = compressive.measure(y, sensing)
+        x, y = compressive.measure(x, sensing), compressive.measure(y, sensing)
+    extra = (args.bin,) if args.method == "single_bin" else ()
 
     t0 = time.perf_counter()
-    if method == "crosscorr":
-        est = retrieval.shift_by_crosscorr(x, y)
-    elif method == "ratio":
-        est = retrieval.shift_by_ratio(x, y)
-    elif method == "single_bin":
-        est = retrieval.shift_single_bin(x, y, args.bin)
-    elif method == "compressive_argmax":
-        est = compressive.shift_by_compressive_argmax(z, v)
-    else:
-        est = compressive.shift_by_compressive_ratio(z, v)
+    est = bench.estimate(args.method, x, y, *extra)
     elapsed_us = int(round((time.perf_counter() - t0) * 1e6))
 
     print(json.dumps({
@@ -118,37 +98,15 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.config:
-        config = bench.config_from_file(args.config)
-    else:
-        if args.n is None or args.trials is None or args.snr_db is None:
-            raise ValueError("bench needs --config, or all of --n, --trials and --snr-db")
-        config = bench.ExperimentConfig(
-            n=args.n, trials=args.trials, seed=0, snr_db_grid=(float("inf"),)
-        )
-    overrides = {}
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.snr_db is not None:
-        overrides["snr_db_grid"] = tuple(
-            bench.parse_snr(tok) for tok in args.snr_db.split(",") if tok.strip()
-        )
-    if args.methods is not None:
-        overrides["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if args.sensing is not None:
-        overrides["sensing"] = tuple(int(k) for k in args.sensing.split(",") if k.strip())
-    if args.out is not None:
-        overrides["output"] = args.out
-    if args.format is not None:
-        overrides["fmt"] = args.format
-    if args.no_timing:
-        overrides["measure_time"] = False
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    if not args.config and None in (args.n, args.trials, args.snr_db):
+        raise ValueError("bench needs --config, or all of --n, --trials and --snr-db")
+    # Flags that are set override the config file's values (seed 0 without one).
+    raw = bench.read_config(args.config) if args.config else {"seed": 0}
+    flags = {"n": args.n, "trials": args.trials, "seed": args.seed, "snr_db_grid": args.snr_db,
+             "methods": args.methods, "sensing": args.sensing, "output": args.out,
+             "format": args.format, "measure_time": False if args.no_timing else None}
+    raw.update((key, value) for key, value in flags.items() if value is not None)
+    config = bench.config_from_mapping(raw)
 
     rows = bench.run_bench(config)
     text = bench.rows_to_json(rows) if config.fmt == "json" else bench.rows_to_csv(rows)
@@ -164,21 +122,12 @@ def _cmd_check_sensing(args) -> int:
     x = load_signal(args.x)
     sensing = _parse_sensing(args.sensing, x.size)
     report = compressive.check_sensing_conditions(x, sensing)
-    print(json.dumps({
-        "n": report.n,
-        "indices": list(report.indices),
-        "qualifying_bins": list(report.qualifying_bins),
-        "guarantee_holds": report.guarantee_holds,
-        "frame_alpha": report.frame_alpha,
-        "frame_ok": report.frame_ok,
-        "ambiguous": report.ambiguous,
-        "duplicate_shift_groups": [list(g) for g in report.duplicate_shift_groups],
-    }))
+    print(json.dumps(dataclasses.asdict(report)))
     return EXIT_OK if report.guarantee_holds and not report.ambiguous else EXIT_UNIDENTIFIABLE
 
 
 def _cmd_selftest(args) -> int:
-    results = run_selftest(corrupt_dft_sign=args.corrupt_dft_sign)
+    results = run_selftest()
     for name, ok, detail in results:
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
     failed = [name for name, ok, _ in results if not ok]
@@ -186,18 +135,14 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if not failed else EXIT_UNIDENTIFIABLE
 
 
-_SEED_DEFAULT = 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cycshift", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="write a deterministic test signal file",
-                           parents=[], add_help=True)
+    p_gen = sub.add_parser("gen", help="write a deterministic test signal file")
     p_gen.add_argument("--n", type=int, required=True, help="signal length")
-    p_gen.add_argument("--seed", type=int, default=_SEED_DEFAULT, help="rng seed")
+    p_gen.add_argument("--seed", type=int, default=0, help="rng seed")
     p_gen.add_argument("--kind", choices=SIGNAL_KINDS, default="gaussian")
     p_gen.add_argument("--out", required=True, help="output path")
     p_gen.set_defaults(func=_cmd_gen)
@@ -233,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.set_defaults(func=_cmd_check_sensing)
 
     p_self = sub.add_parser("selftest", help="run the built-in consistency suites")
-    p_self.add_argument("--corrupt-dft-sign", action="store_true", help=argparse.SUPPRESS)
     p_self.set_defaults(func=_cmd_selftest)
 
     return parser

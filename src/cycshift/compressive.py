@@ -6,9 +6,8 @@ act on each spectral entry as a pure phase, the shift between two
 signals survives this compression: a single well-chosen bin is enough.
 
 The m-by-n sensing matrix is conceptually a row subset of the Fourier
-matrix but is never formed in production paths; :func:`measure`
-evaluates the needed transform entries directly. Only the test-scale
-:func:`argmax_identity_check` materializes matrices.
+matrix but is never formed here; :func:`measure` evaluates the needed
+transform entries directly. The dense forms live in :mod:`cycshift.oracle`.
 """
 
 from __future__ import annotations
@@ -18,11 +17,9 @@ from math import gcd
 
 import numpy as np
 
-from .circulant import make_shift
 from .errors import IdentifiabilityError, require_finite
-from .oracle import materialize
-from .retrieval import ZERO_BIN_TOL, ShiftEstimate
-from .spectral import dft, dft_entry, fourier_column
+from .retrieval import ShiftEstimate
+from .spectral import ZERO_BIN_TOL, dft, dft_entry
 
 __all__ = [
     "SensingSet",
@@ -33,10 +30,12 @@ __all__ = [
     "check_sensing_conditions",
     "shift_by_compressive_argmax",
     "shift_by_compressive_ratio",
-    "argmax_identity_check",
 ]
 
 # Two measurement columns closer than this (sup norm) count as duplicates.
+# check_sensing_conditions scales it by the signal's spectral peak. The
+# estimators see only measurements, which cannot tell a small signal from
+# numerically dead bins (~1e-16 dust), so for them it stays absolute.
 DUPLICATE_COLUMN_TOL = 1e-9
 
 
@@ -68,7 +67,7 @@ class SensingSet:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """Compressed spectrum: complex values at the sensing indices."""
+    """Compressed spectrum: complex values at the sensing indices, all finite."""
 
     values: np.ndarray
     sensing: SensingSet
@@ -79,6 +78,7 @@ class Measurement:
             raise ValueError(
                 f"expected {self.sensing.m} measurement values, got shape {vals.shape}"
             )
+        require_finite(vals, "measurement")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -143,18 +143,15 @@ class SensingReport:
 
     ``guarantee_holds`` is true iff some retained bin both carries
     energy and is coprime with n; such a bin pins down the shift
-    uniquely. ``frame_alpha`` reports the tight-frame constant (always
-    1 for rows of a unitary matrix). ``duplicate_shift_groups`` lists
-    the groups of shifts, larger than a singleton, whose measurements
-    coincide; ``ambiguous`` is true when any exist.
+    uniquely. ``duplicate_shift_groups`` lists the groups of shifts,
+    larger than a singleton, whose measurements coincide; ``ambiguous``
+    is true when any exist.
     """
 
     n: int
     indices: tuple[int, ...]
     qualifying_bins: tuple[int, ...]
     guarantee_holds: bool
-    frame_alpha: float
-    frame_ok: bool
     ambiguous: bool
     duplicate_shift_groups: tuple[tuple[int, ...], ...]
 
@@ -162,18 +159,15 @@ class SensingReport:
 def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     """Check whether a sensing set can recover shifts of this signal.
 
-    Three conditions are evaluated: (a) existence of a retained bin k
+    Two conditions are evaluated: (a) existence of a retained bin k
     with nonzero spectrum and gcd(k, n) = 1, which guarantees exact
-    recovery; (b) the tight-frame property alpha * A A^H = I, which
-    holds with alpha = 1 by construction for distinct rows of the
-    unitary Fourier matrix; (c) absence of shift ambiguity, i.e. all n
-    columns of the measured-shift matrix pairwise distinct beyond
-    ``DUPLICATE_COLUMN_TOL``. Purely diagnostic: raises only on
+    recovery; (b) absence of shift ambiguity, i.e. all n columns of the
+    measured-shift matrix pairwise distinct beyond
+    ``DUPLICATE_COLUMN_TOL`` times the spectral peak of x, so scaling x
+    changes neither verdict. Purely diagnostic: raises only on
     malformed input (wrong length, NaN or infinite samples).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (sensing.n,):
-        raise ValueError(f"signal shape {x.shape} does not match ambient dimension {sensing.n}")
+    v = measure(x, sensing).values  # validates x
     n = sensing.n
     xs = dft(x)
     peak = np.abs(xs).max()
@@ -181,16 +175,13 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
         k for k in sensing.indices
         if gcd(k, n) == 1 and abs(xs[k]) > ZERO_BIN_TOL * peak
     )
-    v = measure(x, sensing).values
-    groups = _duplicate_groups(v, sensing.indices, n)
+    groups = _duplicate_groups(v, sensing.indices, n, DUPLICATE_COLUMN_TOL * peak)
     dup = tuple(g for g in groups if len(g) > 1)
     return SensingReport(
         n=n,
         indices=sensing.indices,
         qualifying_bins=qualifying,
         guarantee_holds=bool(qualifying),
-        frame_alpha=1.0,
-        frame_ok=True,
         ambiguous=bool(dup),
         duplicate_shift_groups=dup,
     )
@@ -249,9 +240,7 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
     peak = mags.max()
     if peak == 0.0:
         raise IdentifiabilityError("every reference measurement bin is zero")
-    keep = mags > ZERO_BIN_TOL * peak
-    if not keep.any():
-        raise IdentifiabilityError("every reference measurement bin was dropped as zero")
+    keep = mags > ZERO_BIN_TOL * peak  # holds at the peak: values are finite
     kept_idx = np.asarray(sensing.indices, dtype=np.int64)[keep]
     rho = z.values[keep] / v.values[keep]
     table = _phase_table(sensing, kept_idx)
@@ -264,30 +253,3 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
         "compressive_ratio", sensing.n, s, float(residuals[s]), residuals, tuple(flags)
     )
 
-
-def argmax_identity_check(z: Measurement, v: Measurement, shift: int,
-                          *, max_n: int = 64) -> tuple[float, float]:
-    """Evaluate both sides of the compressed-correlation identity.
-
-    The left side materializes the sensing matrix A and the shift
-    matrix P and evaluates Re(z^H A P^shift A^H v) with dense products.
-    The right side uses no matrices at all: it embeds conj(z) * v into
-    the ambient dimension and takes its inner product against
-    sqrt(n) times the Fourier column of the shift. The two must agree;
-    this is a test-scale operation (n <= ``max_n``).
-    """
-    sensing = _common_sensing(z, v)
-    n = sensing.n
-    if n > max_n:
-        raise ValueError(f"identity check materializes {n}x{n} matrices; limit is {max_n}")
-    if not 0 <= shift < n:
-        raise ValueError(f"shift {shift} out of range 0..{n - 1}")
-
-    rows = np.asarray(sensing.indices, dtype=np.int64)
-    A = np.exp((-2j * np.pi / n) * (np.outer(rows, np.arange(n)) % n)) / np.sqrt(n)
-    P = materialize(make_shift(n, shift))
-    lhs = float(np.vdot(z.values, A @ (P @ (A.conj().T @ v.values))).real)
-
-    r = embed(np.conj(z.values) * v.values, sensing)
-    rhs = float((r @ (np.sqrt(n) * fourier_column(n, shift + 1))).real)
-    return lhs, rhs

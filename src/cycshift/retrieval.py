@@ -25,7 +25,7 @@ from math import gcd
 import numpy as np
 
 from .errors import IdentifiabilityError, require_finite
-from .spectral import dft_entry, irdft, rdft
+from .spectral import ZERO_BIN_TOL, dft_entry, irdft, rdft
 
 __all__ = [
     "ShiftEstimate",
@@ -37,8 +37,8 @@ __all__ = [
     "shift_affine",
 ]
 
-# Relative magnitude below which a spectral bin counts as zero.
-ZERO_BIN_TOL = 1e-12
+# shift_single_bin flags "model_misfit" when abs(|rho| - 1) exceeds this.
+MISFIT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +198,7 @@ def _strongest_bin(mags: np.ndarray, n: int) -> int:
     return int(np.argmax(np.where(eligible, mags, -1.0)))
 
 
-def shift_single_bin(x, y, i: int | None = None, *, misfit_tol: float = 1e-6,
-                     column_scan: bool = False) -> ShiftEstimate:
+def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
     """One-measurement estimator: invert the phase of a single ratio.
 
     Computes rho = Y[i]/X[i] from two directly evaluated transform
@@ -217,16 +216,10 @@ def shift_single_bin(x, y, i: int | None = None, *, misfit_tol: float = 1e-6,
         energy. When omitted, the best bin is chosen by the
         :func:`select_bin` rule from bins 0..n//2 of the spectrum of x
         (convenience path; costs one real-input transform).
-    misfit_tol : float
-        If ``abs(|rho| - 1)`` exceeds this, the estimate is flagged
-        ``"model_misfit"`` (y is not a pure delay of x) but still
-        returned.
-    column_scan : bool
-        Debug mode: recover the shift by scanning all n candidate
-        phases for the nearest match instead of the modular inversion.
-        Fills ``scores`` with negated distances.
 
-    The estimate's score is |rho|, which equals 1 for exact shifts.
+    The estimate's score is |rho|, which equals 1 for exact shifts. If
+    ``abs(|rho| - 1)`` exceeds ``MISFIT_TOL`` the estimate is flagged
+    ``"model_misfit"`` (y is not a pure delay of x) but still returned.
     """
     x, y = _pair(x, y)
     n = x.size
@@ -251,14 +244,7 @@ def shift_single_bin(x, y, i: int | None = None, *, misfit_tol: float = 1e-6,
         yi = complex(dft_entry(y, i))
 
     rho = yi / xi
-    flags = ("model_misfit",) if abs(abs(rho) - 1.0) > misfit_tol else ()
-
-    if column_scan:
-        cand = np.exp((-2j * np.pi / n) * (i * np.arange(n, dtype=np.int64) % n))
-        dist = np.abs(rho - cand)
-        s = int(np.argmin(dist))
-        return ShiftEstimate("single_bin", n, s, float(abs(rho)), -dist, flags)
-
+    flags = ("model_misfit",) if abs(abs(rho) - 1.0) > MISFIT_TOL else ()
     t = int(np.round(-np.angle(rho) * n / (2 * np.pi))) % n
     s = (t * pow(i, -1, n)) % n if n > 1 else 0
     return ShiftEstimate("single_bin", n, int(s), float(abs(rho)), None, flags)
@@ -273,10 +259,12 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     alpha); alpha and beta then follow from the spike height over the
     leave-one-out mean and from the pedestal itself.
 
-    Requires sum(x) != 0 (otherwise beta is unidentifiable) and at
-    least one usable bin with gcd(i, n) = 1. When |alpha| is negligible
-    the shift is meaningless and the model is flagged
-    ``"alpha_unidentifiable"``.
+    Requires sum(x) != 0 relative to n * max|x| (otherwise beta is
+    unidentifiable) and at least one usable bin with gcd(i, n) = 1.
+    When |alpha| * max|x| is negligible against max|y| the shift is
+    meaningless and the model is flagged ``"alpha_unidentifiable"``.
+    Both checks compare like with like, so scaling x and y together
+    changes neither.
 
     Returns
     -------
@@ -289,7 +277,8 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     if n < 2:
         raise ValueError("affine shift fit needs n >= 2")
     total = float(x.sum())
-    if abs(total) <= ZERO_BIN_TOL * n * max(1.0, float(np.abs(x).max())):
+    x_peak = float(np.abs(x).max())
+    if abs(total) <= ZERO_BIN_TOL * n * x_peak:
         raise IdentifiabilityError("sum(x) is numerically zero: the offset term is unidentifiable")
 
     xs, ys = rdft(x), rdft(y)
@@ -309,7 +298,7 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     beta = pedestal * total
 
     flags: tuple[str, ...] = ()
-    if abs(alpha) <= 1e-9 * max(1.0, float(np.abs(y).max())):
+    if abs(alpha) * x_peak <= 1e-9 * float(np.abs(y).max()):
         flags = ("alpha_unidentifiable",)
 
     residual = _norm(y - alpha * np.roll(x, s) - beta)

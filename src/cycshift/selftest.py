@@ -1,9 +1,7 @@
 """Built-in consistency suites, runnable in the field via the CLI.
 
 Each group cross-checks a fast path against an independent slow one at
-small sizes (n <= 16) and reports pass/fail. The ``corrupt_dft_sign``
-hook flips the transform kernel so the negative-control test can watch
-the unitarity group fail.
+small sizes (n <= 16) and reports pass/fail.
 """
 
 from __future__ import annotations
@@ -19,23 +17,15 @@ _SEED = 20240813
 _MAX_N = 16
 
 
-def _naive_dft(x: np.ndarray) -> np.ndarray:
-    """Direct O(n^2) unitary transform, kept independent of numpy.fft."""
-    n = x.size
-    a = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(a, a) / n)
-    return kernel @ x / np.sqrt(n)
-
-
-def _group_unitarity(dft_fn) -> tuple[bool, str]:
+def _group_unitarity() -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     for n in range(1, _MAX_N + 1):
         x = rng.standard_normal(n)
-        X = dft_fn(x)
+        X = spectral.dft(x)
         worst = max(worst, abs(np.linalg.norm(X) - np.linalg.norm(x)))
         worst = max(worst, float(np.abs(spectral.idft(X) - x).max()))
-        worst = max(worst, float(np.abs(X - _naive_dft(x)).max()))
+        worst = max(worst, float(np.abs(X - oracle.naive_dft(x)).max()))
     return worst < 1e-10, f"max deviation {worst:.3e}"
 
 
@@ -100,7 +90,7 @@ def _group_compressive_identity() -> tuple[bool, str]:
             v = compressive.measure(x, sensing)
             for s in range(n):
                 z = compressive.measure(np.roll(x, s), sensing)
-                lhs, rhs = compressive.argmax_identity_check(z, v, s)
+                lhs, rhs = oracle.argmax_identity_check(z, v, s)
                 worst = max(worst, abs(lhs - rhs))
         full = compressive.SensingSet(n, tuple(range(n)))
         v = compressive.measure(x, full)
@@ -135,19 +125,6 @@ GROUPS = (
 )
 
 
-def run_selftest(corrupt_dft_sign: bool = False) -> list[tuple[str, bool, str]]:
-    """Run every group; returns (name, passed, detail) triples.
-
-    ``corrupt_dft_sign`` conjugates the forward transform fed to the
-    unitarity group (a deliberately wrong kernel sign) so callers can
-    verify the suite actually detects breakage.
-    """
-    dft_fn = (lambda x: np.conj(spectral.dft(x))) if corrupt_dft_sign else spectral.dft
-    results = []
-    for name, fn in GROUPS:
-        if name == "fourier-unitarity":
-            ok, detail = fn(dft_fn)
-        else:
-            ok, detail = fn()
-        results.append((name, ok, detail))
-    return results
+def run_selftest() -> list[tuple[str, bool, str]]:
+    """Run every group; returns (name, passed, detail) triples."""
+    return [(name, *fn()) for name, fn in GROUPS]

@@ -15,6 +15,10 @@ import numpy as np
 
 __all__ = ["dft", "idft", "rdft", "irdft", "fourier_column", "dft_entry"]
 
+# Relative size below which a spectral quantity (a bin's magnitude, a
+# spectral row's energy) counts as zero.
+ZERO_BIN_TOL = 1e-12
+
 # Above this length dft_entry switches to a blocked evaluation that only
 # needs O(sqrt(n)) trigonometric evaluations instead of n.
 _ENTRY_BLOCK = 2048

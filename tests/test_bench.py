@@ -1,18 +1,27 @@
+import dataclasses
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cycshift import SensingSet, check_sensing_conditions, measure, retrieval, shift_affine
 from cycshift.bench import (
+    METHOD_TABLE,
     METHODS,
     ExperimentConfig,
     config_from_file,
+    estimate,
     noise_sigma,
     parse_snr,
     rows_to_csv,
     rows_to_json,
     run_bench,
 )
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
 
 
 def small_config(**overrides):
@@ -150,3 +159,68 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("n=8\ntrials=4\nseed=3\nsnr_db=inf\nbogus=1\n")
     with pytest.raises(ValueError):
         config_from_file(path)
+
+
+def test_run_bench_calls_the_estimator_bound_on_its_module(monkeypatch):
+    # The method table looks estimators up at call time, so rebinding the
+    # module attribute (as a tracer or a stub does) reaches run_bench.
+    real = retrieval.shift_by_crosscorr
+
+    def off_by_one(x, y):
+        est = real(x, y)
+        return dataclasses.replace(est, shift=(est.shift + 1) % est.n)
+
+    monkeypatch.setattr(retrieval, "shift_by_crosscorr", off_by_one)
+    rows = run_bench(small_config(trials=5, methods=("crosscorr", "ratio")))
+    assert [row["success_rate"] for row in rows] == [0.0, 1.0]
+
+
+def test_every_traced_function_resolves():
+    with open(LAYERS, encoding="utf-8") as fh:
+        rows = json.load(fh)["rows"]
+    targets = [t for row in rows for binds in row["spans"].values() for t in binds
+               if t.startswith("cycshift.")]
+    assert targets
+    for target in targets:
+        module, _, qualname = target.partition(":")
+        owner = importlib.import_module(module)
+        for part in qualname.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), target
+
+
+@given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0),
+       st.sets(st.integers(0, 23), min_size=1, max_size=3))
+@example(8, 0, -9.0, {1})  # small signal, coprime bin: neither ambiguous nor dead
+@example(16, 1, -12.0, {2, 6})  # tiny pair: sum(x) and alpha are still identifiable
+@example(16, 2, 12.0, {4})  # huge pair: alpha stays identifiable
+@settings(max_examples=60, deadline=None)
+def test_scaling_both_inputs_changes_no_shift_or_flag(n, seed, log_c, bins):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    y = np.roll(x, int(rng.integers(n)))
+    alpha, beta = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0)), rng.normal()
+    K = SensingSet(n, tuple(sorted({k % n for k in bins})))
+
+    def outcome(c):
+        cx, cy = c * x, c * y
+        report = check_sensing_conditions(cx, K)
+        out = [report.guarantee_holds, report.ambiguous, report.duplicate_shift_groups]
+        # Shifts with equal measurements tie; rounding picks the winner.
+        first_of_group = {s: min(g) for g in report.duplicate_shift_groups for s in g}
+        for method in METHODS:
+            if METHOD_TABLE[method][2]:
+                est = estimate(method, measure(cx, K), measure(cy, K))
+                # Measurements alone cannot tell a small signal from numerically
+                # dead bins, so the compressive estimators' ambiguity flag keeps
+                # an absolute tolerance; only their shifts are compared.
+                out.append((method, first_of_group.get(est.shift, est.shift)))
+            else:
+                est = estimate(method, cx, cy)
+                out.append((method, est.shift, est.flags))
+        if n > 2:  # at n = 2 the affine model has three unknowns for two samples
+            model, _ = shift_affine(cx, alpha * cy + beta * c)
+            out.append(("affine", model.shift, model.flags))
+        return out
+
+    assert outcome(10.0 ** log_c) == outcome(1.0)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from cycshift import SensingSet, measure
 from cycshift.cli import main
-from cycshift import fileio
+from cycshift import fileio, spectral
 from cycshift.fileio import load_signal, save_measurement, save_signal
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -267,6 +267,16 @@ def test_bench_no_timing_matches_golden_file(tmp_path, capsys, n):
     assert out.read_bytes() == (GOLDEN / f"bench_n{n}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("missing", ["--n", "--trials", "--snr-db"])
+def test_bench_without_config_names_missing_flags(capsys, missing):
+    flags = {"--n": "8", "--trials": "2", "--snr-db": "inf"}
+    del flags[missing]
+    code, out, err = run_cli(capsys, "bench", *(tok for item in flags.items() for tok in item))
+    assert code == 1
+    assert out == ""
+    assert missing in err
+
+
 def test_bench_json_format(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n", "8", "--trials", "2", "--seed", "0",
                            "--snr-db", "inf", "--methods", "ratio", "--format", "json")
@@ -316,7 +326,10 @@ def test_selftest_passes(capsys):
     assert elapsed < 10.0
 
 
-def test_selftest_negative_control_corrupted_dft(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--corrupt-dft-sign")
+def test_selftest_negative_control_corrupted_dft(capsys, monkeypatch):
+    # A forward transform with the wrong kernel sign must fail the suite.
+    dft = spectral.dft
+    monkeypatch.setattr(spectral, "dft", lambda x: np.conj(dft(x)))
+    code, out, _ = run_cli(capsys, "selftest")
     assert code != 0
     assert "fourier-unitarity: FAIL" in out

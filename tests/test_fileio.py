@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -103,7 +105,7 @@ def test_signal_loader_rejects_non_finite_values(tmp_path, bad):
 def test_measurement_loader_rejects_non_finite_values(tmp_path, line):
     path = tmp_path / "meas.csv"
     path.write_text(f"# n=8\n# K=1,3\n1.0,2.0\n{line}\n")
-    with pytest.raises(ValueError, match="NaN or infinite"):
+    with pytest.raises(ValueError, match=re.escape(f"{path} contains NaN or infinite")):
         load_measurement(path)
     with pytest.raises(ValueError, match="NaN or infinite"):
         load_any(path)

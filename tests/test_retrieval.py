@@ -190,16 +190,6 @@ def test_single_bin_exhaustive_recovery(n):
         assert shift_single_bin(x, y).shift == brute_force_shift(x, y).shift
 
 
-def test_single_bin_column_scan_agrees():
-    x = full_spectrum_signal(12, 3)
-    for s in range(12):
-        y = np.roll(x, s)
-        fast = shift_single_bin(x, y, 5)
-        scan = shift_single_bin(x, y, 5, column_scan=True)
-        assert fast.shift == scan.shift == s
-        assert scan.scores is not None and int(np.argmax(scan.scores)) == s
-
-
 def test_single_bin_misfit_flag_under_noise():
     rng = np.random.default_rng(11)
     x = full_spectrum_signal(16, 4)
