@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ZERO_BIN_TOL, dft, irdft, rdft
+from .spectral import ZERO_BIN_TOL, dft, rdft
 
 __all__ = ["Circulant", "make_shift", "ls_circulant_fit"]
 
@@ -53,15 +53,16 @@ class Circulant:
 
         Computes idft(eigenvalues * dft(x)) on Fourier modes 0..n//2
         only: the matrix and x are real, so both spectra are
-        conjugate-symmetric and the real inverse transform
-        :func:`~cycshift.spectral.irdft` implies the other modes. The
-        result is therefore real by construction.
+        conjugate-symmetric and the real inverse transform implies the
+        other modes. The result is therefore real by construction.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"dimension mismatch: matrix is {self.n}, vector has shape {x.shape}")
-        n = self.n
-        return irdft(np.sqrt(n) * rdft(self.first_column) * rdft(x), n)
+        # Unscaled forward transforms and the 1/n inverse: a circular convolution.
+        spec = np.fft.rfft(self.first_column)
+        spec *= np.fft.rfft(x)
+        return np.fft.irfft(spec, self.n)
 
 
 def make_shift(n: int, s: int) -> Circulant:
@@ -119,18 +120,18 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
 
     Xs = rdft(X, axis=0)
     Ys = rdft(Y, axis=0)
-    energy = np.sum(np.abs(Xs) ** 2, axis=1)
-    cross = np.sum(np.conj(Xs) * Ys, axis=1)
-
-    sigma = np.zeros(Xs.shape[0], dtype=np.complex128)
+    energy = np.vecdot(Xs, Xs).real  # vecdot conjugates its first argument
     live = energy > ZERO_BIN_TOL * energy.max()
-    sigma[live] = cross[live] / energy[live]
-    col = irdft(sigma, n) / np.sqrt(n)
+    sigma = np.divide(np.vecdot(Xs, Ys), energy, out=np.zeros(energy.size, complex), where=live)
+    # sigma holds the eigenvalues, the unscaled transform of the column.
+    col = np.fft.irfft(sigma, n)
 
     # The Frobenius norm is unitarily invariant, so the residual is summed
     # over the spectral rows; each row strictly between 0 and n/2 stands
-    # for itself and its conjugate mirror.
-    row_err = np.sum(np.abs(Ys - sigma[:, None] * Xs) ** 2, axis=1)
+    # for itself and its conjugate mirror. Ys becomes Ys - sigma * Xs.
+    Xs *= sigma[:, None]
+    Ys -= Xs
+    row_err = np.vecdot(Ys, Ys).real
     mirrored = np.arange(row_err.size) * 2 % n != 0
     residual = np.sqrt(row_err.sum() + row_err[mirrored].sum())
     return Circulant(col), float(residual)

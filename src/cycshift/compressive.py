@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IdentifiabilityError, require_finite
 from .retrieval import ShiftEstimate
-from .spectral import ZERO_BIN_TOL, dft, dft_entry
+from .spectral import ZERO_BIN_TOL, dft_entry, rdft
 
 __all__ = [
     "SensingSet",
@@ -169,11 +169,11 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     """
     v = measure(x, sensing).values  # validates x
     n = sensing.n
-    xs = dft(x)
+    xs = rdft(x)  # bins 0..n//2; x is real, so |X[n - k]| = |X[k]|
     peak = np.abs(xs).max()
     qualifying = tuple(
         k for k in sensing.indices
-        if gcd(k, n) == 1 and abs(xs[k]) > ZERO_BIN_TOL * peak
+        if gcd(k, n) == 1 and abs(xs[min(k, n - k)]) > ZERO_BIN_TOL * peak
     )
     groups = _duplicate_groups(v, sensing.indices, n, DUPLICATE_COLUMN_TOL * peak)
     dup = tuple(g for g in groups if len(g) > 1)
@@ -212,11 +212,14 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     term peaks simultaneously at the true shift. If the winning shift
     sits in a duplicate measurement class the estimate is flagged
     ``"ambiguous"``.
+
+    Shifts that differ by a multiple of n / gcd(n, k_1, ..., k_m) have
+    bitwise-equal phase-table columns and tie; the smallest is returned.
     """
     sensing = _common_sensing(z, v)
     w = np.conj(z.values) * v.values
     scores = (w @ _phase_table(sensing)).real
-    s = int(np.argmax(scores))
+    s = int(np.argmax(scores)) % (sensing.n // gcd(sensing.n, *sensing.indices))
     flags = _ambiguity_flag(v.values, sensing.indices, sensing.n, s)
     return ShiftEstimate("compressive_argmax", sensing.n, s, float(scores[s]), scores, flags)
 

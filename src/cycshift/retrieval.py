@@ -25,7 +25,7 @@ from math import gcd
 import numpy as np
 
 from .errors import IdentifiabilityError, require_finite
-from .spectral import ZERO_BIN_TOL, dft_entry, irdft, rdft
+from .spectral import ZERO_BIN_TOL, dft_entry, rdft
 
 __all__ = [
     "ShiftEstimate",
@@ -123,14 +123,18 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
     entry s equals the alignment inner product
     sum_t x[(t-s) mod n] * y[t]. For y an exact delay of x the peak
     value is ||x||^2. Both signals are real, so the product is formed
-    on bins 0..n//2 only (:func:`~cycshift.spectral.rdft`) and the
-    real inverse :func:`~cycshift.spectral.irdft` implies the rest.
+    on bins 0..n//2 only and the real inverse transform implies the
+    rest: three real transforms and one pointwise product in all.
     """
     x, y = _pair(x, y)
     if not x.any() or not y.any():
         raise IdentifiabilityError("cross-correlation needs nonzero signals")
     n = x.size
-    scores = np.sqrt(n) * irdft(np.conj(rdft(x)) * rdft(y), n)
+    # Unscaled forward transforms and the 1/n inverse give the inner products.
+    spec = np.fft.rfft(x)
+    np.conjugate(spec, out=spec)
+    spec *= np.fft.rfft(y)
+    scores = np.fft.irfft(spec, n)
     s = int(np.argmax(scores))
     return ShiftEstimate("crosscorr", n, s, float(scores[s]), scores)
 
@@ -149,15 +153,13 @@ def shift_by_ratio(x, y) -> ShiftEstimate:
     """
     x, y = _pair(x, y)
     n = x.size
-    xs, ys = rdft(x), rdft(y)
+    xs = np.fft.rfft(x)
     mags = np.abs(xs)
     peak = mags.max()
     if peak == 0.0:
         raise IdentifiabilityError("reference signal has no usable spectral bin (all zero)")
-    usable = mags > ZERO_BIN_TOL * peak
-    rho = np.zeros(xs.size, dtype=np.complex128)
-    rho[usable] = ys[usable] / xs[usable]
-    d = irdft(rho, n) / np.sqrt(n)
+    rho = np.divide(np.fft.rfft(y), xs, out=np.zeros_like(xs), where=mags > ZERO_BIN_TOL * peak)
+    d = np.fft.irfft(rho, n)
     s = int(np.argmax(d))
     return ShiftEstimate("ratio", n, s, float(d[s]), d)
 
@@ -259,8 +261,9 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     alpha); alpha and beta then follow from the spike height over the
     leave-one-out mean and from the pedestal itself.
 
-    Requires sum(x) != 0 relative to n * max|x| (otherwise beta is
-    unidentifiable) and at least one usable bin with gcd(i, n) = 1.
+    Requires n >= 3 (three unknowns), sum(x) != 0 relative to n * max|x|
+    (otherwise beta is unidentifiable) and at least one usable bin with
+    gcd(i, n) = 1.
     When |alpha| * max|x| is negligible against max|y| the shift is
     meaningless and the model is flagged ``"alpha_unidentifiable"``.
     Both checks compare like with like, so scaling x and y together
@@ -274,32 +277,35 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     """
     x, y = _pair(x, y)
     n = x.size
-    if n < 2:
-        raise ValueError("affine shift fit needs n >= 2")
+    if n < 3:
+        raise IdentifiabilityError(f"affine shift fit needs n >= 3 for three unknowns, got {n}")
     total = float(x.sum())
-    x_peak = float(np.abs(x).max())
+    x_peak = float(max(x.max(), -x.min()))
     if abs(total) <= ZERO_BIN_TOL * n * x_peak:
         raise IdentifiabilityError("sum(x) is numerically zero: the offset term is unidentifiable")
 
-    xs, ys = rdft(x), rdft(y)
+    xs = np.fft.rfft(x)
     mags = np.abs(xs)
     usable = mags > ZERO_BIN_TOL * mags.max()
     usable[0] = True  # guaranteed nonzero by the sum(x) check
     if not (usable & _coprime_mask(usable.size, n)).any():
         raise IdentifiabilityError("no usable coprime bin: the shift part is unidentifiable")
+    d = np.fft.irfft(np.divide(np.fft.rfft(y), xs, out=np.zeros_like(xs), where=usable), n)
 
-    rho = np.zeros(xs.size, dtype=np.complex128)
-    rho[usable] = ys[usable] / xs[usable]
-    d = irdft(rho, n) / np.sqrt(n)
-
-    s = int(np.argmax(np.abs(d - d.mean())))
+    # One scratch buffer holds |d - mean(d)|, then the residual.
+    buf = np.subtract(d, d.mean())
+    s = int(np.argmax(np.abs(buf, out=buf)))
     pedestal = float((d.sum() - d[s]) / (n - 1))  # mean of d without entry s
     alpha = float(d[s] - pedestal)
     beta = pedestal * total
 
     flags: tuple[str, ...] = ()
-    if abs(alpha) * x_peak <= 1e-9 * float(np.abs(y).max()):
+    if abs(alpha) * x_peak <= 1e-9 * float(max(y.max(), -y.min())):
         flags = ("alpha_unidentifiable",)
 
-    residual = _norm(y - alpha * np.roll(x, s) - beta)
-    return AffineShiftModel(s, alpha, beta, flags), residual
+    # y - alpha * roll(x, s) - beta, where roll(x, s)[t] = x[(t - s) mod n]
+    np.multiply(x[: n - s], alpha, out=buf[s:])
+    np.multiply(x[n - s:], alpha, out=buf[:s])
+    np.subtract(y, buf, out=buf)
+    buf -= beta
+    return AffineShiftModel(s, alpha, beta, flags), _norm(buf)

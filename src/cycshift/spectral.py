@@ -7,6 +7,10 @@ vector is preserved. The forward kernel is exp(-2j*pi*a*b/n) for
 0-based indices a, b. Any length n >= 1 is supported, including primes.
 
 All functions are pure and never modify their inputs.
+
+The public transforms keep the unitary convention. Package code that needs
+only a product of transforms may call ``numpy.fft`` directly and fold the
+scale factors into its ``norm=`` argument instead of a separate pass.
 """
 
 from __future__ import annotations

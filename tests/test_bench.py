@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cycshift import SensingSet, check_sensing_conditions, measure, retrieval, shift_affine
+from cycshift import (
+    IdentifiabilityError,
+    SensingSet,
+    check_sensing_conditions,
+    measure,
+    retrieval,
+    shift_affine,
+)
 from cycshift.bench import (
     METHOD_TABLE,
     METHODS,
@@ -194,6 +201,8 @@ def test_every_traced_function_resolves():
 @example(8, 0, -9.0, {1})  # small signal, coprime bin: neither ambiguous nor dead
 @example(16, 1, -12.0, {2, 6})  # tiny pair: sum(x) and alpha are still identifiable
 @example(16, 2, 12.0, {4})  # huge pair: alpha stays identifiable
+@example(15, 113, 3.75, {0, 9})  # compressive_argmax: 2 at unit scale, 12 (same class) scaled
+@example(6, 15, 2.0, {2, 4})  # compressive_argmax: 2 at unit scale, 5 (same class) scaled
 @settings(max_examples=60, deadline=None)
 def test_scaling_both_inputs_changes_no_shift_or_flag(n, seed, log_c, bins):
     rng = np.random.default_rng(seed)
@@ -206,19 +215,20 @@ def test_scaling_both_inputs_changes_no_shift_or_flag(n, seed, log_c, bins):
         cx, cy = c * x, c * y
         report = check_sensing_conditions(cx, K)
         out = [report.guarantee_holds, report.ambiguous, report.duplicate_shift_groups]
-        # Shifts with equal measurements tie; rounding picks the winner.
-        first_of_group = {s: min(g) for g in report.duplicate_shift_groups for s in g}
         for method in METHODS:
             if METHOD_TABLE[method][2]:
                 est = estimate(method, measure(cx, K), measure(cy, K))
                 # Measurements alone cannot tell a small signal from numerically
                 # dead bins, so the compressive estimators' ambiguity flag keeps
                 # an absolute tolerance; only their shifts are compared.
-                out.append((method, first_of_group.get(est.shift, est.shift)))
+                out.append((method, est.shift))
             else:
                 est = estimate(method, cx, cy)
                 out.append((method, est.shift, est.flags))
-        if n > 2:  # at n = 2 the affine model has three unknowns for two samples
+        if n == 2:  # the affine model has three unknowns for two samples
+            with pytest.raises(IdentifiabilityError):
+                shift_affine(cx, alpha * cy + beta * c)
+        else:
             model, _ = shift_affine(cx, alpha * cy + beta * c)
             out.append(("affine", model.shift, model.flags))
         return out

@@ -2,6 +2,7 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cycshift import (
@@ -19,7 +20,9 @@ from cycshift import (
     shift_by_crosscorr,
     shift_by_ratio,
 )
+from cycshift.compressive import DUPLICATE_COLUMN_TOL, _duplicate_groups
 from cycshift.oracle import brute_force_shift, materialize
+from cycshift.spectral import ZERO_BIN_TOL
 
 
 def sensing_matrix(sensing):
@@ -164,6 +167,27 @@ def test_check_prime_length_guarantee():
     assert report.guarantee_holds and not report.ambiguous
 
 
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.sets(st.integers(0, 63), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_sensing_report_from_real_transform_matches_full_dft(n, seed, bins):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    divisors = [p for p in range(1, n + 1) if n % p == 0]
+    x = np.resize(x[: divisors[seed % len(divisors)]], n)  # a short period leaves dead bins
+    K = SensingSet(n, tuple(sorted({0, n // 2} | {k % n for k in bins})))
+    # The report as read from the full complex spectrum.
+    xs = dft(x)
+    peak = np.abs(xs).max()
+    qualifying = tuple(k for k in K.indices if gcd(k, n) == 1 and abs(xs[k]) > ZERO_BIN_TOL * peak)
+    groups = _duplicate_groups(measure(x, K).values, K.indices, n, DUPLICATE_COLUMN_TOL * peak)
+    dup = tuple(g for g in groups if len(g) > 1)
+    report = check_sensing_conditions(x, K)
+    assert report.qualifying_bins == qualifying
+    assert report.guarantee_holds == bool(qualifying)
+    assert report.duplicate_shift_groups == dup
+    assert report.ambiguous == bool(dup)
+
+
 def test_check_frame_property_against_materialized_matrix():
     for n, indices in [(8, (1, 3)), (12, (0, 5, 7)), (6, tuple(range(6)))]:
         A = sensing_matrix(SensingSet(n, indices))
@@ -193,6 +217,24 @@ def test_argmax_zero_shift_score():
     est = shift_by_compressive_argmax(v, v)
     assert est.shift == 0
     assert est.score == pytest.approx(float(np.sum(np.abs(v.values) ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, indices, seed, scale", [
+    (15, (0, 9), 113, 10.0 ** 3.75),
+    (6, (2, 4), 15, 100.0),
+])
+def test_argmax_returns_smallest_shift_of_its_class(n, indices, seed, scale):
+    # Shifts that differ by a multiple of n / gcd(n, *indices) have
+    # bitwise-equal phase-table columns; at these scales rounding in the
+    # score product used to favour a larger member of the class.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    s = int(rng.integers(n))  # x is np.roll(x, s) delayed by -s
+    K = SensingSet(n, indices)
+    for c in (1.0, scale):
+        est = shift_by_compressive_argmax(measure(c * x, K), measure(c * np.roll(x, s), K))
+        assert est.shift == -s % (n // gcd(n, *indices)) == 2
+        assert est.flags == ("ambiguous",)
 
 
 @pytest.mark.parametrize("n", [4, 8, 12, 16, 32])
