@@ -28,7 +28,7 @@ from . import compressive, retrieval
 from .errors import IdentifiabilityError
 
 __all__ = ["METHODS", "METHOD_TABLE", "estimate", "ExperimentConfig", "read_config",
-           "config_from_mapping", "config_from_file", "parse_snr", "noise_sigma",
+           "config_from_mapping", "parse_snr", "noise_sigma",
            "run_bench", "rows_to_csv", "rows_to_json"]
 
 # Method name -> (module, estimator name, whether it takes measurements).
@@ -103,11 +103,6 @@ def read_config(path) -> dict:
             key, _, val = line.partition("=")
             raw[key.strip()] = val.strip()
     return raw
-
-
-def config_from_file(path) -> ExperimentConfig:
-    """Load a config from JSON or from flat key=value lines (see :func:`config_from_mapping`)."""
-    return config_from_mapping(read_config(path))
 
 
 def _split(val) -> list[str]:

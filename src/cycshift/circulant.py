@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ZERO_BIN_TOL, dft, rdft
+from .spectral import dft, live, rdft
 
 __all__ = ["Circulant", "make_shift", "ls_circulant_fit"]
 
@@ -91,10 +91,11 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
 
     Only the first floor(n/2)+1 spectral rows are transformed and
     fitted; the rest are conjugate mirrors, so the real inverse
-    transform yields an exactly real first column. Rows of X with
-    negligible energy (relative threshold ``ZERO_BIN_TOL`` on the
-    energy) get a zero eigenvalue, which is the minimum-norm choice
-    among the equally optimal ones.
+    transform yields an exactly real first column. Rows of X whose
+    magnitude ||x_row_k|| is negligible (the package's relative zero
+    test, judged against the largest row magnitude) get a zero
+    eigenvalue, which is the minimum-norm choice among the equally
+    optimal ones.
 
     Parameters
     ----------
@@ -121,8 +122,8 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
     Xs = rdft(X, axis=0)
     Ys = rdft(Y, axis=0)
     energy = np.vecdot(Xs, Xs).real  # vecdot conjugates its first argument
-    live = energy > ZERO_BIN_TOL * energy.max()
-    sigma = np.divide(np.vecdot(Xs, Ys), energy, out=np.zeros(energy.size, complex), where=live)
+    rows = live(np.sqrt(energy))
+    sigma = np.divide(np.vecdot(Xs, Ys), energy, out=np.zeros(energy.size, complex), where=rows)
     # sigma holds the eigenvalues, the unscaled transform of the column.
     col = np.fft.irfft(sigma, n)
 

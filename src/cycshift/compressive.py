@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IdentifiabilityError, require_finite
 from .retrieval import ShiftEstimate
-from .spectral import ZERO_BIN_TOL, dft_entry, rdft
+from .spectral import dft_entry, live, rdft, unit_phases
 
 __all__ = [
     "SensingSet",
@@ -107,14 +107,6 @@ def embed(values, sensing: SensingSet) -> np.ndarray:
     return out
 
 
-def _phase_table(sensing: SensingSet, rows: np.ndarray | None = None) -> np.ndarray:
-    """exp(-2j*pi*k*s/n) for sensing indices k (rows) and shifts s (columns)."""
-    n = sensing.n
-    k = np.asarray(sensing.indices if rows is None else rows, dtype=np.int64)[:, None]
-    s = np.arange(n, dtype=np.int64)[None, :]
-    return np.exp((-2j * np.pi / n) * (k * s % n))
-
-
 def _duplicate_groups(values: np.ndarray, indices, n: int,
                       tol: float = DUPLICATE_COLUMN_TOL) -> tuple[tuple[int, ...], ...]:
     """Group shifts whose measurement columns coincide within tol.
@@ -123,8 +115,8 @@ def _duplicate_groups(values: np.ndarray, indices, n: int,
     values * exp(-2j*pi*k*s/n); two shifts in the same group cannot be
     told apart from these measurements.
     """
-    idx = np.asarray(indices, dtype=np.int64)
-    cols = np.asarray(values)[:, None] * _phase_table(SensingSet(n, tuple(idx)), idx)
+    phases = unit_phases(np.asarray(indices)[:, None], np.arange(n), n)
+    cols = np.asarray(values)[:, None] * phases
     groups = []
     assigned = np.zeros(n, dtype=bool)
     for s in range(n):
@@ -169,12 +161,10 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     """
     v = measure(x, sensing).values  # validates x
     n = sensing.n
-    xs = rdft(x)  # bins 0..n//2; x is real, so |X[n - k]| = |X[k]|
-    peak = np.abs(xs).max()
-    qualifying = tuple(
-        k for k in sensing.indices
-        if gcd(k, n) == 1 and abs(xs[min(k, n - k)]) > ZERO_BIN_TOL * peak
-    )
+    mags = np.abs(rdft(x))  # bins 0..n//2; x is real, so |X[n - k]| = |X[k]|
+    nonzero = live(mags)
+    qualifying = tuple(k for k in sensing.indices if gcd(k, n) == 1 and nonzero[min(k, n - k)])
+    peak = mags.max()
     groups = _duplicate_groups(v, sensing.indices, n, DUPLICATE_COLUMN_TOL * peak)
     dup = tuple(g for g in groups if len(g) > 1)
     return SensingReport(
@@ -218,10 +208,11 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     """
     sensing = _common_sensing(z, v)
     w = np.conj(z.values) * v.values
-    scores = (w @ _phase_table(sensing)).real
-    s = int(np.argmax(scores)) % (sensing.n // gcd(sensing.n, *sensing.indices))
-    flags = _ambiguity_flag(v.values, sensing.indices, sensing.n, s)
-    return ShiftEstimate("compressive_argmax", sensing.n, s, float(scores[s]), scores, flags)
+    n = sensing.n
+    scores = (w @ unit_phases(np.asarray(sensing.indices)[:, None], np.arange(n), n)).real
+    s = int(np.argmax(scores)) % (n // gcd(n, *sensing.indices))
+    flags = _ambiguity_flag(v.values, sensing.indices, n, s)
+    return ShiftEstimate("compressive_argmax", n, s, float(scores[s]), scores, flags)
 
 
 def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
@@ -239,14 +230,12 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
     shifts the estimate is additionally flagged ``"ambiguous"``.
     """
     sensing = _common_sensing(z, v)
-    mags = np.abs(v.values)
-    peak = mags.max()
-    if peak == 0.0:
+    keep = live(np.abs(v.values))  # holds at the peak unless every value is zero
+    if not keep.any():
         raise IdentifiabilityError("every reference measurement bin is zero")
-    keep = mags > ZERO_BIN_TOL * peak  # holds at the peak: values are finite
     kept_idx = np.asarray(sensing.indices, dtype=np.int64)[keep]
     rho = z.values[keep] / v.values[keep]
-    table = _phase_table(sensing, kept_idx)
+    table = unit_phases(kept_idx[:, None], np.arange(sensing.n), sensing.n)
     residuals = np.linalg.norm(rho[:, None] - table, axis=0)
     s = int(np.argmin(residuals))
     flags = list(_ambiguity_flag(v.values[keep], kept_idx, sensing.n, s))

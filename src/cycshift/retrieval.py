@@ -20,12 +20,12 @@ positions, i.e. y[t] = x[(t - s) mod n].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, sqrt
 
 import numpy as np
 
 from .errors import IdentifiabilityError, require_finite
-from .spectral import ZERO_BIN_TOL, dft_entry, rdft
+from .spectral import dft_entry, live, rdft
 
 __all__ = [
     "ShiftEstimate",
@@ -50,7 +50,8 @@ class ShiftEstimate:
     ``compressive_ratio`` method). Ties always resolve to the smallest
     index. ``flags`` carries soft diagnostics such as ``"ambiguous"``
     or ``"model_misfit"`` that do not prevent an estimate from being
-    returned.
+    returned. A float64 ``scores`` array is taken over, not copied: it
+    becomes the estimate's own and is marked read-only.
     """
 
     method: str
@@ -62,7 +63,7 @@ class ShiftEstimate:
 
     def __post_init__(self):
         if self.scores is not None:
-            arr = np.array(self.scores, dtype=np.float64)
+            arr = np.asarray(self.scores, dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, "scores", arr)
 
@@ -94,7 +95,7 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _norm(v: np.ndarray) -> float:
     # Euclidean norm via einsum's single-threaded loop; np.linalg.norm
     # goes through BLAS, whose thread start-up dominates on long signals.
-    return float(np.sqrt(np.einsum("i,i->", v, v)))
+    return sqrt(np.einsum("i,i->", v, v))
 
 
 def _coprime_mask(size: int, n: int) -> np.ndarray:
@@ -114,6 +115,18 @@ def _coprime_mask(size: int, n: int) -> np.ndarray:
     if rest > 1:
         mask[::rest] = False
     return mask
+
+
+def _ratio_impulse(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """irfft of Y/X over the live bins of x (dead bins give 0), and that mask.
+
+    An exact delay by s with no dead bin gives the unit impulse at s.
+    """
+    xs = np.fft.rfft(x)
+    usable = live(np.abs(xs))
+    # The spectrum of y is a temporary, freed before the inverse transform.
+    rho = np.divide(np.fft.rfft(y), xs, out=np.zeros_like(xs), where=usable)
+    return np.fft.irfft(rho, x.size), usable
 
 
 def shift_by_crosscorr(x, y) -> ShiftEstimate:
@@ -151,17 +164,11 @@ def shift_by_ratio(x, y) -> ShiftEstimate:
     0..n//2 are divided and the real inverse transform implies the
     rest.
     """
-    x, y = _pair(x, y)
-    n = x.size
-    xs = np.fft.rfft(x)
-    mags = np.abs(xs)
-    peak = mags.max()
-    if peak == 0.0:
+    d, usable = _ratio_impulse(*_pair(x, y))
+    if not usable.any():
         raise IdentifiabilityError("reference signal has no usable spectral bin (all zero)")
-    rho = np.divide(np.fft.rfft(y), xs, out=np.zeros_like(xs), where=mags > ZERO_BIN_TOL * peak)
-    d = np.fft.irfft(rho, n)
     s = int(np.argmax(d))
-    return ShiftEstimate("ratio", n, s, float(d[s]), d)
+    return ShiftEstimate("ratio", d.size, s, float(d[s]), d)
 
 
 def select_bin(xspec) -> int:
@@ -189,15 +196,17 @@ def _strongest_bin(mags: np.ndarray, n: int) -> int:
 
     Taking the bins 0..n//2 of a real signal's spectrum gives the same
     winner as the full spectrum up to its mirror n - i, which has equal
-    magnitude and identifies the same shift.
+    magnitude and identifies the same shift. If the strongest coprime
+    bin is not live, no coprime bin is.
     """
-    eligible = _coprime_mask(mags.size, n) & (mags > ZERO_BIN_TOL * mags.max())
-    if not eligible.any():
+    coprime = np.where(_coprime_mask(mags.size, n), mags, 0.0)
+    i = int(np.argmax(coprime))
+    if not live(coprime[i], mags.max()):
         raise IdentifiabilityError(
             "no usable bin: every nonzero bin fails the gcd(i, n) = 1 "
             "disambiguation condition (excluded bins cannot identify the shift)"
         )
-    return int(np.argmax(np.where(eligible, mags, -1.0)))
+    return i
 
 
 def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
@@ -217,7 +226,8 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
         Spectral bin to use. Must satisfy gcd(i, n) = 1 and carry
         energy. When omitted, the best bin is chosen by the
         :func:`select_bin` rule from bins 0..n//2 of the spectrum of x
-        (convenience path; costs one real-input transform).
+        (convenience path; costs one real-input transform on top of the
+        explicit-bin path).
 
     The estimate's score is |rho|, which equals 1 for exact shifts. If
     ``abs(|rho| - 1)`` exceeds ``MISFIT_TOL`` the estimate is flagged
@@ -226,28 +236,21 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
     x, y = _pair(x, y)
     n = x.size
     if i is None:
-        xs = rdft(x)
-        i = _strongest_bin(np.abs(xs), n) if n >= 2 else 0
-        xi = complex(xs[i])
-        if xi == 0.0:
-            raise IdentifiabilityError("reference signal is zero")
-        yi = complex(dft_entry(y, i))
-    else:
-        i = int(i)
-        if not 0 <= i < n:
-            raise ValueError(f"bin index i={i} out of range 0..{n - 1}")
-        if gcd(i, n) != 1:
-            raise IdentifiabilityError(
-                f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"
-            )
-        xi = complex(dft_entry(x, i))
-        if abs(xi) <= ZERO_BIN_TOL * _norm(x):
-            raise IdentifiabilityError(f"bin {i} of the reference spectrum is numerically zero")
-        yi = complex(dft_entry(y, i))
+        i = _strongest_bin(np.abs(rdft(x)), n) if n >= 2 else 0
+    i = int(i)
+    if not 0 <= i < n:
+        raise ValueError(f"bin index i={i} out of range 0..{n - 1}")
+    if gcd(i, n) != 1:
+        raise IdentifiabilityError(
+            f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"
+        )
+    xi = complex(dft_entry(x, i))
+    if not live(abs(xi), _norm(x)):
+        raise IdentifiabilityError(f"bin {i} of the reference spectrum is numerically zero")
 
-    rho = yi / xi
+    rho = complex(dft_entry(y, i)) / xi
     flags = ("model_misfit",) if abs(abs(rho) - 1.0) > MISFIT_TOL else ()
-    t = int(np.round(-np.angle(rho) * n / (2 * np.pi))) % n
+    t = round(-float(np.angle(rho)) * n / (2 * np.pi)) % n
     s = (t * pow(i, -1, n)) % n if n > 1 else 0
     return ShiftEstimate("single_bin", n, int(s), float(abs(rho)), None, flags)
 
@@ -281,16 +284,13 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
         raise IdentifiabilityError(f"affine shift fit needs n >= 3 for three unknowns, got {n}")
     total = float(x.sum())
     x_peak = float(max(x.max(), -x.min()))
-    if abs(total) <= ZERO_BIN_TOL * n * x_peak:
+    if not live(abs(total), n * x_peak):
         raise IdentifiabilityError("sum(x) is numerically zero: the offset term is unidentifiable")
 
-    xs = np.fft.rfft(x)
-    mags = np.abs(xs)
-    usable = mags > ZERO_BIN_TOL * mags.max()
-    usable[0] = True  # guaranteed nonzero by the sum(x) check
+    # |X[0]| = |sum(x)| > tol * n * max|x| >= tol * max|X|, so bin 0 is live.
+    d, usable = _ratio_impulse(x, y)
     if not (usable & _coprime_mask(usable.size, n)).any():
         raise IdentifiabilityError("no usable coprime bin: the shift part is unidentifiable")
-    d = np.fft.irfft(np.divide(np.fft.rfft(y), xs, out=np.zeros_like(xs), where=usable), n)
 
     # One scratch buffer holds |d - mean(d)|, then the residual.
     buf = np.subtract(d, d.mean())

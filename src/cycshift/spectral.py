@@ -11,21 +11,43 @@ All functions are pure and never modify their inputs.
 The public transforms keep the unitary convention. Package code that needs
 only a product of transforms may call ``numpy.fft`` directly and fold the
 scale factors into its ``norm=`` argument instead of a separate pass.
+
+Only this module knows when a spectral magnitude counts as zero
+(:func:`live`) and how a delay becomes a unit phase (:func:`unit_phases`).
 """
 
 from __future__ import annotations
 
+from math import isqrt, sqrt
+
 import numpy as np
 
-__all__ = ["dft", "idft", "rdft", "irdft", "fourier_column", "dft_entry"]
+__all__ = ["dft", "idft", "rdft", "fourier_column", "dft_entry"]
 
-# Relative size below which a spectral quantity (a bin's magnitude, a
-# spectral row's energy) counts as zero.
+# Relative size below which a spectral magnitude (a bin, a spectral row,
+# a single transform entry) counts as zero.
 ZERO_BIN_TOL = 1e-12
 
-# Above this length dft_entry switches to a blocked evaluation that only
-# needs O(sqrt(n)) trigonometric evaluations instead of n.
-_ENTRY_BLOCK = 2048
+# Up to this length dft_entry evaluates all n phases directly; beyond it
+# the blocked evaluation's O(sqrt(n)) trigonometric calls are cheaper.
+_DIRECT_ENTRY_MAX = 512
+
+
+def live(values, scale=None):
+    """``values > ZERO_BIN_TOL * scale``: which magnitudes count as nonzero.
+
+    ``values`` is an array, or one magnitude when ``scale`` is given;
+    ``scale`` defaults to ``values.max()``. Nothing is live at scale zero.
+    """
+    return values > ZERO_BIN_TOL * (values.max() if scale is None else scale)
+
+
+def unit_phases(k, s, n: int) -> np.ndarray:
+    """exp(-2j*pi*(k*s mod n)/n): the phase a delay by s puts on bin k.
+
+    Broadcasts over integer arrays; the argument is reduced mod n first.
+    """
+    return np.exp((-2j * np.pi / n) * (np.multiply(k, s) % n))
 
 
 def _as_vector(x, name: str = "x") -> np.ndarray:
@@ -73,16 +95,6 @@ def rdft(x, axis: int = -1) -> np.ndarray:
     return np.fft.rfft(np.asarray(x, dtype=np.float64), axis=axis, norm="ortho")
 
 
-def irdft(X, n: int, axis: int = -1) -> np.ndarray:
-    """Real length-``n`` inverse of :func:`rdft` along ``axis``.
-
-    ``X`` holds bins 0..n//2 of a conjugate-symmetric spectrum; the
-    mirrored bins are implied, so the result is real by construction.
-    The imaginary parts of bin 0 and (for even n) bin n/2 are ignored.
-    """
-    return np.fft.irfft(X, n, axis=axis, norm="ortho")
-
-
 def fourier_column(n: int, q: int) -> np.ndarray:
     """Column ``q`` (1-based) of the n-point unitary Fourier matrix.
 
@@ -94,8 +106,7 @@ def fourier_column(n: int, q: int) -> np.ndarray:
         raise ValueError(f"n must be positive, got {n}")
     if not 1 <= q <= n:
         raise ValueError(f"column index q={q} out of range 1..{n}")
-    rows = np.arange(n, dtype=np.int64)
-    return np.exp((-2j * np.pi / n) * ((q - 1) * rows % n)) / np.sqrt(n)
+    return unit_phases(q - 1, np.arange(n, dtype=np.int64), n) / sqrt(n)
 
 
 def dft_entry(x, k: int):
@@ -107,7 +118,8 @@ def dft_entry(x, k: int):
     the entry is taken along the last axis, and the per-signal phase
     table is shared).
 
-    Long inputs are cut into blocks of ``b`` samples. Each block is
+    Long inputs are cut into blocks of b = ceil(sqrt(n)) samples, so
+    the phases cost O(sqrt(n)) trigonometric evaluations. Each block is
     contracted against one shared real (2, b) table of cos and -sin
     values, which gives the real and imaginary parts of its partial sum
     without casting real input to complex; a second, length-n/b phase
@@ -126,22 +138,19 @@ def dft_entry(x, k: int):
     if not np.iscomplexobj(arr):
         arr = arr.astype(np.float64, copy=False)
 
-    if n <= 2 * _ENTRY_BLOCK:
-        phases = np.exp((-2j * np.pi / n) * (k * np.arange(n, dtype=np.int64) % n))
-        return (arr @ phases) / np.sqrt(n)
+    if n <= _DIRECT_ENTRY_MAX:
+        return (arr @ unit_phases(k, np.arange(n, dtype=np.int64), n)) / sqrt(n)
 
-    b = _ENTRY_BLOCK
+    b = isqrt(n - 1) + 1
     m = -(-n // b)
     if n % b:
         pad = np.zeros(arr.shape[:-1] + (m * b - n,), dtype=arr.dtype)
         arr = np.concatenate((arr, pad), axis=-1)
-    angle = (2 * np.pi / n) * (k * np.arange(b, dtype=np.int64) % n)
-    trig = np.stack((np.cos(angle), -np.sin(angle)))
-    across = np.exp(
-        (-2j * np.pi / n) * ((k * b % n) * np.arange(m, dtype=np.int64) % n)
-    )
+    within = unit_phases(k, np.arange(b, dtype=np.int64), n)
+    trig = np.stack((within.real, within.imag))
+    across = unit_phases(k * b % n, np.arange(m, dtype=np.int64), n)
     # einsum runs one single-threaded SIMD loop. A multithreaded BLAS
     # product over a signal this long can cost ~10x more (measured 8 ms
     # against 0.9 ms at n = 2^20 on 2 cores), mostly waking its threads.
     partial = np.einsum("...mb,kb->...mk", arr.reshape(arr.shape[:-1] + (m, b)), trig)
-    return ((partial[..., 0] + 1j * partial[..., 1]) @ across) / np.sqrt(n)
+    return ((partial[..., 0] + 1j * partial[..., 1]) @ across) / sqrt(n)

@@ -19,10 +19,11 @@ from cycshift.bench import (
     METHOD_TABLE,
     METHODS,
     ExperimentConfig,
-    config_from_file,
+    config_from_mapping,
     estimate,
     noise_sigma,
     parse_snr,
+    read_config,
     rows_to_csv,
     rows_to_json,
     run_bench,
@@ -139,7 +140,7 @@ def test_config_from_json_file(tmp_path):
         "methods": ["crosscorr", "compressive_ratio"], "sensing": [1, 3],
         "output": "out.csv",
     }))
-    cfg = config_from_file(path)
+    cfg = config_from_mapping(read_config(path))
     assert cfg.n == 8 and cfg.trials == 4 and cfg.seed == 3
     assert cfg.snr_db_grid == (float("inf"), -5.0)
     assert cfg.methods == ("crosscorr", "compressive_ratio")
@@ -154,7 +155,7 @@ def test_config_from_flat_file(tmp_path):
         "n=8\ntrials=4\nseed=3\nsnr_db=inf,-5\nmethods=crosscorr,ratio\n"
         "measure_time=false\n"
     )
-    cfg = config_from_file(path)
+    cfg = config_from_mapping(read_config(path))
     assert cfg.n == 8
     assert cfg.snr_db_grid == (float("inf"), -5.0)
     assert cfg.methods == ("crosscorr", "ratio")
@@ -165,7 +166,7 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("n=8\ntrials=4\nseed=3\nsnr_db=inf\nbogus=1\n")
     with pytest.raises(ValueError):
-        config_from_file(path)
+        config_from_mapping(read_config(path))
 
 
 def test_run_bench_calls_the_estimator_bound_on_its_module(monkeypatch):

@@ -176,6 +176,23 @@ def test_fit_zero_spectrum_rows_are_skipped():
     assert_allclose(Circulant(fit.first_column).apply(X[:, 0]), Y[:, 0], atol=1e-10)
 
 
+def test_fit_keeps_a_weak_row_judged_by_magnitude():
+    # Row 2 of the spectrum of x is damped to ~9e-9 of the peak row: weak,
+    # but far above the relative zero threshold. Judged on its energy
+    # (~8e-17 of the peak energy) instead, the row was dropped and the
+    # fitted column came out 0.29 off.
+    rng = np.random.default_rng(0)
+    spec = np.fft.rfft(rng.standard_normal(8))
+    spec[2] *= 1e-8
+    x = np.fft.irfft(spec, 8)
+    c0 = rng.standard_normal(8)
+    Y = Circulant(c0).apply(x)
+    fit, residual = ls_circulant_fit(x, Y)
+    _, dense_residual = brute_force_circulant_fit(x, Y)
+    assert np.abs(fit.first_column - c0).max() <= 1e-6
+    assert residual <= dense_residual + 1e-12 * np.linalg.norm(Y)
+
+
 def test_fit_returns_real_column():
     rng = np.random.default_rng(8)
     for n in [2, 5, 9, 12]:

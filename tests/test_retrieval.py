@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from cycshift import (
     IdentifiabilityError,
+    ShiftEstimate,
     dft,
     select_bin,
     shift_affine,
@@ -215,6 +216,29 @@ def test_single_bin_rejects_empty_bin():
 def test_single_bin_constant_signal_fails():
     with pytest.raises(IdentifiabilityError):
         shift_single_bin(np.ones(8), np.ones(8))
+
+
+@pytest.mark.parametrize("n", [64, 255, 4097])
+def test_single_bin_automatic_bin_matches_explicit_path(n):
+    # Without a bin the estimator only chooses one; the estimate itself
+    # comes from the explicit-bin path, bit for bit.
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    y = np.roll(x, n // 3) + 0.01 * rng.standard_normal(n)
+    auto = shift_single_bin(x, y)
+    explicit = shift_single_bin(x, y, _strongest_bin(np.abs(rdft(x)), n))
+    assert auto.flags == ("model_misfit",)
+    assert (auto.shift, auto.score, auto.flags) == (explicit.shift, explicit.score, explicit.flags)
+
+
+def test_shift_estimate_takes_ownership_of_float64_scores():
+    a = np.arange(4.0)
+    est = ShiftEstimate("crosscorr", 4, 3, 3.0, a)
+    assert est.scores is a
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        est.scores[0] = 1.0
+    assert ShiftEstimate("crosscorr", 2, 1, 2.0, [1, 2]).scores.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
