@@ -26,8 +26,9 @@ import numpy as np
 
 from . import compressive, retrieval
 from .errors import IdentifiabilityError
+from .fileio import comma_list, flag, parse_snr, scalar
 
-__all__ = ["METHODS", "METHOD_TABLE", "estimate", "ExperimentConfig", "read_config",
+__all__ = ["METHODS", "METHOD_TABLE", "estimate", "ExperimentConfig",
            "config_from_mapping", "parse_snr", "noise_sigma",
            "run_bench", "rows_to_csv", "rows_to_json"]
 
@@ -77,46 +78,12 @@ class ExperimentConfig:
             compressive.SensingSet(self.n, self.sensing)  # raises if invalid
 
 
-def parse_snr(token: str) -> float:
-    """Parse one SNR token; the sentinel 'inf' means noiseless."""
-    token = token.strip().lower()
-    if token in ("inf", "+inf", "infinity"):
-        return float("inf")
-    return float(token)
-
-
-def read_config(path) -> dict:
-    """Read the raw key -> value mapping of a JSON or flat key=value config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        raw = json.loads(text)
-    else:
-        raw = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            raw[key.strip()] = val.strip()
-    return raw
-
-
-def _split(val) -> list[str]:
-    if isinstance(val, str):
-        return [tok for tok in val.split(",") if tok.strip()]
-    return list(val)
-
-
 def config_from_mapping(raw) -> ExperimentConfig:
     """Build a config from raw values, as read from a file or given as flags.
 
-    Recognized keys: n, trials, seed, snr_db_grid (or snr_db), methods,
-    sensing, output (or out), format, measure_time. List values may be
-    comma-separated strings.
+    Recognized keys: n, trials, seed, snr_db_grid (or snr_db), methods
+    (or method), sensing, output (or out), format, measure_time. Values
+    are read by the rules of :mod:`cycshift.fileio`.
     """
     known = {"n", "trials", "seed", "snr_db", "snr_db_grid", "methods", "method",
              "sensing", "output", "out", "format", "measure_time"}
@@ -128,24 +95,19 @@ def config_from_mapping(raw) -> ExperimentConfig:
     snr_raw = raw.get("snr_db_grid", raw.get("snr_db"))
     if snr_raw is None:
         raise ValueError("config needs snr_db_grid (comma list; 'inf' for noiseless)")
-    snr = tuple(parse_snr(str(tok)) for tok in _split(snr_raw))
-    methods_raw = raw.get("methods", raw.get("method"))
-    methods = tuple(str(m).strip() for m in _split(methods_raw)) if methods_raw else METHODS
-    sensing_raw = raw.get("sensing")
-    sensing = tuple(int(k) for k in _split(sensing_raw)) if sensing_raw else None
-    measure_raw = raw.get("measure_time", True)
-    if isinstance(measure_raw, str):
-        measure_raw = measure_raw.strip().lower() not in ("0", "false", "no", "off")
+    output = raw.get("output", raw.get("out"))
+    if not isinstance(output, (str, type(None))):
+        raise ValueError(f"output: expected a path, got {output!r}")
     return ExperimentConfig(
-        n=int(raw["n"]),
-        trials=int(raw["trials"]),
-        seed=int(raw["seed"]),
-        snr_db_grid=snr,
-        methods=methods,
-        sensing=sensing,
-        output=raw.get("output", raw.get("out")),
-        fmt=str(raw.get("format", "csv")),
-        measure_time=bool(measure_raw),
+        n=scalar(raw["n"], "n", int),
+        trials=scalar(raw["trials"], "trials", int),
+        seed=scalar(raw["seed"], "seed", int),
+        snr_db_grid=comma_list(snr_raw, "snr_db_grid", parse_snr),
+        methods=comma_list(raw.get("methods", raw.get("method", "")), "methods") or METHODS,
+        sensing=comma_list(raw.get("sensing", ""), "sensing", int) or None,
+        output=output,
+        fmt=scalar(raw.get("format", "csv"), "format"),
+        measure_time=scalar(raw.get("measure_time", True), "measure_time", flag),
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, bench, compressive
 from .errors import IdentifiabilityError
-from .fileio import load_any, load_signal, save_signal
+from .fileio import comma_list, load_any, load_signal, read_config, save_signal
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -37,14 +37,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _parse_sensing(text: str, n: int) -> compressive.SensingSet:
-    try:
-        indices = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"could not parse sensing indices from {text!r}") from None
-    return compressive.SensingSet(n, indices)
 
 
 def _generate(kind: str, n: int, seed: int) -> np.ndarray:
@@ -78,7 +70,7 @@ def _cmd_retrieve(args) -> int:
     if takes_measurements and not measured:
         if args.sensing is None:
             raise ValueError("compressive methods need --sensing (e.g. --sensing 1,3)")
-        sensing = _parse_sensing(args.sensing, x.size)
+        sensing = compressive.SensingSet(x.size, comma_list(args.sensing, "--sensing", int))
         x, y = compressive.measure(x, sensing), compressive.measure(y, sensing)
     extra = (args.bin,) if args.method == "single_bin" else ()
 
@@ -98,15 +90,13 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if not args.config and None in (args.n, args.trials, args.snr_db):
+    if not args.config and None in (args.n, args.trials, args.snr_db_grid):
         raise ValueError("bench needs --config, or all of --n, --trials and --snr-db")
-    # Flags that are set override the config file's values (seed 0 without one).
-    raw = bench.read_config(args.config) if args.config else {"seed": 0}
-    flags = {"n": args.n, "trials": args.trials, "seed": args.seed, "snr_db_grid": args.snr_db,
-             "methods": args.methods, "sensing": args.sensing, "output": args.out,
-             "format": args.format, "measure_time": False if args.no_timing else None}
-    raw.update((key, value) for key, value in flags.items() if value is not None)
-    config = bench.config_from_mapping(raw)
+    # Set flags, each stored under its config key, override the file (seed 0 without one).
+    raw = read_config(args.config) if args.config else {"seed": 0}
+    config = bench.config_from_mapping({**raw, **{
+        key: value for key, value in vars(args).items()
+        if value is not None and key not in ("command", "func", "config")}})
 
     rows = bench.run_bench(config)
     text = bench.rows_to_json(rows) if config.fmt == "json" else bench.rows_to_csv(rows)
@@ -120,7 +110,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check_sensing(args) -> int:
     x = load_signal(args.x)
-    sensing = _parse_sensing(args.sensing, x.size)
+    sensing = compressive.SensingSet(x.size, comma_list(args.sensing, "--sensing", int))
     report = compressive.check_sensing_conditions(x, sensing)
     print(json.dumps(dataclasses.asdict(report)))
     return EXIT_OK if report.guarantee_holds and not report.ambiguous else EXIT_UNIDENTIFIABLE
@@ -162,13 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", type=int, default=None)
     p_bench.add_argument("--trials", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--snr-db", default=None,
+    p_bench.add_argument("--snr-db", dest="snr_db_grid", metavar="SNR_DB", default=None,
                          help="comma list of SNRs in dB; 'inf' for noiseless")
     p_bench.add_argument("--methods", default=None, help="comma list of methods")
     p_bench.add_argument("--sensing", default=None, help="comma list of frequency indices")
-    p_bench.add_argument("--out", default=None, help="output path (default stdout)")
+    p_bench.add_argument("--out", dest="output", metavar="OUT", default=None,
+                         help="output path (default stdout)")
     p_bench.add_argument("--format", choices=("csv", "json"), default=None)
-    p_bench.add_argument("--no-timing", action="store_true",
+    p_bench.add_argument("--no-timing", dest="measure_time", action="store_false", default=None,
                          help="zero the elapsed-time column for byte-reproducible output")
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -191,7 +182,7 @@ def main(argv=None) -> int:
     except IdentifiabilityError as exc:
         print(json.dumps({"error": str(exc)}))
         return EXIT_UNIDENTIFIABLE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"cycshift: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

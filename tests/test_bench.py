@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,11 @@ from cycshift.bench import (
     estimate,
     noise_sigma,
     parse_snr,
-    read_config,
     rows_to_csv,
     rows_to_json,
     run_bench,
 )
+from cycshift.fileio import read_config
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.json"
 
@@ -169,6 +170,16 @@ def test_config_rejects_unknown_keys(tmp_path):
         config_from_mapping(read_config(path))
 
 
+@pytest.mark.parametrize("text", [
+    b'{"n": 8,', b'{"n":' * 100_000, b"n=8\ntrials\n", b"n=8\n\xff\n",
+], ids=["truncated-json", "deep-json", "missing-equals", "not-utf8"])
+def test_config_read_errors_name_the_file(tmp_path, text):
+    path = tmp_path / "cfg.txt"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_config(path)
+
+
 def test_run_bench_calls_the_estimator_bound_on_its_module(monkeypatch):
     # The method table looks estimators up at call time, so rebinding the
     # module attribute (as a tracer or a stub does) reaches run_bench.
@@ -235,3 +246,46 @@ def test_scaling_both_inputs_changes_no_shift_or_flag(n, seed, log_c, bins):
         return out
 
     assert outcome(10.0 ** log_c) == outcome(1.0)
+
+
+@given(st.integers(3, 64), st.integers(0, 2**32 - 1), st.integers(0, 63), st.integers(0, 63),
+       st.sets(st.integers(0, 63), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_rolling_both_inputs_leaves_the_shift_unchanged(n, seed, s, r, bins):
+    x = np.random.default_rng(seed).standard_normal(n)
+    y = np.roll(x, s % n)
+    K = SensingSet(n, tuple(sorted({k % n for k in bins})))
+    # A sensing set pins the shift only modulo n / gcd(n, K); noiseless
+    # Gaussian signals have no dead bins, so that is the whole class.
+    period = n // np.gcd.reduce([n, *K.indices])
+
+    def shifts(a, b):
+        out = {"affine": shift_affine(a, b)[0].shift}
+        for method in METHODS:
+            if METHOD_TABLE[method][2]:
+                out[method] = estimate(method, measure(a, K), measure(b, K)).shift % period
+            else:
+                out[method] = estimate(method, a, b).shift
+        return out
+
+    assert shifts(np.roll(x, r), np.roll(y, r)) == shifts(x, y)
+
+
+# tests/test_cli.py runs the other wrong-type cases end to end.
+@pytest.mark.parametrize("key, value", [
+    ("n", 8.0), ("snr_db_grid", "inf,nan"), ("sensing", "1,x"), ("sensing", [1.0]),
+    ("sensing", None), ("measure_time", 2), ("output", 5),
+])
+def test_config_values_convert_by_one_strict_rule(key, value):
+    raw = {"n": 8, "trials": 2, "seed": 1, "snr_db_grid": "inf", "sensing": "1"}
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        config_from_mapping(dict(raw, **{key: value}))
+
+
+def test_config_accepts_json_numbers_decimal_strings_and_flag_words():
+    as_text = config_from_mapping({"n": "8", "trials": " 2", "seed": "1", "snr_db": "inf, -5,",
+                                   "sensing": "1,,3", "measure_time": "OFF"})
+    as_json = config_from_mapping({"n": 8, "trials": 2, "seed": 1, "snr_db_grid": ["inf", -5],
+                                   "sensing": [1, 3], "measure_time": False})
+    assert as_text == as_json
+    assert as_text.sensing == (1, 3) and as_text.measure_time is False

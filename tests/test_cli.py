@@ -192,6 +192,31 @@ def test_retrieve_mixed_kinds_exits_1(tmp_path, capsys):
         assert "both be signals or both be measurements" in err
 
 
+@pytest.mark.parametrize("command", ["retrieve", "check-sensing"])
+def test_bad_sensing_token_exits_1_naming_the_flag(tmp_path, capsys, command):
+    _, x_path, y_path = make_pair(tmp_path, n=8)
+    paths = [str(x_path)] + ([str(y_path), "--method", "compressive_ratio"]
+                             if command == "retrieve" else [])
+    code, out, err = run_cli(capsys, command, *paths, "--sensing", "1,x")
+    assert code == 1
+    assert out == ""
+    assert "--sensing: cannot read 'x'" in err
+
+
+def test_retrieve_measurement_files_drop_blank_sensing_tokens(tmp_path, capsys):
+    x = np.random.default_rng(6).standard_normal(8)
+    K = SensingSet(8, (1, 3))
+    v_path, z_path = tmp_path / "v.csv", tmp_path / "z.csv"
+    save_measurement(v_path, measure(x, K))
+    save_measurement(z_path, measure(np.roll(x, 5), K))
+    for path in (v_path, z_path):
+        path.write_text(path.read_text().replace("# K=1,3", "# K=1,,3,"))
+    code, out, _ = run_cli(capsys, "retrieve", str(v_path), str(z_path),
+                           "--method", "compressive_ratio")
+    assert code == 0
+    assert json.loads(out)["shift"] == 5
+
+
 @pytest.mark.parametrize("kind", ["signal", "measurement"])
 def test_retrieve_reads_each_file_once(tmp_path, capsys, monkeypatch, kind):
     x = np.random.default_rng(4).standard_normal(8)
@@ -275,6 +300,20 @@ def test_bench_without_config_names_missing_flags(capsys, missing):
     assert code == 1
     assert out == ""
     assert missing in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", [1, 2]), ("n", None), ("snr_db_grid", 5), ("methods", 3),
+    ("seed", 1.7), ("trials", True), ("measure_time", "maybe"),
+])
+def test_bench_config_with_a_wrong_value_type_exits_1_naming_the_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    raw = {"n": 8, "trials": 2, "seed": 1, "snr_db_grid": "inf", "methods": "crosscorr"}
+    cfg.write_text(json.dumps(dict(raw, **{key: value})))
+    code, out, err = run_cli(capsys, "bench", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"cycshift: error: {key}: ")
 
 
 def test_bench_json_format(capsys):

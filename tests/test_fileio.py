@@ -75,6 +75,29 @@ def test_measurement_requires_headers(tmp_path):
         load_measurement(path)
 
 
+@pytest.mark.parametrize("text", [
+    b"# n=abc\n1.0\n",
+    b"# n=8\n# K=1,,x\n1.0,2.0\n3.0,4.0\n",
+    b"# n=8\n# K=1,3\n1.0,2.0\n",  # fewer values than K
+    b"# n=8\n# K=\n",
+    b"# n=8\n# K=9\n1.0,2.0\n",
+    b"# n=8\n# K=1\n1.0;2.0\n",
+    b"1.0\n\xff\n",
+])
+def test_every_parse_error_names_the_file(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    for load in (load_any, sniff_kind):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load(path)
+
+
+def test_blank_sensing_tokens_are_dropped_in_the_k_header(tmp_path):
+    path = tmp_path / "meas.csv"
+    path.write_text("# n=8\n# K=1,,3,\n1.0,2.0\n3.0,4.0\n")
+    assert load_measurement(path).sensing == SensingSet(8, (1, 3))
+
+
 def test_signal_loader_rejects_measurement_file(tmp_path):
     path = tmp_path / "meas.csv"
     save_measurement(path, Measurement(np.array([1 + 2j]), SensingSet(4, (2,))))

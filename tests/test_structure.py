@@ -1,8 +1,9 @@
-"""Structural guards: one owner for the zero threshold and the phase convention.
+"""Structural guards: one owner for each numerical and each input rule.
 
 ``spectral`` is the only module that knows when a spectral magnitude
-counts as zero and how a delay turns into a unit phase. The checks walk
-the syntax tree of each package module, so docstrings and comments that
+counts as zero and how a delay turns into a unit phase; ``fileio`` is
+the only one that turns input text into values. The checks walk the
+syntax tree of each package module, so docstrings and comments that
 describe the rules do not count; only code that restates them does.
 """
 
@@ -86,3 +87,26 @@ def test_unit_phase_is_built_in_one_spectral_function():
     # The oracles build their own phases: they share no code path with the fast side.
     builders.pop("oracle.py")
     assert {name: fns for name, fns in builders.items() if fns} == {}
+
+
+def _input_rules(tree: ast.Module) -> set[str]:
+    """The input rules a module restates: decoding JSON or splitting on ','."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found |= {a.name for a in node.names} & {"load", "loads"}
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func, args = node.func, node.args
+        if func.attr in ("load", "loads") and getattr(func.value, "id", None) == "json":
+            found.add(f"json.{func.attr}")
+        if (func.attr in ("split", "rsplit", "partition", "rpartition") and args
+                and isinstance(args[0], ast.Constant) and args[0].value == ","):
+            found.add(f"{func.attr}(',')")
+    return found
+
+
+def test_only_fileio_turns_input_text_into_values():
+    readers = {p.name: _input_rules(_tree(p)) for p in MODULES}
+    assert readers.pop("fileio.py") == {"json.loads", "split(',')", "partition(',')"}
+    assert {name: rules for name, rules in readers.items() if rules} == {}
