@@ -18,8 +18,8 @@ from math import gcd
 import numpy as np
 
 from .errors import IdentifiabilityError, require_finite
-from .retrieval import ShiftEstimate
-from .spectral import dft_entry, live, rdft, unit_phases
+from .retrieval import ShiftEstimate, _norm
+from .spectral import dft_entry, live, unit_phases
 
 __all__ = [
     "SensingSet",
@@ -31,13 +31,6 @@ __all__ = [
     "shift_by_compressive_argmax",
     "shift_by_compressive_ratio",
 ]
-
-# Two measurement columns closer than this (sup norm) count as duplicates.
-# check_sensing_conditions scales it by the signal's spectral peak. The
-# estimators see only measurements, which cannot tell a small signal from
-# numerically dead bins (~1e-16 dust), so for them it stays absolute.
-DUPLICATE_COLUMN_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SensingSet:
@@ -87,13 +80,17 @@ def measure(x, sensing: SensingSet) -> Measurement:
     """Measure a signal: unitary-DFT entries at the sensing indices.
 
     Each entry is evaluated directly in O(n); the sensing matrix is
-    never materialized. Raises ValueError on NaN or infinite samples.
+    never materialized. An entry that is zero against the norm of x,
+    the test :func:`~cycshift.retrieval.shift_single_bin` applies to its
+    bin, is stored as an exact 0, so the measurement carries its own
+    dead bins. Raises ValueError on NaN or infinite samples.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (sensing.n,):
         raise ValueError(f"signal shape {x.shape} does not match ambient dimension {sensing.n}")
     require_finite(x, "signal")
     vals = np.array([dft_entry(x, k) for k in sensing.indices])
+    vals[~live(np.abs(vals), _norm(x))] = 0
     return Measurement(vals, sensing)
 
 
@@ -107,25 +104,25 @@ def embed(values, sensing: SensingSet) -> np.ndarray:
     return out
 
 
-def _duplicate_groups(values: np.ndarray, indices, n: int,
-                      tol: float = DUPLICATE_COLUMN_TOL) -> tuple[tuple[int, ...], ...]:
-    """Group shifts whose measurement columns coincide within tol.
+def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, ...], ...]:
+    """Group shifts whose measurement columns coincide.
 
     Column s of the (conceptual) measured-shift matrix is
     values * exp(-2j*pi*k*s/n); two shifts in the same group cannot be
-    told apart from these measurements.
+    told apart from these measurements. Two columns coincide when their
+    largest difference is not live against the largest value.
     """
-    phases = unit_phases(np.asarray(indices)[:, None], np.arange(n), n)
-    cols = np.asarray(values)[:, None] * phases
+    cols = values[:, None] * unit_phases(np.asarray(indices)[:, None], np.arange(n), n)
+    peak = np.abs(values).max()
     groups = []
     assigned = np.zeros(n, dtype=bool)
     for s in range(n):
         if assigned[s]:
             continue
-        close = np.abs(cols - cols[:, [s]]).max(axis=0) <= tol
-        members = np.flatnonzero(close & ~assigned)
+        apart = live(np.abs(cols - cols[:, s:s + 1]).max(axis=0), peak)
+        members = np.flatnonzero(~(apart | assigned))
         assigned[members] = True
-        groups.append(tuple(int(v) for v in members))
+        groups.append(tuple(members.tolist()))
     return tuple(groups)
 
 
@@ -133,11 +130,11 @@ def _duplicate_groups(values: np.ndarray, indices, n: int,
 class SensingReport:
     """Diagnostics for a (signal, sensing set) pair.
 
-    ``guarantee_holds`` is true iff some retained bin both carries
-    energy and is coprime with n; such a bin pins down the shift
-    uniquely. ``duplicate_shift_groups`` lists the groups of shifts,
-    larger than a singleton, whose measurements coincide; ``ambiguous``
-    is true when any exist.
+    ``guarantee_holds`` is true iff some retained bin both has a
+    nonzero measured entry and is coprime with n; such a bin pins down
+    the shift uniquely. ``duplicate_shift_groups`` lists the groups of
+    shifts, larger than a singleton, whose measurements coincide;
+    ``ambiguous`` is true when any exist.
     """
 
     n: int
@@ -151,22 +148,18 @@ class SensingReport:
 def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     """Check whether a sensing set can recover shifts of this signal.
 
-    Two conditions are evaluated: (a) existence of a retained bin k
-    with nonzero spectrum and gcd(k, n) = 1, which guarantees exact
-    recovery; (b) absence of shift ambiguity, i.e. all n columns of the
-    measured-shift matrix pairwise distinct beyond
-    ``DUPLICATE_COLUMN_TOL`` times the spectral peak of x, so scaling x
-    changes neither verdict. Purely diagnostic: raises only on
-    malformed input (wrong length, NaN or infinite samples).
+    Both conditions are read from ``measure(x, sensing)``, the
+    measurement the estimators would see: (a) existence of a retained
+    bin k with a nonzero entry and gcd(k, n) = 1, which guarantees
+    exact recovery; (b) absence of shift ambiguity, i.e. all n columns
+    of the measured-shift matrix pairwise distinct, judged as the
+    compressive estimators judge them. Purely diagnostic: raises only
+    on malformed input (wrong length, NaN or infinite samples).
     """
     v = measure(x, sensing).values  # validates x
     n = sensing.n
-    mags = np.abs(rdft(x))  # bins 0..n//2; x is real, so |X[n - k]| = |X[k]|
-    nonzero = live(mags)
-    qualifying = tuple(k for k in sensing.indices if gcd(k, n) == 1 and nonzero[min(k, n - k)])
-    peak = mags.max()
-    groups = _duplicate_groups(v, sensing.indices, n, DUPLICATE_COLUMN_TOL * peak)
-    dup = tuple(g for g in groups if len(g) > 1)
+    qualifying = tuple(k for k, vk in zip(sensing.indices, v) if gcd(k, n) == 1 and vk != 0)
+    dup = tuple(g for g in _duplicate_groups(v, sensing.indices, n) if len(g) > 1)
     return SensingReport(
         n=n,
         indices=sensing.indices,
@@ -186,11 +179,8 @@ def _common_sensing(z: Measurement, v: Measurement) -> SensingSet:
 
 
 def _ambiguity_flag(values: np.ndarray, indices, n: int, shift: int) -> tuple[str, ...]:
-    groups = _duplicate_groups(values, indices, n)
-    for g in groups:
-        if shift in g:
-            return ("ambiguous",) if len(g) > 1 else ()
-    return ()
+    group = next(g for g in _duplicate_groups(values, indices, n) if shift in g)
+    return ("ambiguous",) if len(group) > 1 else ()
 
 
 def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate:
@@ -225,8 +215,9 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
     semantics) and ``score`` the winning residual, which is ~0 for
     exactly shifted pairs.
 
-    Bins with |v_i| at or below the relative zero threshold are dropped
-    (flag ``"dropped_bins"``); if the survivors cannot distinguish all
+    Bins with |v_i| zero against the largest |v| are dropped (flag
+    ``"dropped_bins"``); on a :func:`measure` output these are exactly
+    the bins stored as 0. If the survivors cannot distinguish all
     shifts the estimate is additionally flagged ``"ambiguous"``.
     """
     sensing = _common_sensing(z, v)

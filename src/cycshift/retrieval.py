@@ -20,7 +20,7 @@ positions, i.e. y[t] = x[(t - s) mod n].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, sqrt
+from math import gcd, isfinite, sqrt
 
 import numpy as np
 
@@ -51,7 +51,8 @@ class ShiftEstimate:
     index. ``flags`` carries soft diagnostics such as ``"ambiguous"``
     or ``"model_misfit"`` that do not prevent an estimate from being
     returned. A float64 ``scores`` array is taken over, not copied: it
-    becomes the estimate's own and is marked read-only.
+    becomes the estimate's own and is marked read-only. A score that is
+    not finite raises ValueError naming the method.
     """
 
     method: str
@@ -62,6 +63,8 @@ class ShiftEstimate:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isfinite(self.score):
+            raise ValueError(f"{self.method}: the score is {self.score} (the inputs overflow)")
         if self.scores is not None:
             arr = np.asarray(self.scores, dtype=np.float64)
             arr.flags.writeable = False
@@ -95,7 +98,12 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _norm(v: np.ndarray) -> float:
     # Euclidean norm via einsum's single-threaded loop; np.linalg.norm
     # goes through BLAS, whose thread start-up dominates on long signals.
-    return sqrt(np.einsum("i,i->", v, v))
+    # Beyond ~1e154 the sum of squares overflows, so it is rescaled once.
+    sq = np.einsum("i,i->", v, v)
+    if isfinite(sq):
+        return sqrt(sq)
+    peak = float(np.abs(v).max())
+    return peak * _norm(v / peak)
 
 
 def _coprime_mask(size: int, n: int) -> np.ndarray:
@@ -300,7 +308,7 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     beta = pedestal * total
 
     flags: tuple[str, ...] = ()
-    if abs(alpha) * x_peak <= 1e-9 * float(max(y.max(), -y.min())):
+    if not live(abs(alpha) * x_peak, float(max(y.max(), -y.min()))):
         flags = ("alpha_unidentifiable",)
 
     # y - alpha * roll(x, s) - beta, where roll(x, s)[t] = x[(t - s) mod n]

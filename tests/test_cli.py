@@ -180,6 +180,38 @@ def test_retrieve_non_finite_measurement_exits_1(tmp_path, capsys):
     assert "NaN or infinite" in err
 
 
+@pytest.mark.parametrize("method, code", [
+    ("crosscorr", 1), ("compressive_argmax", 1),
+    ("ratio", 0), ("single_bin", 0), ("compressive_ratio", 0),
+])
+def test_retrieve_near_overflow_never_prints_a_nan_shift(tmp_path, capsys, method, code):
+    # Products of these spectra overflow to inf; a ratio of them does not.
+    x = np.array([1e300, -2e300, 3e300, 5e299])
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    save_signal(x_path, x)
+    save_signal(y_path, np.roll(x, 2))
+    got, out, err = run_cli(capsys, "retrieve", str(x_path), str(y_path), "--method", method,
+                            "--sensing", "1")
+    assert got == code
+    assert "NaN" not in out
+    if code == 0:
+        assert json.loads(out)["shift"] == 2
+    else:
+        assert out == "" and method in err
+
+
+def test_retrieve_small_measurements_are_not_ambiguous(tmp_path, capsys):
+    x = 1e-9 * np.random.default_rng(0).standard_normal(8)
+    K = SensingSet(8, (1,))
+    v_path, z_path = tmp_path / "v.csv", tmp_path / "z.csv"
+    save_measurement(v_path, measure(x, K))
+    save_measurement(z_path, measure(np.roll(x, 3), K))
+    for method in ("compressive_argmax", "compressive_ratio"):
+        code, out, _ = run_cli(capsys, "retrieve", str(v_path), str(z_path), "--method", method)
+        assert code == 0
+        assert json.loads(out)["shift"] == 3
+
+
 def test_retrieve_mixed_kinds_exits_1(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     save_signal(sig, np.arange(1.0, 9.0))
@@ -336,6 +368,28 @@ def test_check_sensing_good_set(tmp_path, capsys):
     assert report["guarantee_holds"] is True
     assert report["ambiguous"] is False
     assert report["qualifying_bins"] == [1]
+
+
+def test_check_sensing_weak_coprime_bin_exits_0(tmp_path, capsys):
+    # Bin 1 at 1e-10 of the spectral peak is weak but live: it pins the
+    # shift, so the set is guaranteed and not ambiguous at once.
+    X = spectral.dft(np.random.default_rng(16).standard_normal(16))
+    for k in (1, 15):
+        X[k] *= 1e-10 * np.abs(X).max() / abs(X[k])
+    x = np.real(np.fft.ifft(X, norm="ortho"))
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    save_signal(x_path, x)
+    save_signal(y_path, np.roll(x, 5))
+    code, out, _ = run_cli(capsys, "check-sensing", str(x_path), "--sensing", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["guarantee_holds"] is True
+    assert report["ambiguous"] is False
+    for method in ("compressive_argmax", "compressive_ratio"):
+        code, out, _ = run_cli(capsys, "retrieve", str(x_path), str(y_path),
+                               "--method", method, "--sensing", "1")
+        assert code == 0
+        assert (json.loads(out)["shift"], json.loads(out)["flags"]) == (5, [])
 
 
 def test_check_sensing_ambiguous_set(tmp_path, capsys):

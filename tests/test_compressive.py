@@ -19,8 +19,9 @@ from cycshift import (
     shift_by_compressive_ratio,
     shift_by_crosscorr,
     shift_by_ratio,
+    shift_single_bin,
 )
-from cycshift.compressive import DUPLICATE_COLUMN_TOL, _duplicate_groups
+from cycshift.compressive import _duplicate_groups
 from cycshift.oracle import brute_force_shift, materialize
 from cycshift.spectral import ZERO_BIN_TOL
 
@@ -167,25 +168,62 @@ def test_check_prime_length_guarantee():
     assert report.guarantee_holds and not report.ambiguous
 
 
+def short_period_signal(n, seed, log_c):
+    """A scaled Gaussian signal whose period divides n, so most bins are dead."""
+    rng = np.random.default_rng(seed)
+    divisors = [p for p in range(1, n + 1) if n % p == 0]
+    return 10.0 ** log_c * np.resize(rng.standard_normal(n)[: divisors[seed % len(divisors)]], n)
+
+
+short_period_cases = (st.integers(1, 48), st.integers(0, 2**32 - 1), st.floats(-12.0, 12.0),
+                      st.sets(st.integers(0, 47), min_size=1, max_size=3))
+
+
 @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.sets(st.integers(0, 63), max_size=4))
 @settings(max_examples=80, deadline=None)
 def test_sensing_report_from_real_transform_matches_full_dft(n, seed, bins):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    divisors = [p for p in range(1, n + 1) if n % p == 0]
-    x = np.resize(x[: divisors[seed % len(divisors)]], n)  # a short period leaves dead bins
+    x = short_period_signal(n, seed, 0.0)
     K = SensingSet(n, tuple(sorted({0, n // 2} | {k % n for k in bins})))
-    # The report as read from the full complex spectrum.
-    xs = dft(x)
-    peak = np.abs(xs).max()
-    qualifying = tuple(k for k in K.indices if gcd(k, n) == 1 and abs(xs[k]) > ZERO_BIN_TOL * peak)
-    groups = _duplicate_groups(measure(x, K).values, K.indices, n, DUPLICATE_COLUMN_TOL * peak)
-    dup = tuple(g for g in groups if len(g) > 1)
+    # The report as read from the full complex spectrum: entries that are
+    # zero against ||x|| are stored as exact zeros.
+    entries = dft(x)[list(K.indices)]
+    entries[np.abs(entries) <= ZERO_BIN_TOL * np.linalg.norm(x)] = 0
+    qualifying = tuple(k for k, e in zip(K.indices, entries) if gcd(k, n) == 1 and e != 0)
+    dup = tuple(g for g in _duplicate_groups(entries, K.indices, n) if len(g) > 1)
     report = check_sensing_conditions(x, K)
     assert report.qualifying_bins == qualifying
     assert report.guarantee_holds == bool(qualifying)
     assert report.duplicate_shift_groups == dup
     assert report.ambiguous == bool(dup)
+
+
+@given(*short_period_cases)
+@settings(max_examples=150, deadline=None)
+def test_sensing_report_ambiguity_is_the_estimator_flag(n, seed, log_c, bins):
+    x = short_period_signal(n, seed, log_c)
+    K = SensingSet(n, tuple(sorted({k % n for k in bins})))
+    v = measure(x, K)
+    assert check_sensing_conditions(x, K).ambiguous == (
+        "ambiguous" in shift_by_compressive_argmax(v, v).flags)
+
+
+@given(*short_period_cases, st.integers(0, 47))
+@settings(max_examples=100, deadline=None)
+def test_qualifying_bins_are_the_bins_single_bin_accepts(n, seed, log_c, bins, s):
+    x = short_period_signal(n, seed, log_c)
+    y = np.roll(x, s % n)
+    K = SensingSet(n, tuple(sorted({k % n for k in bins})))
+    accepted = []
+    for k in K.indices:
+        if gcd(k, n) != 1:
+            continue
+        try:
+            est = shift_single_bin(x, y, k)
+        except IdentifiabilityError:
+            continue
+        assert est.shift == s % n
+        accepted.append(k)
+    assert check_sensing_conditions(x, K).qualifying_bins == tuple(accepted)
 
 
 def test_check_frame_property_against_materialized_matrix():
@@ -348,13 +386,15 @@ def test_ratio_all_bins_zero_fails():
 
 
 def test_ratio_numerically_dead_bins_are_flagged_ambiguous():
-    # Bins whose true spectrum is zero measure as ~1e-16 dust, which the
-    # relative drop rule keeps; the duplicate-column check then reports
-    # that no shift is distinguishable.
+    # Bins whose true spectrum is zero evaluate to ~1e-16 dust, which
+    # measure stores as exact zeros: the ratio test has no bin left to
+    # divide by, and the correlation test cannot tell any shift apart.
     x = np.array([1.0, 0.0, 1.0, 0.0])
     K = SensingSet(4, (1, 3))  # both bins empty for this signal
-    est = shift_by_compressive_ratio(measure(np.roll(x, 1), K), measure(x, K))
-    assert "ambiguous" in est.flags
+    z, v = measure(np.roll(x, 1), K), measure(x, K)
+    with pytest.raises(IdentifiabilityError):
+        shift_by_compressive_ratio(z, v)
+    assert "ambiguous" in shift_by_compressive_argmax(z, v).flags
 
 
 def test_sensing_set_mismatch_rejected():

@@ -1,7 +1,8 @@
 """Structural guards: one owner for each numerical and each input rule.
 
 ``spectral`` is the only module that knows when a spectral magnitude
-counts as zero and how a delay turns into a unit phase; ``fileio`` is
+counts as zero (no other production module holds a tolerance below
+1e-6) and how a delay turns into a unit phase; ``fileio`` is
 the only one that turns input text into values. The checks walk the
 syntax tree of each package module, so docstrings and comments that
 describe the rules do not count; only code that restates them does.
@@ -110,3 +111,18 @@ def test_only_fileio_turns_input_text_into_values():
     readers = {p.name: _input_rules(_tree(p)) for p in MODULES}
     assert readers.pop("fileio.py") == {"json.loads", "split(',')", "partition(',')"}
     assert {name: rules for name, rules in readers.items() if rules} == {}
+
+
+def _tiny_floats(tree: ast.Module) -> set[float]:
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0.0 < node.value < 1e-6}
+
+
+def test_tolerances_below_one_millionth_live_only_in_spectral():
+    # A zero test elsewhere goes through spectral.live; the oracles and
+    # the self-test compare against references with their own margins.
+    tiny = {p.name: _tiny_floats(_tree(p)) for p in MODULES}
+    for owner in ("spectral.py", "oracle.py", "selftest.py"):
+        tiny.pop(owner)
+    assert {name: found for name, found in tiny.items() if found} == {}
