@@ -9,6 +9,7 @@ and a closed-form least-squares fit of a circulant to data pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -54,15 +55,29 @@ class Circulant:
         Computes idft(eigenvalues * dft(x)) on Fourier modes 0..n//2
         only: the matrix and x are real, so both spectra are
         conjugate-symmetric and the real inverse transform implies the
-        other modes. The result is therefore real by construction.
+        other modes. The result is therefore real by construction. It is
+        a view of the first n slots of the spectrum of x, which the
+        inverse transform overwrites once the product is formed. A
+        product that is not finite raises ValueError.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"dimension mismatch: matrix is {self.n}, vector has shape {x.shape}")
         # Unscaled forward transforms and the 1/n inverse: a circular convolution.
         spec = np.fft.rfft(self.first_column)
-        spec *= np.fft.rfft(x)
-        return np.fft.irfft(spec, self.n)
+        xs = np.fft.rfft(x)
+        spec *= xs
+        # The inverse lands in the spent spectrum of x.
+        out = np.fft.irfft(spec, self.n, out=xs.view(np.float64)[: self.n])
+        if not _finite(out):
+            raise ValueError("Circulant.apply: the product is not finite")
+        return out
+
+
+def _finite(a: np.ndarray) -> bool:
+    # max and min propagate NaN and reach any infinity, and need no
+    # temporary the size of a.
+    return isfinite(a.max()) and isfinite(a.min())
 
 
 def make_shift(n: int, s: int) -> Circulant:
@@ -108,6 +123,10 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
     (Circulant, float)
         The fitted circulant and the residual ||Y - C X||_F, evaluated
         in the Fourier domain where the spectra are already available.
+
+    Beyond ~1e154 the spectral products overflow; the fit then runs once
+    more on X and Y divided by their peaks and is scaled back. A fit
+    that still overflows raises ValueError.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -117,22 +136,42 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
         Y = Y[:, None]
     if X.ndim != 2 or X.shape != Y.shape or X.size == 0:
         raise ValueError(f"X and Y must be real matrices of identical shape, got {X.shape} vs {Y.shape}")
+    fit = _fit(X, Y)
+    if fit is None:
+        # C maps X/a to Y/b exactly when (b/a) * C maps X to Y.
+        a = float(max(X.max(), -X.min())) or 1.0
+        b = float(max(Y.max(), -Y.min())) or 1.0
+        fit = _fit(X / a, Y / b)
+        if fit is not None:
+            fit = (fit[0] * (b / a), fit[1] * b)
+    if fit is None or not (_finite(fit[0]) and isfinite(fit[1])):
+        raise ValueError("ls_circulant_fit: the fit is not finite")
+    col, residual = fit
+    return Circulant(col), residual
+
+
+def _fit(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """First column and residual of the fit, or None if a spectral product overflows."""
     n = X.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xs = rdft(X, axis=0)
+        Ys = rdft(Y, axis=0)
+        energy = np.vecdot(Xs, Xs).real  # vecdot conjugates its first argument
+        rows = live(np.sqrt(energy))
+        sigma = np.divide(np.vecdot(Xs, Ys), energy, out=np.zeros(energy.size, complex), where=rows)
+        # sigma holds the eigenvalues, the unscaled transform of the column.
+        col = np.fft.irfft(sigma, n)
 
-    Xs = rdft(X, axis=0)
-    Ys = rdft(Y, axis=0)
-    energy = np.vecdot(Xs, Xs).real  # vecdot conjugates its first argument
-    rows = live(np.sqrt(energy))
-    sigma = np.divide(np.vecdot(Xs, Ys), energy, out=np.zeros(energy.size, complex), where=rows)
-    # sigma holds the eigenvalues, the unscaled transform of the column.
-    col = np.fft.irfft(sigma, n)
-
-    # The Frobenius norm is unitarily invariant, so the residual is summed
-    # over the spectral rows; each row strictly between 0 and n/2 stands
-    # for itself and its conjugate mirror. Ys becomes Ys - sigma * Xs.
-    Xs *= sigma[:, None]
-    Ys -= Xs
-    row_err = np.vecdot(Ys, Ys).real
-    mirrored = np.arange(row_err.size) * 2 % n != 0
-    residual = np.sqrt(row_err.sum() + row_err[mirrored].sum())
-    return Circulant(col), float(residual)
+        # The Frobenius norm is unitarily invariant, so the residual is summed
+        # over the spectral rows; each row strictly between 0 and n/2 stands
+        # for itself and its conjugate mirror. Ys becomes Ys - sigma * Xs.
+        Xs *= sigma[:, None]
+        Ys -= Xs
+        row_err = np.vecdot(Ys, Ys).real
+        mirrored = np.arange(row_err.size) * 2 % n != 0
+        residual = float(np.sqrt(row_err.sum() + row_err[mirrored].sum()))
+    # An overflowed row energy leaves its row dead, so the residual alone
+    # could still be finite.
+    if not (isfinite(energy.max()) and isfinite(residual)):
+        return None
+    return col, residual

@@ -51,8 +51,10 @@ class ShiftEstimate:
     index. ``flags`` carries soft diagnostics such as ``"ambiguous"``
     or ``"model_misfit"`` that do not prevent an estimate from being
     returned. A float64 ``scores`` array is taken over, not copied: it
-    becomes the estimate's own and is marked read-only. A score that is
-    not finite raises ValueError naming the method.
+    becomes the estimate's own and is marked read-only. For crosscorr
+    and ratio it is a view of the first n slots of the spectrum buffer
+    the inverse transform wrote into. A score that is not finite raises
+    ValueError naming the method.
     """
 
     method: str
@@ -130,11 +132,14 @@ def _ratio_impulse(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     An exact delay by s with no dead bin gives the unit impulse at s.
     """
+    n = x.size
     xs = np.fft.rfft(x)
     usable = live(np.abs(xs))
-    # The spectrum of y is a temporary, freed before the inverse transform.
-    rho = np.divide(np.fft.rfft(y), xs, out=np.zeros_like(xs), where=usable)
-    return np.fft.irfft(rho, x.size), usable
+    rho = np.fft.rfft(y)
+    np.divide(rho, xs, out=rho, where=usable)
+    rho[~usable] = 0
+    # The inverse lands in the spent spectrum of x.
+    return np.fft.irfft(rho, n, out=xs.view(np.float64)[:n]), usable
 
 
 def shift_by_crosscorr(x, y) -> ShiftEstimate:
@@ -145,7 +150,9 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
     sum_t x[(t-s) mod n] * y[t]. For y an exact delay of x the peak
     value is ||x||^2. Both signals are real, so the product is formed
     on bins 0..n//2 only and the real inverse transform implies the
-    rest: three real transforms and one pointwise product in all.
+    rest: three real transforms and one pointwise product in all. The
+    inverse lands in the spent spectrum of y, so the call holds two
+    spectrum-sized buffers.
     """
     x, y = _pair(x, y)
     if not x.any() or not y.any():
@@ -154,8 +161,10 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
     # Unscaled forward transforms and the 1/n inverse give the inner products.
     spec = np.fft.rfft(x)
     np.conjugate(spec, out=spec)
-    spec *= np.fft.rfft(y)
-    scores = np.fft.irfft(spec, n)
+    ys = np.fft.rfft(y)
+    spec *= ys
+    # The inverse lands in the spent spectrum of y.
+    scores = np.fft.irfft(spec, n, out=ys.view(np.float64)[:n])
     s = int(np.argmax(scores))
     return ShiftEstimate("crosscorr", n, s, float(scores[s]), scores)
 

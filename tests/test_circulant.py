@@ -213,3 +213,25 @@ def test_circulant_is_immutable():
     C = Circulant([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         C.first_column[0] = 9.0
+
+
+# Finite entries whose spectral products overflow float64.
+HUGE = np.array([1e300, -2e300, 3e300, 5e299])
+
+
+def test_fit_near_overflow_equals_the_fit_of_rescaled_data():
+    X = np.stack((HUGE, -HUGE / 2), 1)
+    Y = np.roll(X, 1, axis=0)
+    small, small_residual = ls_circulant_fit(X / 3e300, Y / 3e300)
+    assert_allclose(small.first_column, [0, 1, 0, 0], atol=1e-12)
+    assert small_residual <= 1e-12
+    fit, residual = ls_circulant_fit(X, Y)
+    assert_allclose(fit.first_column, [0, 1, 0, 0], atol=1e-12)
+    assert residual <= 1e-12 * 3e300
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_apply_refuses_a_product_that_overflows():
+    assert np.isfinite(Circulant(HUGE / 3e300).apply(HUGE / 3e300)).all()
+    with pytest.raises(ValueError, match="Circulant.apply"):
+        Circulant(HUGE).apply(HUGE)

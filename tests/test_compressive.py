@@ -2,7 +2,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cycshift import (
@@ -286,6 +286,22 @@ def test_argmax_full_sensing_collapses_to_crosscorr(n):
     classic = shift_by_crosscorr(x, y)
     assert est.shift == classic.shift
     assert_allclose(est.scores, classic.scores, atol=1e-9 * max(1, np.abs(classic.scores).max()))
+
+
+@given(st.integers(1, 256), st.integers(0, 2**32 - 1))
+@example(256, 0)
+@settings(max_examples=12, deadline=None)
+def test_full_sensing_collapses_to_the_full_signal_estimators(n, seed):
+    # With every bin kept, the compressive scores are the full-signal ones.
+    # The O(m*n^2) duplicate scan makes an n = 256 example cost ~0.3 s,
+    # so the example count is kept small.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    s = int(rng.integers(n))
+    y = np.roll(x, s)
+    v, z = measure(x, full_set(n)), measure(y, full_set(n))
+    assert shift_by_compressive_argmax(z, v).shift == shift_by_crosscorr(x, y).shift == s
+    assert shift_by_compressive_ratio(z, v).shift == shift_by_ratio(x, y).shift == s
 
 
 def test_argmax_single_bin_case():
