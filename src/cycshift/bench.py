@@ -8,10 +8,13 @@ the sentinel value ``inf`` gives the noiseless row.
 Determinism: every trial draws from its own generator seeded by
 (master seed, trial index), so results do not depend on the order the
 (snr, method) cells run in and trials of the same index share signal,
-shift and raw noise across cells. Elapsed-time columns are the one
-inherently non-reproducible output; they cover the estimator call only
-(measuring the compressive methods' inputs is preparation, not timed).
-Set ``measure_time=False`` to zero them when byte-identical files matter.
+shift and raw noise across cells. Each trial is drawn once, and the
+full-signal estimators score all trials of a cell in one stacked call.
+Elapsed-time columns are the one inherently non-reproducible output;
+they cover the estimator calls only (measuring the compressive methods'
+inputs is preparation, not timed), and for a stacked cell they are the
+stacked call's time divided by the trials. Set ``measure_time=False``
+to zero them when byte-identical files matter.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +48,9 @@ METHOD_TABLE = {
 }
 METHODS = tuple(METHOD_TABLE)
 CSV_COLUMNS = ("snr_db", "method", "n", "m", "trials", "success_rate", "mean_elapsed_us")
+# Trials are drawn and scored in blocks of about this many samples, so a
+# sweep holds a few block-sized stacks at a time whatever its size.
+_BLOCK_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -111,12 +118,14 @@ def config_from_mapping(raw) -> ExperimentConfig:
     )
 
 
-def noise_sigma(x: np.ndarray, snr_db: float) -> float:
-    """Per-sample noise std for the given SNR; 0 for the inf sentinel."""
+def noise_sigma(x: np.ndarray, snr_db: float):
+    """Per-sample noise std for the given SNR, one per row of a stack; 0 for the inf sentinel."""
     if np.isinf(snr_db):
         return 0.0
     snr = 10.0 ** (snr_db / 10.0)
-    return float(np.sqrt(np.dot(x, x) / (x.size * snr)))
+    # vecdot takes the same dot product per row as np.dot on one row.
+    sigma = np.sqrt(np.vecdot(x, x) / (x.shape[-1] * snr))
+    return sigma if sigma.ndim else float(sigma)
 
 
 def estimate(method: str, x, y, *args):
@@ -135,42 +144,71 @@ def run_bench(config: ExperimentConfig) -> list[dict]:
     sensing_set = (
         compressive.SensingSet(config.n, config.sensing) if config.sensing else None
     )
-    rows = []
-    for snr_db in config.snr_db_grid:
-        for method in config.methods:
-            measured = METHOD_TABLE[method][2]
-            successes = 0
-            elapsed = 0.0
-            for trial in range(config.trials):
-                rng = np.random.default_rng([config.seed, trial])
-                x = rng.standard_normal(config.n)
-                s_true = int(rng.integers(config.n))
-                y = np.roll(x, s_true)
-                sigma = noise_sigma(x, snr_db)
-                if sigma > 0.0:
-                    y = y + sigma * rng.standard_normal(config.n)
-                if measured:
-                    x = compressive.measure(x, sensing_set)
-                    y = compressive.measure(y, sensing_set)
+    n, grid, methods = config.n, config.snr_db_grid, config.methods
+    measured_any = any(METHOD_TABLE[m][2] for m in methods)
+    hits = [[0] * len(methods) for _ in grid]
+    elapsed = [[0.0] * len(methods) for _ in grid]
+    block = max(1, _BLOCK_SAMPLES // n)
+    for start in range(0, config.trials, block):
+        trials = range(start, min(start + block, config.trials))
+        x, shifts, noise = _draw(config.seed, trials, n, not all(np.isinf(grid)))
+        # Row t is np.roll(x[t], shifts[t]).
+        clean = np.take_along_axis(x, (np.arange(n) - shifts[:, None]) % n, axis=1)
+        vx = [compressive.measure(row, sensing_set) for row in x] if measured_any else None
+        for i, snr_db in enumerate(grid):
+            y = clean if np.isinf(snr_db) else clean + noise_sigma(x, snr_db)[:, None] * noise
+            vy = [compressive.measure(row, sensing_set) for row in y] if measured_any else None
+            for j, method in enumerate(methods):
                 t0 = time.perf_counter()
-                try:
-                    s_hat = estimate(method, x, y).shift
-                except IdentifiabilityError:
-                    s_hat = None  # counted as a miss
-                elapsed += time.perf_counter() - t0
-                successes += int(s_hat == s_true)
-            rows.append({
-                "snr_db": snr_db,
-                "method": method,
-                "n": config.n,
-                "m": sensing_set.m if measured else config.n,
-                "trials": config.trials,
-                "success_rate": successes / config.trials,
-                "mean_elapsed_us": (
-                    int(round(elapsed / config.trials * 1e6)) if config.measure_time else 0
-                ),
-            })
-    return rows
+                if METHOD_TABLE[method][2]:
+                    hits[i][j] += sum(map(partial(_hit, method), vx, vy, shifts))
+                else:
+                    hits[i][j] += _stack_hits(method, x, y, shifts)
+                elapsed[i][j] += time.perf_counter() - t0
+    return [{
+        "snr_db": snr_db,
+        "method": method,
+        "n": n,
+        "m": sensing_set.m if METHOD_TABLE[method][2] else n,
+        "trials": config.trials,
+        "success_rate": hits[i][j] / config.trials,
+        "mean_elapsed_us": (
+            int(round(elapsed[i][j] / config.trials * 1e6)) if config.measure_time else 0
+        ),
+    } for i, snr_db in enumerate(grid) for j, method in enumerate(methods)]
+
+
+def _draw(seed: int, trials, n: int, noisy: bool):
+    """Signals, planted shifts and raw noise (or None) of ``trials``, one row each.
+
+    Each trial draws from its own generator, in this order, so a trial
+    gets the same values whatever block or cell it is drawn for.
+    """
+    x = np.empty((len(trials), n))
+    shifts = np.empty(len(trials), dtype=np.int64)
+    noise = np.empty((len(trials), n)) if noisy else None
+    for row, trial in enumerate(trials):
+        rng = np.random.default_rng([seed, trial])
+        x[row] = rng.standard_normal(n)
+        shifts[row] = rng.integers(n)
+        if noisy:
+            noise[row] = rng.standard_normal(n)
+    return x, shifts, noise
+
+
+def _hit(method: str, x, y, s) -> bool:
+    try:
+        return bool(estimate(method, x, y).shift == s)
+    except IdentifiabilityError:
+        return False  # counted as a miss
+
+
+def _stack_hits(method: str, x: np.ndarray, y: np.ndarray, shifts: np.ndarray) -> int:
+    """Hits of one stacked call; if a row is unidentifiable, rows are scored one by one."""
+    try:
+        return int(np.count_nonzero(estimate(method, x, y).shift == shifts))
+    except IdentifiabilityError:
+        return sum(map(partial(_hit, method), x, y, shifts))
 
 
 def _fmt_snr(value: float) -> str:

@@ -13,6 +13,7 @@ from math import isfinite
 
 import numpy as np
 
+from .errors import require_finite
 from .spectral import dft, live, rdft
 
 __all__ = ["Circulant", "make_shift", "ls_circulant_fit"]
@@ -24,7 +25,8 @@ class Circulant:
 
     Storage is O(n); the dense matrix is never formed here (see
     :func:`cycshift.oracle.materialize` for an explicit version).
-    Instances are immutable and safe to share between threads.
+    Instances are immutable and safe to share between threads. A first
+    column holding NaN or an infinity raises ValueError.
     """
 
     first_column: np.ndarray
@@ -33,6 +35,7 @@ class Circulant:
         col = np.array(self.first_column, dtype=np.float64)
         if col.ndim != 1 or col.size == 0:
             raise ValueError("first_column must be a nonempty 1-D real vector")
+        require_finite(col, "first_column")
         col.flags.writeable = False
         object.__setattr__(self, "first_column", col)
 
@@ -63,12 +66,14 @@ class Circulant:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"dimension mismatch: matrix is {self.n}, vector has shape {x.shape}")
-        # Unscaled forward transforms and the 1/n inverse: a circular convolution.
-        spec = np.fft.rfft(self.first_column)
-        xs = np.fft.rfft(x)
-        spec *= xs
-        # The inverse lands in the spent spectrum of x.
-        out = np.fft.irfft(spec, self.n, out=xs.view(np.float64)[: self.n])
+        # An overflowed product is refused below, without numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Unscaled forward transforms and the 1/n inverse: a circular convolution.
+            spec = np.fft.rfft(self.first_column)
+            xs = np.fft.rfft(x)
+            spec *= xs
+            # The inverse lands in the spent spectrum of x.
+            out = np.fft.irfft(spec, self.n, out=xs.view(np.float64)[: self.n])
         if not _finite(out):
             raise ValueError("Circulant.apply: the product is not finite")
         return out
@@ -126,7 +131,8 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
 
     Beyond ~1e154 the spectral products overflow; the fit then runs once
     more on X and Y divided by their peaks and is scaled back. A fit
-    that still overflows raises ValueError.
+    that still overflows raises ValueError, as does NaN or an infinity
+    in X or Y.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -136,6 +142,8 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
         Y = Y[:, None]
     if X.ndim != 2 or X.shape != Y.shape or X.size == 0:
         raise ValueError(f"X and Y must be real matrices of identical shape, got {X.shape} vs {Y.shape}")
+    require_finite(X, "X")
+    require_finite(Y, "Y")
     fit = _fit(X, Y)
     if fit is None:
         # C maps X/a to Y/b exactly when (b/a) * C maps X to Y.

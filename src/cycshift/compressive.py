@@ -197,9 +197,11 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     bitwise-equal phase-table columns and tie; the smallest is returned.
     """
     sensing = _common_sensing(z, v)
-    w = np.conj(z.values) * v.values
     n = sensing.n
-    scores = (w @ unit_phases(np.asarray(sensing.indices)[:, None], np.arange(n), n)).real
+    # An overflowed product shows as a score that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.conj(z.values) * v.values
+        scores = (w @ unit_phases(np.asarray(sensing.indices)[:, None], np.arange(n), n)).real
     s = int(np.argmax(scores)) % (n // gcd(n, *sensing.indices))
     flags = _ambiguity_flag(v.values, sensing.indices, n, s)
     return ShiftEstimate("compressive_argmax", n, s, float(scores[s]), scores, flags)

@@ -15,12 +15,18 @@ Four estimators are provided, trading robustness against work:
 
 Shift direction convention: estimate s means y is x delayed by s
 positions, i.e. y[t] = x[(t - s) mod n].
+
+The crosscorr, ratio and single-bin estimators also take a (B, n) stack
+of reference signals and a stack of shifted ones, and score row b of y
+against row b of x in one call, with the transforms run along the last
+axis. Row b of a stacked estimate equals the estimate of that pair
+alone, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isfinite, sqrt
+from math import gcd, sqrt
 
 import numpy as np
 
@@ -55,17 +61,20 @@ class ShiftEstimate:
     and ratio it is a view of the first n slots of the spectrum buffer
     the inverse transform wrote into. A score that is not finite raises
     ValueError naming the method.
+
+    An estimate of a (B, n) stack holds length-B ``shift`` and ``score``
+    arrays, a (B, n) ``scores`` (or None) and one flag tuple per row.
     """
 
     method: str
     n: int
-    shift: int
-    score: float
+    shift: int | np.ndarray
+    score: float | np.ndarray
     scores: np.ndarray | None = None
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...] | tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
-        if not isfinite(self.score):
+        if not np.isfinite(self.score).all():
             raise ValueError(f"{self.method}: the score is {self.score} (the inputs overflow)")
         if self.scores is not None:
             arr = np.asarray(self.scores, dtype=np.float64)
@@ -84,28 +93,30 @@ class AffineShiftModel:
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float64 signals, or as (B, n) stacks of them."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("signals must be one-dimensional")
+    if x.ndim not in (1, 2) or y.ndim not in (1, 2):
+        raise ValueError("signals must be one-dimensional, or a (B, n) stack of them")
     if x.size == 0:
         raise ValueError("signals are empty")
     if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     require_finite(x, "x")
     require_finite(y, "y")
     return x, y
 
 
-def _norm(v: np.ndarray) -> float:
-    # Euclidean norm via einsum's single-threaded loop; np.linalg.norm
-    # goes through BLAS, whose thread start-up dominates on long signals.
-    # Beyond ~1e154 the sum of squares overflows, so it is rescaled once.
-    sq = np.einsum("i,i->", v, v)
-    if isfinite(sq):
-        return sqrt(sq)
-    peak = float(np.abs(v).max())
-    return peak * _norm(v / peak)
+def _norm(v: np.ndarray):
+    """Euclidean norm along the last axis: a float, or one per row of a stack."""
+    # einsum's single-threaded loop; np.linalg.norm goes through BLAS,
+    # whose thread start-up dominates on long signals. Beyond ~1e154 the
+    # sum of squares overflows, so it is rescaled once.
+    sq = np.einsum("...i,...i->...", v, v)
+    if np.isfinite(sq).all():
+        return np.sqrt(sq) if sq.ndim else sqrt(sq)
+    peak = np.abs(v).max(axis=-1, keepdims=True)
+    return peak[..., 0] * _norm(v / np.where(peak > 0, peak, 1.0))
 
 
 def _coprime_mask(size: int, n: int) -> np.ndarray:
@@ -131,15 +142,28 @@ def _ratio_impulse(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """irfft of Y/X over the live bins of x (dead bins give 0), and that mask.
 
     An exact delay by s with no dead bin gives the unit impulse at s.
+    Rows of a stack are judged and divided each on their own.
     """
-    n = x.size
-    xs = np.fft.rfft(x)
-    usable = live(np.abs(xs))
-    rho = np.fft.rfft(y)
-    np.divide(rho, xs, out=rho, where=usable)
-    rho[~usable] = 0
-    # The inverse lands in the spent spectrum of x.
-    return np.fft.irfft(rho, n, out=xs.view(np.float64)[:n]), usable
+    n = x.shape[-1]
+    # An overflowed ratio shows as a score that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.fft.rfft(x)
+        usable = live(np.abs(xs))
+        rho = np.fft.rfft(y)
+        np.divide(rho, xs, out=rho, where=usable)
+        rho[~usable] = 0
+        # The inverse lands in the spent spectrum of x.
+        return np.fft.irfft(rho, n, out=xs.view(np.float64)[..., :n]), usable
+
+
+def _peak(method: str, scores: np.ndarray) -> ShiftEstimate:
+    """The estimate whose shift is the argmax of each row of ``scores``."""
+    s = np.argmax(scores, axis=-1)
+    if scores.ndim == 1:
+        return ShiftEstimate(method, scores.size, int(s), float(scores[s]), scores)
+    # The row maximum is the value at the row's argmax.
+    return ShiftEstimate(method, scores.shape[-1], s, scores.max(axis=-1), scores,
+                         ((),) * len(s))
 
 
 def shift_by_crosscorr(x, y) -> ShiftEstimate:
@@ -155,18 +179,19 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
     spectrum-sized buffers.
     """
     x, y = _pair(x, y)
-    if not x.any() or not y.any():
+    if not (x.any(axis=-1).all() and y.any(axis=-1).all()):
         raise IdentifiabilityError("cross-correlation needs nonzero signals")
-    n = x.size
-    # Unscaled forward transforms and the 1/n inverse give the inner products.
-    spec = np.fft.rfft(x)
-    np.conjugate(spec, out=spec)
-    ys = np.fft.rfft(y)
-    spec *= ys
-    # The inverse lands in the spent spectrum of y.
-    scores = np.fft.irfft(spec, n, out=ys.view(np.float64)[:n])
-    s = int(np.argmax(scores))
-    return ShiftEstimate("crosscorr", n, s, float(scores[s]), scores)
+    n = x.shape[-1]
+    # An overflowed product shows as a score that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Unscaled forward transforms and the 1/n inverse give the inner products.
+        spec = np.fft.rfft(x)
+        np.conjugate(spec, out=spec)
+        ys = np.fft.rfft(y)
+        spec *= ys
+        # The inverse lands in the spent spectrum of y.
+        scores = np.fft.irfft(spec, n, out=ys.view(np.float64)[..., :n])
+    return _peak("crosscorr", scores)
 
 
 def shift_by_ratio(x, y) -> ShiftEstimate:
@@ -182,10 +207,9 @@ def shift_by_ratio(x, y) -> ShiftEstimate:
     rest.
     """
     d, usable = _ratio_impulse(*_pair(x, y))
-    if not usable.any():
+    if not usable.any(axis=-1).all():
         raise IdentifiabilityError("reference signal has no usable spectral bin (all zero)")
-    s = int(np.argmax(d))
-    return ShiftEstimate("ratio", d.size, s, float(d[s]), d)
+    return _peak("ratio", d)
 
 
 def select_bin(xspec) -> int:
@@ -208,22 +232,23 @@ def select_bin(xspec) -> int:
     return _strongest_bin(np.abs(xs), xs.size)
 
 
-def _strongest_bin(mags: np.ndarray, n: int) -> int:
-    """The :func:`select_bin` rule on magnitudes of bins 0..mags.size-1 of an n-point spectrum.
+def _strongest_bin(mags: np.ndarray, n: int):
+    """The :func:`select_bin` rule on magnitudes of bins 0..mags.shape[-1]-1 of an n-point spectrum.
 
     Taking the bins 0..n//2 of a real signal's spectrum gives the same
     winner as the full spectrum up to its mirror n - i, which has equal
     magnitude and identifies the same shift. If the strongest coprime
-    bin is not live, no coprime bin is.
+    bin is not live, no coprime bin is. Gives an int, or one bin per
+    row of a stack of magnitudes.
     """
-    coprime = np.where(_coprime_mask(mags.size, n), mags, 0.0)
-    i = int(np.argmax(coprime))
-    if not live(coprime[i], mags.max()):
+    coprime = np.where(_coprime_mask(mags.shape[-1], n), mags, 0.0)
+    i = np.argmax(coprime, axis=-1)
+    if not live(coprime.max(axis=-1), mags.max(axis=-1)).all():
         raise IdentifiabilityError(
             "no usable bin: every nonzero bin fails the gcd(i, n) = 1 "
             "disambiguation condition (excluded bins cannot identify the shift)"
         )
-    return i
+    return i if coprime.ndim > 1 else int(i)
 
 
 def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
@@ -238,38 +263,50 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
     Parameters
     ----------
     x, y : array_like
-        Equal-length real signals.
+        Equal-length real signals, or (B, n) stacks of them.
     i : int, optional
         Spectral bin to use. Must satisfy gcd(i, n) = 1 and carry
         energy. When omitted, the best bin is chosen by the
         :func:`select_bin` rule from bins 0..n//2 of the spectrum of x
         (convenience path; costs one real-input transform on top of the
-        explicit-bin path).
+        explicit-bin path); each row of a stack gets its own bin.
 
     The estimate's score is |rho|, which equals 1 for exact shifts. If
     ``abs(|rho| - 1)`` exceeds ``MISFIT_TOL`` the estimate is flagged
     ``"model_misfit"`` (y is not a pure delay of x) but still returned.
     """
     x, y = _pair(x, y)
-    n = x.size
+    n = x.shape[-1]
     if i is None:
         i = _strongest_bin(np.abs(rdft(x)), n) if n >= 2 else 0
-    i = int(i)
-    if not 0 <= i < n:
-        raise ValueError(f"bin index i={i} out of range 0..{n - 1}")
-    if gcd(i, n) != 1:
-        raise IdentifiabilityError(
-            f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"
-        )
-    xi = complex(dft_entry(x, i))
-    if not live(abs(xi), _norm(x)):
-        raise IdentifiabilityError(f"bin {i} of the reference spectrum is numerically zero")
+    else:
+        i = int(i)
+        if not 0 <= i < n:
+            raise ValueError(f"bin index i={i} out of range 0..{n - 1}")
+        if gcd(i, n) != 1:
+            raise IdentifiabilityError(
+                f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"
+            )
+    xi, yi, norm = dft_entry(x, i), dft_entry(y, i), _norm(x)
+    if x.ndim == 1:
+        s, score, flags = _phase_shift(complex(xi), complex(yi), norm, i, n)
+        return ShiftEstimate("single_bin", n, s, score, None, flags)
+    # The O(1) end runs per row in Python numbers, as for one pair.
+    rows = map(_phase_shift, xi.tolist(), yi.tolist(), norm.tolist(),
+               np.broadcast_to(i, norm.shape).tolist(), [n] * len(norm))
+    shift, score, flags = zip(*rows)
+    return ShiftEstimate("single_bin", n, np.array(shift), np.array(score), None, flags)
 
-    rho = complex(dft_entry(y, i)) / xi
+
+def _phase_shift(xi: complex, yi: complex, norm: float, i: int, n: int):
+    """Shift, score |rho| and flags of single_bin from X[i], Y[i] and ||x||."""
+    if not live(abs(xi), norm):
+        raise IdentifiabilityError(f"bin {i} of the reference spectrum is numerically zero")
+    rho = yi / xi
     flags = ("model_misfit",) if abs(abs(rho) - 1.0) > MISFIT_TOL else ()
     t = round(-float(np.angle(rho)) * n / (2 * np.pi)) % n
     s = (t * pow(i, -1, n)) % n if n > 1 else 0
-    return ShiftEstimate("single_bin", n, int(s), float(abs(rho)), None, flags)
+    return int(s), float(abs(rho)), flags
 
 
 def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
@@ -296,6 +333,8 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
         ||y - alpha * delay(x, s) - beta||_2.
     """
     x, y = _pair(x, y)
+    if x.ndim != 1:
+        raise ValueError("shift_affine takes one pair of one-dimensional signals")
     n = x.size
     if n < 3:
         raise IdentifiabilityError(f"affine shift fit needs n >= 3 for three unknowns, got {n}")

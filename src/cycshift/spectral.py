@@ -37,17 +37,24 @@ def live(values, scale=None):
     """``values > ZERO_BIN_TOL * scale``: which magnitudes count as nonzero.
 
     ``values`` is an array, or one magnitude when ``scale`` is given;
-    ``scale`` defaults to ``values.max()``. Nothing is live at scale zero.
+    ``scale`` defaults to the largest value along the last axis, so each
+    row of a stack is judged against its own peak. Nothing is live at
+    scale zero.
     """
-    return values > ZERO_BIN_TOL * (values.max() if scale is None else scale)
+    return values > ZERO_BIN_TOL * (values.max(axis=-1, keepdims=True) if scale is None else scale)
 
 
 def unit_phases(k, s, n: int) -> np.ndarray:
     """exp(-2j*pi*(k*s mod n)/n): the phase a delay by s puts on bin k.
 
     Broadcasts over integer arrays; the argument is reduced mod n first.
+    A table of more than n integer arguments holds at most n distinct
+    phases, so it is gathered from those n, which give the same bits.
     """
-    return np.exp((-2j * np.pi / n) * (np.multiply(k, s) % n))
+    arg = np.multiply(k, s) % n
+    if arg.size > n and arg.dtype.kind in "iu":
+        return np.exp((-2j * np.pi / n) * np.arange(n))[arg]
+    return np.exp((-2j * np.pi / n) * arg)
 
 
 def _as_vector(x, name: str = "x") -> np.ndarray:
@@ -109,14 +116,15 @@ def fourier_column(n: int, q: int) -> np.ndarray:
     return unit_phases(q - 1, np.arange(n, dtype=np.int64), n) / sqrt(n)
 
 
-def dft_entry(x, k: int):
+def dft_entry(x, k):
     """Single entry of the unitary DFT, evaluated directly in O(n).
 
     Computes ``dft(x)[k]`` without forming the full transform, which is
     what makes one-bin shift estimation a linear-time operation. Accepts
     a real or complex 1-D signal or a 2-D stack of signals (one per row;
-    the entry is taken along the last axis, and the per-signal phase
-    table is shared).
+    the entry is taken along the last axis). ``k`` is one bin, or for a
+    stack one bin per row. Each row is contracted as its own vector
+    product, so a row of a stack gets the bits it gets alone.
 
     Long inputs are cut into blocks of b = ceil(sqrt(n)) samples, so
     the phases cost O(sqrt(n)) trigonometric evaluations. Each block is
@@ -133,13 +141,17 @@ def dft_entry(x, k: int):
     if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
         raise ValueError("x must be a nonempty 1-D vector or 2-D stack of vectors")
     n = arr.shape[-1]
-    if not 0 <= k < n:
+    k = np.asarray(k)
+    if k.shape not in ((), arr.shape[:-1]):
+        raise ValueError(f"expected one bin or one per row, got shape {k.shape}")
+    if not all(0 <= i < n for i in k.flat):
         raise ValueError(f"bin index k={k} out of range 0..{n - 1}")
+    k = k[..., None]  # broadcasts each row's bin along its phase table
     if not np.iscomplexobj(arr):
         arr = arr.astype(np.float64, copy=False)
 
     if n <= _DIRECT_ENTRY_MAX:
-        return (arr @ unit_phases(k, np.arange(n, dtype=np.int64), n)) / sqrt(n)
+        return _row_dot(arr, unit_phases(k, np.arange(n, dtype=np.int64), n)) / sqrt(n)
 
     b = isqrt(n - 1) + 1
     m = -(-n // b)
@@ -147,10 +159,20 @@ def dft_entry(x, k: int):
         pad = np.zeros(arr.shape[:-1] + (m * b - n,), dtype=arr.dtype)
         arr = np.concatenate((arr, pad), axis=-1)
     within = unit_phases(k, np.arange(b, dtype=np.int64), n)
-    trig = np.stack((within.real, within.imag))
+    trig = np.stack((within.real, within.imag), axis=-2)
     across = unit_phases(k * b % n, np.arange(m, dtype=np.int64), n)
     # einsum runs one single-threaded SIMD loop. A multithreaded BLAS
     # product over a signal this long can cost ~10x more (measured 8 ms
     # against 0.9 ms at n = 2^20 on 2 cores), mostly waking its threads.
-    partial = np.einsum("...mb,kb->...mk", arr.reshape(arr.shape[:-1] + (m, b)), trig)
-    return ((partial[..., 0] + 1j * partial[..., 1]) @ across) / sqrt(n)
+    partial = np.einsum("...mb,...kb->...mk", arr.reshape(arr.shape[:-1] + (m, b)), trig)
+    return _row_dot(partial[..., 0] + 1j * partial[..., 1], across) / sqrt(n)
+
+
+def _row_dot(a: np.ndarray, v: np.ndarray):
+    """Sum over the last axis of a * v, as one vector product per row.
+
+    A (B, n) @ (n,) product goes through a matrix-vector kernel whose
+    sums differ in the last bits from the 1-D product of each row; a
+    stack of (1, n) @ (n, 1) products runs the 1-D kernel on every row.
+    """
+    return np.matmul(a[..., None, :], v[..., None])[..., 0, 0]

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from cycshift import (
     IdentifiabilityError,
     SensingSet,
+    bench,
     check_sensing_conditions,
     measure,
     retrieval,
@@ -192,6 +193,32 @@ def test_run_bench_calls_the_estimator_bound_on_its_module(monkeypatch):
     monkeypatch.setattr(retrieval, "shift_by_crosscorr", off_by_one)
     rows = run_bench(small_config(trials=5, methods=("crosscorr", "ratio")))
     assert [row["success_rate"] for row in rows] == [0.0, 1.0]
+
+
+def test_a_cell_whose_stack_raises_is_scored_row_by_row(monkeypatch):
+    # The stub refuses stacks and every trial whose signal starts above 0,
+    # so exactly those trials must count as misses.
+    real = retrieval.shift_by_ratio
+
+    def picky(x, y):
+        if np.ndim(x) == 2 or x[0] > 0:
+            raise IdentifiabilityError("stub")
+        return real(x, y)
+
+    monkeypatch.setattr(retrieval, "shift_by_ratio", picky)
+    cfg = small_config(trials=12, methods=("ratio",))
+    (row,) = run_bench(cfg)
+    starts = [np.random.default_rng([cfg.seed, t]).standard_normal(cfg.n)[0]
+              for t in range(cfg.trials)]
+    assert 0 < row["success_rate"] < 1
+    assert row["success_rate"] == sum(s <= 0 for s in starts) / cfg.trials
+
+
+def test_trial_blocks_change_no_result(monkeypatch):
+    cfg = small_config(trials=7, snr_db_grid=(float("inf"), 0.0), measure_time=False)
+    one_block = run_bench(cfg)
+    monkeypatch.setattr(bench, "_BLOCK_SAMPLES", 3 * cfg.n)  # blocks of 3, 3 and 1 trials
+    assert run_bench(cfg) == one_block
 
 
 def test_every_traced_function_resolves():

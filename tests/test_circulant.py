@@ -230,8 +230,20 @@ def test_fit_near_overflow_equals_the_fit_of_rescaled_data():
     assert residual <= 1e-12 * 3e300
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_apply_refuses_a_product_that_overflows():
     assert np.isfinite(Circulant(HUGE / 3e300).apply(HUGE / 3e300)).all()
     with pytest.raises(ValueError, match="Circulant.apply"):
         Circulant(HUGE).apply(HUGE)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_circulant_core_refuses_non_finite_input_by_name(bad):
+    col = np.array([bad, 1.0, 2.0])
+    with pytest.raises(ValueError, match="^first_column contains NaN or infinite"):
+        Circulant(col)
+    X = np.arange(1.0, 7.0).reshape(3, 2)
+    with pytest.raises(ValueError, match="^X contains NaN or infinite"):
+        ls_circulant_fit(np.where(X == 4.0, bad, X), X)
+    with pytest.raises(ValueError, match="^Y contains NaN or infinite"):
+        ls_circulant_fit(X, np.where(X == 4.0, bad, X))

@@ -343,6 +343,56 @@ def test_estimators_reject_non_finite_input(estimator, bad, which):
 
 
 # ---------------------------------------------------------------------------
+# (B, n) stacks
+# ---------------------------------------------------------------------------
+
+STACKABLE = {
+    "crosscorr": shift_by_crosscorr,
+    "ratio": shift_by_ratio,
+    "single_bin_auto": shift_single_bin,
+    "single_bin_fixed": lambda x, y: shift_single_bin(x, y, 1),
+}
+
+
+@given(st.integers(2, 64), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_stacked_call_equals_its_rows_called_alone(n, B, seed, zero_row):
+    rng = np.random.default_rng(seed)
+    periods = [p for p in range(1, n + 1) if n % p == 0]
+    # A row of period p < n lives on the multiples of bin n/p; the tone
+    # adds bin 1, so single_bin has a coprime bin and the rest are dead.
+    tone = np.cos(2 * np.pi * (np.arange(n) / n + rng.random()))
+    x = np.stack([np.tile(rng.standard_normal(p), n // p) + tone for p in rng.choice(periods, B)])
+    if zero_row:
+        x[rng.integers(B)] = 0.0  # no estimator can use it
+    y = np.stack([np.roll(row, s) for row, s in zip(x, rng.integers(n, size=B))])
+    y += 0.01 * rng.standard_normal((B, n))
+    for name, estimator in STACKABLE.items():
+        alone = []
+        for a, b in zip(x, y):
+            try:
+                alone.append(estimator(a, b))
+            except IdentifiabilityError:
+                alone.append(None)
+        if None in alone:
+            with pytest.raises(IdentifiabilityError):
+                estimator(x, y)
+            continue
+        stacked = estimator(x, y)
+        assert stacked.shift.shape == stacked.score.shape == (B,), name
+        assert len(stacked.flags) == B, name
+        for row, est in enumerate(alone):
+            assert stacked.shift[row] == est.shift, name
+            assert stacked.score[row].tobytes() == np.float64(est.score).tobytes(), name
+            assert stacked.flags[row] == est.flags, name
+            if est.scores is None:
+                assert stacked.scores is None, name
+            else:
+                assert not stacked.scores.flags.writeable
+                assert stacked.scores[row].tobytes() == est.scores.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
 # estimator agreement (exact-shift regime)
 # ---------------------------------------------------------------------------
 

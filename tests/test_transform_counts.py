@@ -74,6 +74,18 @@ def test_single_bin_transforms_only_to_choose_its_bin(transforms):
     assert transforms == []
 
 
+@pytest.mark.parametrize("path, count", [
+    (shift_by_crosscorr, 3), (shift_by_ratio, 3), (shift_single_bin, 1),
+], ids=["crosscorr", "ratio", "single_bin"])
+def test_a_stacked_call_runs_the_transforms_of_one_pair(transforms, path, count):
+    x, y = pair(1000)
+    path(x, y)
+    one_pair = sorted(transforms)
+    transforms.clear()
+    path(np.stack((x, -x, 2 * x, x + 1)), np.stack((y, -y, 2 * y, y + 1)))
+    assert sorted(transforms) == one_pair and len(one_pair) == count
+
+
 def test_sensing_report_runs_one_real_transform(transforms):
     # The report is read from the measurement alone, so no transform runs.
     x, _ = pair(1000)
