@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from . import compressive, retrieval
-from .errors import IdentifiabilityError
+from .errors import IdentifiabilityError, as_index
 from .fileio import comma_list, flag, parse_snr, scalar
 
 __all__ = ["METHODS", "METHOD_TABLE", "estimate", "ExperimentConfig",
@@ -55,7 +55,7 @@ _BLOCK_SAMPLES = 1 << 18
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one benchmark sweep."""
+    """Full description of one benchmark sweep, checked by :meth:`validate` when built."""
 
     n: int
     trials: int
@@ -67,13 +67,19 @@ class ExperimentConfig:
     fmt: str = "csv"
     measure_time: bool = True
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        """Raise ValueError naming the field that is out of range or unknown."""
+        as_index(self.n, "n", 2)
+        as_index(self.trials, "trials", 1)
+        as_index(self.seed, "seed", 0)
         if not self.snr_db_grid:
             raise ValueError("snr_db_grid is empty")
+        # NaN and -inf fail this test; +inf is the noiseless sentinel.
+        if not all(snr > -np.inf for snr in self.snr_db_grid):
+            raise ValueError(f"snr_db_grid: NaN and -inf are not SNRs, got {self.snr_db_grid}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
@@ -140,7 +146,6 @@ def estimate(method: str, x, y, *args):
 
 def run_bench(config: ExperimentConfig) -> list[dict]:
     """Run the sweep and return one row dict per (snr, method) cell."""
-    config.validate()
     sensing_set = (
         compressive.SensingSet(config.n, config.sensing) if config.sensing else None
     )

@@ -13,7 +13,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import require_finite
+from .errors import as_index, real_array
 from .spectral import dft, live, rdft
 
 __all__ = ["Circulant", "make_shift", "ls_circulant_fit"]
@@ -26,16 +26,15 @@ class Circulant:
     Storage is O(n); the dense matrix is never formed here (see
     :func:`cycshift.oracle.materialize` for an explicit version).
     Instances are immutable and safe to share between threads. A first
-    column holding NaN or an infinity raises ValueError.
+    column holding complex values, NaN or an infinity raises ValueError.
     """
 
     first_column: np.ndarray
 
     def __post_init__(self):
-        col = np.array(self.first_column, dtype=np.float64)
+        col = np.array(real_array(self.first_column, "first_column"))
         if col.ndim != 1 or col.size == 0:
             raise ValueError("first_column must be a nonempty 1-D real vector")
-        require_finite(col, "first_column")
         col.flags.writeable = False
         object.__setattr__(self, "first_column", col)
 
@@ -60,10 +59,11 @@ class Circulant:
         conjugate-symmetric and the real inverse transform implies the
         other modes. The result is therefore real by construction. It is
         a view of the first n slots of the spectrum of x, which the
-        inverse transform overwrites once the product is formed. A
-        product that is not finite raises ValueError.
+        inverse transform overwrites once the product is formed. An x
+        holding complex values, NaN or an infinity raises ValueError
+        naming x, and so does a product that is not finite.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = real_array(x, "x")
         if x.shape != (self.n,):
             raise ValueError(f"dimension mismatch: matrix is {self.n}, vector has shape {x.shape}")
         # An overflowed product is refused below, without numpy's warnings.
@@ -90,11 +90,11 @@ def make_shift(n: int, s: int) -> Circulant:
 
     Applying the result maps x[t] to x[(t - s) mod n]; s=0 gives the
     identity. The dense form is an orthonormal permutation matrix.
+    ``n`` and ``s`` must be integers (Python or numpy; a float, even a
+    whole one, raises ValueError), with n >= 1 and s in 0..n-1.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if not 0 <= s < n:
-        raise ValueError(f"shift s={s} out of range 0..{n - 1}")
+    n = as_index(n, "n", 1)
+    s = as_index(s, "shift s", 0, n)
     col = np.zeros(n)
     col[s] = 1.0
     return Circulant(col)
@@ -131,19 +131,16 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
 
     Beyond ~1e154 the spectral products overflow; the fit then runs once
     more on X and Y divided by their peaks and is scaled back. A fit
-    that still overflows raises ValueError, as does NaN or an infinity
-    in X or Y.
+    that still overflows raises ValueError, as do complex values, NaN or
+    an infinity in X or Y.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    X, Y = real_array(X, "X"), real_array(Y, "Y")
     if X.ndim == 1:
         X = X[:, None]
     if Y.ndim == 1:
         Y = Y[:, None]
     if X.ndim != 2 or X.shape != Y.shape or X.size == 0:
         raise ValueError(f"X and Y must be real matrices of identical shape, got {X.shape} vs {Y.shape}")
-    require_finite(X, "X")
-    require_finite(Y, "Y")
     fit = _fit(X, Y)
     if fit is None:
         # C maps X/a to Y/b exactly when (b/a) * C maps X to Y.

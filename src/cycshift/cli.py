@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__, bench, compressive
-from .errors import IdentifiabilityError
+from .errors import IdentifiabilityError, as_index
 from .fileio import comma_list, load_any, load_signal, read_config, save_signal
 from .selftest import run_selftest
 
@@ -51,8 +51,8 @@ def _generate(kind: str, n: int, seed: int) -> np.ndarray:
 
 
 def _cmd_gen(args) -> int:
-    values = _generate(args.kind, args.n, args.seed)
-    save_signal(args.out, values)
+    n, seed = as_index(args.n, "--n", 1), as_index(args.seed, "--seed", 0)
+    save_signal(args.out, _generate(args.kind, n, seed))
     return EXIT_OK
 
 

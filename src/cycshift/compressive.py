@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import IdentifiabilityError, require_finite
+from .errors import IdentifiabilityError, as_index, real_array, require_finite
 from .retrieval import ShiftEstimate, _norm
 from .spectral import dft_entry, live, unit_phases
 
@@ -34,20 +34,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SensingSet:
-    """Strictly increasing frequency indices retained by a measurement."""
+    """Strictly increasing frequency indices retained by a measurement.
+
+    ``n`` and each index must be integers (Python or numpy; a float,
+    even a whole one, raises ValueError), with n >= 1 and every index in
+    0..n-1.
+    """
 
     n: int
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        n = int(self.n)
-        if n < 1:
-            raise ValueError(f"ambient dimension must be positive, got {n}")
-        idx = tuple(int(i) for i in self.indices)
+        n = as_index(self.n, "ambient dimension n", 1)
+        idx = tuple(as_index(i, f"sensing indices[{j}]", 0, n) for j, i in enumerate(self.indices))
         if not idx:
             raise ValueError("sensing set is empty")
-        if any(not 0 <= i < n for i in idx):
-            raise ValueError(f"sensing indices {idx} out of range 0..{n - 1}")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ValueError(f"sensing indices must be strictly increasing, got {idx}")
         object.__setattr__(self, "n", n)
@@ -83,22 +84,22 @@ def measure(x, sensing: SensingSet) -> Measurement:
     never materialized. An entry that is zero against the norm of x,
     the test :func:`~cycshift.retrieval.shift_single_bin` applies to its
     bin, is stored as an exact 0, so the measurement carries its own
-    dead bins. Raises ValueError on NaN or infinite samples.
+    dead bins. Raises ValueError on complex, NaN or infinite samples.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x, "x")
     if x.shape != (sensing.n,):
         raise ValueError(f"signal shape {x.shape} does not match ambient dimension {sensing.n}")
-    require_finite(x, "signal")
     vals = np.array([dft_entry(x, k) for k in sensing.indices])
     vals[~live(np.abs(vals), _norm(x))] = 0
     return Measurement(vals, sensing)
 
 
 def embed(values, sensing: SensingSet) -> np.ndarray:
-    """Scatter m values into a length-n complex vector, zeros elsewhere."""
+    """Scatter m finite values into a length-n complex vector, zeros elsewhere."""
     vals = np.asarray(values, dtype=np.complex128)
     if vals.ndim != 1 or vals.size != sensing.m:
         raise ValueError(f"expected {sensing.m} values, got shape {vals.shape}")
+    require_finite(vals, "values")
     out = np.zeros(sensing.n, dtype=np.complex128)
     out[list(sensing.indices)] = vals
     return out
@@ -154,7 +155,7 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     exact recovery; (b) absence of shift ambiguity, i.e. all n columns
     of the measured-shift matrix pairwise distinct, judged as the
     compressive estimators judge them. Purely diagnostic: raises only
-    on malformed input (wrong length, NaN or infinite samples).
+    on malformed input (wrong length, complex, NaN or infinite samples).
     """
     v = measure(x, sensing).values  # validates x
     n = sensing.n

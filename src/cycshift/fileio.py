@@ -16,14 +16,15 @@ import json
 import numpy as np
 
 from .compressive import Measurement, SensingSet
-from .errors import require_finite
+from .errors import real_array, require_finite
 
 __all__ = ["save_signal", "load_signal", "save_measurement", "load_measurement", "load_any",
            "sniff_kind", "read_config"]
 
 
 def save_signal(path, values) -> None:
-    values = np.asarray(values, dtype=np.float64)
+    """Write a signal file. Raises ValueError on complex, NaN or infinite values."""
+    values = real_array(values, "values")
     if values.ndim != 1 or values.size == 0:
         raise ValueError("signal must be a nonempty 1-D vector")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -63,11 +64,11 @@ def flag(text: str) -> bool:
 
 
 def parse_snr(token: str) -> float:
-    """Parse one SNR in dB; 'inf' means noiseless and NaN is refused."""
-    value = float(token)
-    if value != value:
-        raise ValueError(f"SNR is NaN: {token!r}")
-    return value
+    """Parse one SNR in dB; 'inf' means noiseless.
+
+    NaN and -inf parse; ``ExperimentConfig.validate`` refuses them.
+    """
+    return float(token)
 
 
 def _read(path) -> str:
@@ -121,8 +122,7 @@ def _signal_from(path, headers, data) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
     if n != values.size:
         raise ValueError(f"{path}: header says n={n} but file has {values.size} values")
-    require_finite(values, str(path))
-    return values
+    return real_array(values, str(path))
 
 
 def _measurement_from(path, headers, data) -> Measurement:

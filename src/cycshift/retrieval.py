@@ -30,7 +30,7 @@ from math import gcd, sqrt
 
 import numpy as np
 
-from .errors import IdentifiabilityError, require_finite
+from .errors import IdentifiabilityError, as_index, real_array
 from .spectral import dft_entry, live, rdft
 
 __all__ = [
@@ -60,7 +60,8 @@ class ShiftEstimate:
     becomes the estimate's own and is marked read-only. For crosscorr
     and ratio it is a view of the first n slots of the spectrum buffer
     the inverse transform wrote into. A score that is not finite raises
-    ValueError naming the method.
+    ValueError naming the method; complex or non-finite ``scores`` raise
+    ValueError naming ``scores``.
 
     An estimate of a (B, n) stack holds length-B ``shift`` and ``score``
     arrays, a (B, n) ``scores`` (or None) and one flag tuple per row.
@@ -77,7 +78,7 @@ class ShiftEstimate:
         if not np.isfinite(self.score).all():
             raise ValueError(f"{self.method}: the score is {self.score} (the inputs overflow)")
         if self.scores is not None:
-            arr = np.asarray(self.scores, dtype=np.float64)
+            arr = real_array(self.scores, "scores")
             arr.flags.writeable = False
             object.__setattr__(self, "scores", arr)
 
@@ -94,16 +95,13 @@ class AffineShiftModel:
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """x and y as float64 signals, or as (B, n) stacks of them."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = real_array(x, "x"), real_array(y, "y")
     if x.ndim not in (1, 2) or y.ndim not in (1, 2):
         raise ValueError("signals must be one-dimensional, or a (B, n) stack of them")
     if x.size == 0:
         raise ValueError("signals are empty")
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    require_finite(x, "x")
-    require_finite(y, "y")
     return x, y
 
 
@@ -265,8 +263,9 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
     x, y : array_like
         Equal-length real signals, or (B, n) stacks of them.
     i : int, optional
-        Spectral bin to use. Must satisfy gcd(i, n) = 1 and carry
-        energy. When omitted, the best bin is chosen by the
+        Spectral bin to use: a Python or numpy integer (a float, even a
+        whole one, raises ValueError) with gcd(i, n) = 1 whose bin
+        carries energy. When omitted, the best bin is chosen by the
         :func:`select_bin` rule from bins 0..n//2 of the spectrum of x
         (convenience path; costs one real-input transform on top of the
         explicit-bin path); each row of a stack gets its own bin.
@@ -280,9 +279,7 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
     if i is None:
         i = _strongest_bin(np.abs(rdft(x)), n) if n >= 2 else 0
     else:
-        i = int(i)
-        if not 0 <= i < n:
-            raise ValueError(f"bin index i={i} out of range 0..{n - 1}")
+        i = as_index(i, "bin index i", 0, n)
         if gcd(i, n) != 1:
             raise IdentifiabilityError(
                 f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"

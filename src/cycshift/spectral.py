@@ -22,6 +22,8 @@ from math import isqrt, sqrt
 
 import numpy as np
 
+from .errors import as_index, real_array
+
 __all__ = ["dft", "idft", "rdft", "fourier_column", "dft_entry"]
 
 # Relative size below which a spectral magnitude (a bin, a spectral row,
@@ -98,8 +100,9 @@ def rdft(x, axis: int = -1) -> np.ndarray:
     A real signal has a conjugate-symmetric spectrum, X[n-a] =
     conj(X[a]), so these n//2 + 1 bins determine the rest. Computing
     only them takes about half the work and memory of :func:`dft`.
+    Complex values, NaN and infinities in x raise ValueError.
     """
-    return np.fft.rfft(np.asarray(x, dtype=np.float64), axis=axis, norm="ortho")
+    return np.fft.rfft(real_array(x, "x"), axis=axis, norm="ortho")
 
 
 def fourier_column(n: int, q: int) -> np.ndarray:
@@ -107,12 +110,12 @@ def fourier_column(n: int, q: int) -> np.ndarray:
 
     Row ``a`` holds (1/sqrt(n)) * exp(-2j*pi*a*(q-1)/n); the result
     equals ``dft(e_q)`` for the q-th standard basis vector. The 1-based
-    ``q`` mirrors the usual linear-algebra column numbering.
+    ``q`` mirrors the usual linear-algebra column numbering. ``n`` and
+    ``q`` must be integers (Python or numpy; a float, even a whole one,
+    raises ValueError), with n >= 1 and q in 1..n.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if not 1 <= q <= n:
-        raise ValueError(f"column index q={q} out of range 1..{n}")
+    n = as_index(n, "n", 1)
+    q = as_index(q, "column index q", 1, n + 1)
     return unit_phases(q - 1, np.arange(n, dtype=np.int64), n) / sqrt(n)
 
 
@@ -123,8 +126,10 @@ def dft_entry(x, k):
     what makes one-bin shift estimation a linear-time operation. Accepts
     a real or complex 1-D signal or a 2-D stack of signals (one per row;
     the entry is taken along the last axis). ``k`` is one bin, or for a
-    stack one bin per row. Each row is contracted as its own vector
-    product, so a row of a stack gets the bits it gets alone.
+    stack one bin per row; bins must be integers (Python or numpy; a
+    float, even a whole one, raises ValueError) in 0..n-1. Each row is
+    contracted as its own vector product, so a row of a stack gets the
+    bits it gets alone.
 
     Long inputs are cut into blocks of b = ceil(sqrt(n)) samples, so
     the phases cost O(sqrt(n)) trigonometric evaluations. Each block is
@@ -144,8 +149,8 @@ def dft_entry(x, k):
     k = np.asarray(k)
     if k.shape not in ((), arr.shape[:-1]):
         raise ValueError(f"expected one bin or one per row, got shape {k.shape}")
-    if not all(0 <= i < n for i in k.flat):
-        raise ValueError(f"bin index k={k} out of range 0..{n - 1}")
+    for i in k.ravel().tolist():
+        as_index(i, "bin index k", 0, n)
     k = k[..., None]  # broadcasts each row's bin along its phase table
     if not np.iscomplexobj(arr):
         arr = arr.astype(np.float64, copy=False)

@@ -121,6 +121,18 @@ def test_parse_snr():
     assert parse_snr("-3.5") == -3.5
 
 
+@pytest.mark.parametrize("snr", [float("-inf"), float("nan")])
+def test_run_bench_refuses_nan_and_minus_inf_snr(snr):
+    with pytest.raises(ValueError, match="^snr_db_grid: "):
+        run_bench(ExperimentConfig(n=8, trials=2, seed=0, snr_db_grid=(0.0, snr),
+                                   methods=("crosscorr",)))
+
+
+def test_config_refuses_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        small_config(seed=-1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(trials=0).validate()

@@ -60,6 +60,18 @@ def test_gen_then_retrieve_round_trip(tmp_path, capsys):
         assert json.loads(out)["shift"] == 5
 
 
+@pytest.mark.parametrize("flag, value", [("--n", "-5"), ("--n", "0"), ("--seed", "-1")])
+def test_gen_out_of_range_exits_1_naming_the_flag(tmp_path, capsys, flag, value):
+    out_path = tmp_path / "x.csv"
+    flags = {"--n": "4", "--seed": "4", flag: value}
+    code, out, err = run_cli(capsys, "gen", *[t for kv in flags.items() for t in kv],
+                             "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"cycshift: error: {flag} must be >= {1 if flag == '--n' else 0}, got {value}\n"
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # retrieve
 # ---------------------------------------------------------------------------
@@ -349,6 +361,30 @@ def test_bench_config_with_a_wrong_value_type_exits_1_naming_the_key(tmp_path, c
     assert code == 1
     assert out == ""
     assert err.startswith(f"cycshift: error: {key}: ")
+
+
+def test_bench_negative_seed_exits_1_naming_seed(capsys):
+    code, out, err = run_cli(capsys, "bench", "--n", "8", "--trials", "2", "--seed", "-1",
+                             "--snr-db", "inf", "--methods", "crosscorr")
+    assert code == 1
+    assert out == ""
+    assert err == "cycshift: error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("grid", ["-inf", "inf,-inf", "0,nan"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bench_refuses_nan_and_minus_inf_snr(tmp_path, capsys, grid, source):
+    if source == "flag":
+        argv = ["--n", "8", "--trials", "2", "--seed", "0", f"--snr-db={grid}"]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n=8\ntrials=2\nseed=0\nsnr_db_grid={grid}\n")
+        argv = ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "bench", *argv, "--methods", "crosscorr")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cycshift: error: snr_db_grid: ")
+    assert grid.split(",")[-1] in err
 
 
 def test_bench_json_format(capsys):

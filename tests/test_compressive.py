@@ -124,6 +124,12 @@ def test_embed_length_mismatch():
         embed(np.ones(2), SensingSet(4, (2,)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_embed_refuses_non_finite_values_by_name(bad):
+    with pytest.raises(ValueError, match="^values contains NaN or infinite"):
+        embed([bad], SensingSet(4, (1,)))
+
+
 @pytest.mark.parametrize("n,indices", [(8, (1, 3)), (16, (0, 2, 7, 9)), (5, (2,))])
 def test_measure_embed_idft_is_bandlimited_projection(n, indices):
     rng = np.random.default_rng(n)

@@ -3,7 +3,9 @@
 ``spectral`` is the only module that knows when a spectral magnitude
 counts as zero (no other production module holds a tolerance below
 1e-6) and how a delay turns into a unit phase; ``fileio`` is
-the only one that turns input text into values. The checks walk the
+the only one that turns input text into values; ``errors`` is the only
+one that turns an array argument into float64 values or an index
+argument into an int in range. The checks walk the
 syntax tree of each package module, so docstrings and comments that
 describe the rules do not count; only code that restates them does.
 """
@@ -126,3 +128,74 @@ def test_tolerances_below_one_millionth_live_only_in_spectral():
     for owner in ("spectral.py", "oracle.py", "selftest.py"):
         tiny.pop(owner)
     assert {name: found for name, found in tiny.items() if found} == {}
+
+
+def _is_argument(node: ast.AST, params: set[str]) -> bool:
+    """A parameter of the enclosing function, or a field read as ``self.<name>``."""
+    if isinstance(node, ast.Name):
+        return node.id in params
+    return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"
+
+
+def _is_float64(node: ast.AST) -> bool:
+    """``np.float64``, ``float64``, ``float`` or the string ``"float64"``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "float64"
+    if isinstance(node, ast.Name):
+        return node.id in ("float64", "float")
+    return isinstance(node, ast.Constant) and node.value == "float64"
+
+
+def _argument_rules(tree: ast.Module) -> set[str]:
+    """The array and index rules a module restates.
+
+    The array rule: a float64 cast or a finiteness check of an argument.
+    The index rule: ``int()`` of an argument, any use of ``operator``
+    (``operator.index``), or a chained range test such as ``0 <= i < n``.
+    """
+    found = set()
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "operator" in (
+                [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]):
+            found.add("operator")
+        if (isinstance(node, ast.Compare) and len(node.ops) == 2
+                and all(isinstance(op, (ast.Lt, ast.LtE)) for op in node.ops)):
+            found.add("range test")
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            target = func.value if name == "astype" else (node.args or [None])[0]
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            dtypes += node.args[:1] if name == "astype" else node.args[1:2]
+            if target is not None and _is_argument(target, params):
+                if name in ("asarray", "array", "astype") and any(map(_is_float64, dtypes)):
+                    found.add("float64 cast")
+                if name in ("int", "require_finite"):
+                    found.add(f"{name}()")
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(tree, set())
+    return found
+
+
+def test_only_errors_converts_array_and_index_arguments():
+    rules = {p.name: _argument_rules(_tree(p)) for p in MODULES}
+    assert rules.pop("errors.py") == {"operator"}
+    # The oracles share no code path with the fast side.
+    rules.pop("oracle.py")
+    assert {name: found for name, found in rules.items() if found} == {}
+
+
+def test_sources_parse_as_the_declared_python_floor():
+    # pyproject.toml declares Python >= 3.10; the grammar check is all a
+    # newer interpreter can do, CI runs the suite on 3.10 itself.
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for part in ("src", "tests", "perfbench") for p in sorted((root / part).rglob("*.py"))]
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
