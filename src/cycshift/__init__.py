@@ -19,7 +19,6 @@ from .compressive import (
     shift_by_compressive_ratio,
 )
 from .errors import IdentifiabilityError
-from .oracle import argmax_identity_check
 from .retrieval import (
     AffineShiftModel,
     ShiftEstimate,
@@ -58,5 +57,4 @@ __all__ = [
     "check_sensing_conditions",
     "shift_by_compressive_argmax",
     "shift_by_compressive_ratio",
-    "argmax_identity_check",
 ]

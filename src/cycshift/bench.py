@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from . import compressive, retrieval
-from .errors import IdentifiabilityError, as_index
+from .errors import IdentifiabilityError, as_index, as_tuple, real_numbers
 from .fileio import comma_list, flag, parse_snr, scalar
 
 __all__ = ["METHODS", "METHOD_TABLE", "estimate", "ExperimentConfig",
@@ -75,12 +75,13 @@ class ExperimentConfig:
         as_index(self.n, "n", 2)
         as_index(self.trials, "trials", 1)
         as_index(self.seed, "seed", 0)
-        if not self.snr_db_grid:
+        grid = real_numbers(as_tuple(self.snr_db_grid, "snr_db_grid"), "snr_db_grid")
+        if not grid.size:
             raise ValueError("snr_db_grid is empty")
         # NaN and -inf fail this test; +inf is the noiseless sentinel.
-        if not all(snr > -np.inf for snr in self.snr_db_grid):
+        if not (grid > -np.inf).all():
             raise ValueError(f"snr_db_grid: NaN and -inf are not SNRs, got {self.snr_db_grid}")
-        unknown = [m for m in self.methods if m not in METHODS]
+        unknown = [m for m in as_tuple(self.methods, "methods") if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
         if self.fmt not in ("csv", "json"):

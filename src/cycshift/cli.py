@@ -57,6 +57,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
+    if args.bin is not None and args.method != "single_bin":
+        raise ValueError(f"--bin applies to --method single_bin only, not {args.method!r}")
     # Signal or measurement files, told apart by the single read that loads them.
     x, y = load_any(args.x), load_any(args.y)
     measured = isinstance(x, compressive.Measurement)
@@ -67,6 +69,8 @@ def _cmd_retrieve(args) -> int:
     takes_measurements = bench.METHOD_TABLE[args.method][2]
     if measured and not takes_measurements:
         raise ValueError(f"measurement files require a compressive method, not {args.method!r}")
+    if measured and args.sensing and comma_list(args.sensing, "--sensing", int) != x.sensing.indices:
+        raise ValueError(f"--sensing {args.sensing} differs from the files' K {x.sensing.indices}")
     if takes_measurements and not measured:
         if args.sensing is None:
             raise ValueError("compressive methods need --sensing (e.g. --sensing 1,3)")

@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import IdentifiabilityError, as_index, real_array, require_finite
+from .errors import IdentifiabilityError, as_index, as_tuple, real_array, require_finite
 from .retrieval import ShiftEstimate, _norm
 from .spectral import dft_entry, live, unit_phases
 
@@ -46,7 +46,8 @@ class SensingSet:
 
     def __post_init__(self):
         n = as_index(self.n, "ambient dimension n", 1)
-        idx = tuple(as_index(i, f"sensing indices[{j}]", 0, n) for j, i in enumerate(self.indices))
+        idx = tuple(as_index(i, f"sensing indices[{j}]", 0, n)
+                    for j, i in enumerate(as_tuple(self.indices, "sensing indices")))
         if not idx:
             raise ValueError("sensing set is empty")
         if any(b <= a for a, b in zip(idx, idx[1:])):

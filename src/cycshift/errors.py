@@ -1,8 +1,9 @@
 """Exception types and the one owner of each argument rule.
 
-:func:`real_array` turns an array argument into float64 values and
-:func:`as_index` turns an index argument into an int in range; no other
-module restates either rule. Each error names the argument at fault.
+:func:`real_array` turns an array argument into float64 values,
+:func:`as_index` turns an index argument into an int in range and
+:func:`as_tuple` takes the items of a sequence argument; no other module
+restates these rules. Each error names the argument at fault.
 """
 
 import operator
@@ -30,19 +31,41 @@ def require_finite(values, what: str) -> None:
         raise ValueError(f"{what} contains NaN or infinite values")
 
 
+def real_numbers(values, what: str) -> np.ndarray:
+    """``values`` as an array of booleans, integers or real floats, or ValueError naming ``what``.
+
+    Every other dtype is refused, not cast: a complex one would lose its
+    imaginary part, and strings, None and other objects are not numbers
+    (only :mod:`cycshift.fileio` turns text into values). NaN and
+    infinities pass.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real, got {arr.dtype} values")
+    return arr
+
+
 def real_array(values, what: str) -> np.ndarray:
     """``values`` as a float64 array, or ValueError naming ``what``.
 
-    Complex values are refused, not cast: a cast would drop the
-    imaginary part. NaN and infinities are refused too. A float64 array
-    is returned as it is, not copied.
+    Only boolean, integer and real floating values pass
+    (:func:`real_numbers`); NaN and infinities are refused too. A
+    float64 array is returned as it is, not copied.
     """
-    arr = np.asarray(values)
-    if arr.dtype.kind == "c":
-        raise ValueError(f"{what} must be real, got {arr.dtype} values")
-    arr = arr.astype(np.float64, copy=False)
+    arr = real_numbers(values, what).astype(np.float64, copy=False)
     require_finite(arr, what)
     return arr
+
+
+def as_tuple(values, what: str) -> tuple:
+    """The items of a sequence argument, or ValueError naming ``what``.
+
+    A string is refused as a whole rather than split into characters, as
+    is anything that is not a sequence (a number, None).
+    """
+    if np.ndim(values) == 0:
+        raise ValueError(f"{what} must be a sequence, got {values!r}")
+    return tuple(values)
 
 
 def as_index(value, what: str, lo: int = 0, hi: int | None = None) -> int:

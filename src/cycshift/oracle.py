@@ -1,23 +1,29 @@
-"""Slow, obviously correct reference implementations.
+"""Slow, obviously correct references, and the table that pairs each with a fast path.
 
-These routines deliberately avoid numpy.fft and any shared code path
-with the fast estimators, so the two sides can check each
-other. They ship with the library (not only the tests) because the CLI
-selftest runs them in the field. Complexity is O(n^2) or worse by
-design; this is the only module that forms dense n-by-n matrices.
+The references deliberately avoid numpy.fft and any shared code path
+with the fast estimators, so the two sides can check each other.
+Complexity is O(n^2) or worse by design; this is the only module that
+forms dense n-by-n matrices.
+
+:data:`PAIRS` holds one row per claim: a case generator, the fast path,
+its reference, a tolerance and the sizes of the field run. ``cycshift
+selftest`` runs each row at those sizes and the test suite runs the
+same rows at larger ones, which is why the references ship with the
+library and not only with the tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from math import gcd
+from typing import Callable
+
 import numpy as np
 
-from .circulant import Circulant, make_shift
-from .compressive import Measurement, _common_sensing, embed
-from .retrieval import ShiftEstimate
-from .spectral import fourier_column
+from . import circulant, compressive, retrieval, spectral
 
 __all__ = ["naive_dft", "materialize", "brute_force_shift", "brute_force_circulant_fit",
-           "argmax_identity_check"]
+           "argmax_identity_check", "gcd_verdict", "Pair", "PAIRS"]
 
 
 def naive_dft(x) -> np.ndarray:
@@ -29,7 +35,7 @@ def naive_dft(x) -> np.ndarray:
     return kernel @ x / np.sqrt(n)
 
 
-def materialize(C: Circulant) -> np.ndarray:
+def materialize(C: circulant.Circulant) -> np.ndarray:
     """Dense n-by-n matrix of a circulant: column j is the first column rolled down j."""
     n = C.n
     out = np.empty((n, n))
@@ -38,7 +44,7 @@ def materialize(C: Circulant) -> np.ndarray:
     return out
 
 
-def brute_force_shift(x, y) -> ShiftEstimate:
+def brute_force_shift(x, y) -> retrieval.ShiftEstimate:
     """Literal alignment search: score each delay by a direct inner product.
 
     Row s of the permutation stack is x delayed by s via explicit index
@@ -57,7 +63,7 @@ def brute_force_shift(x, y) -> ShiftEstimate:
     delayed = x[(t[None, :] - t[:, None]) % n]  # row s holds x[(t - s) mod n]
     scores = delayed @ y
     s = int(np.argmax(scores))
-    return ShiftEstimate("brute_force", n, s, float(scores[s]), scores)
+    return retrieval.ShiftEstimate("brute_force", n, s, float(scores[s]), scores)
 
 
 def brute_force_circulant_fit(X, Y) -> tuple[np.ndarray, float]:
@@ -86,7 +92,8 @@ def brute_force_circulant_fit(X, Y) -> tuple[np.ndarray, float]:
     return c, residual
 
 
-def argmax_identity_check(z: Measurement, v: Measurement, shift: int) -> tuple[float, float]:
+def argmax_identity_check(z: compressive.Measurement, v: compressive.Measurement,
+                          shift: int) -> tuple[float, float]:
     """Evaluate both sides of the compressed-correlation identity.
 
     The left side materializes the sensing matrix A and the shift
@@ -96,7 +103,7 @@ def argmax_identity_check(z: Measurement, v: Measurement, shift: int) -> tuple[f
     sqrt(n) times the Fourier column of the shift. The two must agree;
     this is a test-scale operation (n <= 64).
     """
-    sensing = _common_sensing(z, v)
+    sensing = compressive._common_sensing(z, v)
     n = sensing.n
     if n > 64:
         raise ValueError(f"identity check materializes {n}x{n} matrices; limit is 64")
@@ -105,9 +112,127 @@ def argmax_identity_check(z: Measurement, v: Measurement, shift: int) -> tuple[f
 
     rows = np.asarray(sensing.indices, dtype=np.int64)
     A = np.exp((-2j * np.pi / n) * (np.outer(rows, np.arange(n)) % n)) / np.sqrt(n)
-    P = materialize(make_shift(n, shift))
+    P = materialize(circulant.make_shift(n, shift))
     lhs = float(np.vdot(z.values, A @ (P @ (A.conj().T @ v.values))).real)
 
-    r = embed(np.conj(z.values) * v.values, sensing)
-    rhs = float((r @ (np.sqrt(n) * fourier_column(n, shift + 1))).real)
+    r = compressive.embed(np.conj(z.values) * v.values, sensing)
+    rhs = float((r @ (np.sqrt(n) * spectral.fourier_column(n, shift + 1))).real)
     return lhs, rhs
+
+
+def gcd_verdict(n: int, indices) -> tuple[bool, bool]:
+    """The paper's gcd condition on a sensing set: (ambiguous, guarantee_holds).
+
+    For a signal with no zero bin, shifts s and s' give equal
+    measurements iff k * (s - s') = 0 mod n for every retained bin k, so
+    some two shifts collide iff g = gcd(n, k_1, ..., k_m) > 1, and then
+    only shifts n/g apart do. A retained bin coprime with n pins the
+    shift down on its own.
+    """
+    return gcd(n, *indices) > 1, any(gcd(k, n) == 1 for k in indices)
+
+
+SEED = 20240813
+
+
+@dataclass(frozen=True)
+class Pair:
+    """A fast path, its reference and the cases on which the two must agree.
+
+    ``case(rng, n)`` draws the arguments for size n, and ``fast`` and
+    ``reference`` each map them to a sequence of arrays, which
+    :func:`numpy.hstack` joins into one array per side. The fast side
+    names each library function through its module when it runs, so a
+    rebound module attribute (a stub, a tracer) is what gets checked.
+    The two agree when their largest difference, relative to the largest
+    magnitude on the reference side, is at most ``tol``. ``sizes`` are
+    the n of the field run.
+    """
+
+    name: str
+    case: Callable
+    fast: Callable
+    reference: Callable
+    tol: float
+    sizes: tuple[int, ...] = tuple(range(2, 17))
+
+    def deviation(self, *args) -> float:
+        """Largest difference of the two sides on ``args``, relative to the reference."""
+        got, want = (np.hstack(side(*args)).astype(complex) for side in (self.fast, self.reference))
+        return float(np.abs(got - want).max() / (np.abs(want).max() or 1.0))
+
+    def check(self) -> tuple[bool, str]:
+        """Draw one case per size and compare; returns (passed, detail)."""
+        rng = np.random.default_rng(SEED)
+        devs = [self.deviation(*self.case(rng, n)) for n in self.sizes]
+        i = int(np.argmax(devs))  # the first NaN, if any
+        return devs[i] <= self.tol, f"max deviation {devs[i]:.3e} at n={self.sizes[i]}"
+
+
+def _sensing_set(rng, n: int):
+    """m random distinct bins, for a random m in 1..n."""
+    return compressive.SensingSet(n, np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False)))
+
+
+def _rolls(rng, n: int):
+    """A random signal stacked n times, and the stack of its n cyclic delays."""
+    x = rng.standard_normal(n)
+    return np.tile(x, (n, 1)), np.stack([np.roll(x, s) for s in range(n)])
+
+
+def _brute_shifts(xs, ys) -> np.ndarray:
+    return np.array([brute_force_shift(x, y).shift for x, y in zip(xs, ys)])
+
+
+def _planted_fit(rng, n: int):
+    """Three columns X, and Y = circ(c) X for a random c, plus noise at odd n."""
+    X = rng.standard_normal((n, 3))
+    Y = materialize(circulant.Circulant(rng.standard_normal(n))) @ X
+    return X, Y + (n % 2) * rng.standard_normal(X.shape)
+
+
+def _fit(X, Y):
+    fit, residual = circulant.ls_circulant_fit(X, Y)
+    return fit.first_column, residual
+
+
+def _measured_roll(rng, n: int):
+    """A signal and a random delay of it, and both measured on a random sensing set."""
+    x = rng.standard_normal(n)
+    y = np.roll(x, rng.integers(n))
+    sensing = _sensing_set(rng, n)
+    return x, y, compressive.measure(y, sensing), compressive.measure(x, sensing)
+
+
+def _compressive(x, y, z, v):
+    """The argmax scores, once per side of the identity, then both estimators' shifts."""
+    est = compressive.shift_by_compressive_argmax(z, v)
+    return est.scores, est.scores, est.shift, compressive.shift_by_compressive_ratio(z, v).shift
+
+
+def _identity(x, y, z, v):
+    """Both sides of the identity at each shift, then the brute-force shift up to n/g, twice."""
+    lhs, rhs = np.array([argmax_identity_check(z, v, s) for s in range(x.size)]).T
+    s = brute_force_shift(x, y).shift % (x.size // gcd(x.size, *z.sensing.indices))
+    return lhs, rhs, s, s
+
+
+PAIRS = (
+    Pair("fourier-unitarity", lambda rng, n: (rng.standard_normal(n) + 1j * rng.standard_normal(n),),
+         lambda x: (spectral.dft(x), spectral.idft(x)),
+         lambda x: (naive_dft(x), np.conj(naive_dft(np.conj(x)))), 1e-10, tuple(range(1, 17))),
+    Pair("shift-oracle-equivalence", _rolls,
+         lambda xs, ys: [estimator(xs, ys).shift for estimator in (
+             retrieval.shift_by_crosscorr, retrieval.shift_by_ratio, retrieval.shift_single_bin)],
+         lambda xs, ys: 3 * [_brute_shifts(xs, ys)], 0.0),
+    Pair("ratio-exactness", _rolls, lambda xs, ys: [retrieval.shift_by_ratio(xs, ys).scores],
+         lambda xs, ys: [np.eye(len(xs))[_brute_shifts(xs, ys)]], 1e-9),
+    Pair("circulant-fit", _planted_fit, _fit, brute_force_circulant_fit, 1e-8),
+    Pair("compressive-identities", _measured_roll, _compressive, _identity, 1e-9),
+    # Every one-bin sensing set and one random set.
+    Pair("sensing-ambiguity", lambda rng, n: (rng.standard_normal(n), [
+             *(compressive.SensingSet(n, (k,)) for k in range(n)), _sensing_set(rng, n)]),
+         lambda x, sets: [(r.ambiguous, r.guarantee_holds) for r in (
+             compressive.check_sensing_conditions(x, sensing) for sensing in sets)],
+         lambda x, sets: [gcd_verdict(s.n, s.indices) for s in sets], 0.0),
+)

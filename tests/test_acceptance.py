@@ -10,7 +10,6 @@ import pytest
 
 from cycshift import (
     SensingSet,
-    argmax_identity_check,
     check_sensing_conditions,
     dft,
     ls_circulant_fit,
@@ -22,7 +21,7 @@ from cycshift import (
     shift_single_bin,
 )
 from cycshift.bench import ExperimentConfig, rows_to_csv, run_bench
-from cycshift.oracle import brute_force_circulant_fit, brute_force_shift
+from cycshift.oracle import argmax_identity_check, brute_force_circulant_fit, brute_force_shift
 
 
 def report(number, name, passed, detail=""):

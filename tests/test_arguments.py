@@ -1,9 +1,11 @@
 """Array and index arguments: one rule each, refused by name, never cast.
 
 Every entry point that takes a real array refuses complex values (an
-ndarray or a list), NaN and infinities; every index argument refuses a
-float, even a whole one, and a string. Each refusal is a ValueError
-whose message names the argument. Python ints and numpy integers pass.
+ndarray or a list), values that are not numbers (strings, None,
+objects), NaN and infinities; every index argument refuses a float, even
+a whole one, and a string; every sequence argument refuses a number,
+None and a string. Each refusal is a ValueError whose message names the
+argument. Python ints and numpy integers pass.
 """
 
 import os
@@ -27,6 +29,7 @@ from cycshift import (
     shift_by_ratio,
     shift_single_bin,
 )
+from cycshift.bench import ExperimentConfig
 from cycshift.fileio import save_signal
 from cycshift.spectral import rdft
 
@@ -64,7 +67,12 @@ BAD_ARRAYS = {
     "complex list": lambda good: (good + 0j).tolist(),
     "nan": lambda good: _poisoned(good, np.nan),
     "inf": lambda good: _poisoned(good, np.inf),
+    "strings": lambda good: good.astype(str),
+    "object complex": lambda good: _poisoned(good.astype(object), 1 + 1j),
+    "None": lambda good: None,
 }
+# Only booleans, integers and real floats are numbers.
+NOT_NUMBERS = ("strings", "object complex", "None")
 
 # Index argument -> (call with the index, the argument's name); 3 is valid for each.
 INDEX_SITES = {
@@ -81,8 +89,10 @@ INDEX_SITES = {
 
 # Case -> (call, bad value, the argument's name): every array site with
 # every bad array, every index site with every bad index.
+# scores=None is an estimate without scores, not a bad array.
 CASES = {f"{site}-{bad}": (call, make(good), name)
-         for site, (call, good, name) in ARRAY_SITES.items() for bad, make in BAD_ARRAYS.items()}
+         for site, (call, good, name) in ARRAY_SITES.items() for bad, make in BAD_ARRAYS.items()
+         if (site, bad) != ("ShiftEstimate", "None")}
 CASES.update({f"{site}-{bad!r}": (call, bad, name)
               for site, (call, name) in INDEX_SITES.items()
               for bad in (1.5, 2.0, np.float64(2.0), "3")})
@@ -98,6 +108,40 @@ def test_array_and_index_arguments_are_refused_by_name(case):
     call, bad, name = CASES[case]
     with pytest.raises(ValueError, match=_names(name)):
         call(bad)
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case.endswith(NOT_NUMBERS)])
+def test_values_that_are_not_numbers_are_refused_as_such(case):
+    # Not read as text, not cast to float, not reported as NaN.
+    call, bad, name = CASES[case]
+    with pytest.raises(ValueError, match=_names(name) + " must be real, got "):
+        call(bad)
+
+
+def _config(**fields):
+    return ExperimentConfig(**{"n": 8, "trials": 2, "seed": 0, "snr_db_grid": (0.0,), **fields})
+
+
+# Sequence argument -> (call with a malformed value, the field's name).
+SEQUENCE_CASES = {
+    "SensingSet int": (lambda: SensingSet(8, 3), "sensing indices"),
+    "SensingSet None": (lambda: SensingSet(8, None), "sensing indices"),
+    "snr_db_grid of strings": (lambda: _config(snr_db_grid=("inf",)), "snr_db_grid"),
+    "snr_db_grid float": (lambda: _config(snr_db_grid=5.0), "snr_db_grid"),
+    "methods string": (lambda: _config(methods="crosscorr"), "methods"),
+}
+
+
+@pytest.mark.parametrize("case", SEQUENCE_CASES)
+def test_malformed_sequence_arguments_are_refused_by_name(case):
+    call, name = SEQUENCE_CASES[case]
+    with pytest.raises(ValueError, match=_names(name) + " must be "):
+        call()
+
+
+def test_sequence_arguments_take_lists_tuples_ranges_and_arrays():
+    assert SensingSet(8, np.array([1, 3])).indices == SensingSet(8, [1, 3]).indices == (1, 3)
+    _config(snr_db_grid=[np.inf, 0], methods=["ratio"], sensing=range(1, 3))
 
 
 @pytest.mark.parametrize("site", ARRAY_SITES)

@@ -105,6 +105,32 @@ def test_retrieve_single_bin_with_explicit_bin(tmp_path, capsys):
     assert json.loads(out)["shift"] == 7
 
 
+@pytest.mark.parametrize("method", ["crosscorr", "ratio", "compressive_ratio"])
+def test_retrieve_bin_with_another_method_exits_1_naming_the_flag(tmp_path, capsys, method):
+    _, x_path, y_path = make_pair(tmp_path, n=12, s=7)
+    code, out, err = run_cli(capsys, "retrieve", str(x_path), str(y_path),
+                             "--method", method, "--bin", "5", "--sensing", "1,5")
+    assert code == 1
+    assert out == ""
+    assert "--bin" in err
+
+
+def test_retrieve_sensing_other_than_the_measurement_files_k_exits_1(tmp_path, capsys):
+    x = np.random.default_rng(8).standard_normal(8)
+    K = SensingSet(8, (1, 3))
+    v_path, z_path = tmp_path / "v.csv", tmp_path / "z.csv"
+    save_measurement(v_path, measure(x, K))
+    save_measurement(z_path, measure(np.roll(x, 3), K))
+    paths = (str(v_path), str(z_path), "--method", "compressive_ratio", "--sensing")
+    code, out, err = run_cli(capsys, "retrieve", *paths, "5,7")
+    assert code == 1
+    assert out == ""
+    assert "--sensing 5,7" in err and "(1, 3)" in err
+    code, out, _ = run_cli(capsys, "retrieve", *paths, "1,3")
+    assert code == 0
+    assert json.loads(out)["shift"] == 3
+
+
 def test_retrieve_constant_signal_exits_2_naming_condition(tmp_path, capsys):
     x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
     save_signal(x_path, np.ones(8))

@@ -9,7 +9,6 @@ from cycshift import (
     IdentifiabilityError,
     Measurement,
     SensingSet,
-    argmax_identity_check,
     check_sensing_conditions,
     dft,
     embed,
@@ -22,7 +21,7 @@ from cycshift import (
     shift_single_bin,
 )
 from cycshift.compressive import _duplicate_groups
-from cycshift.oracle import brute_force_shift, materialize
+from cycshift.oracle import argmax_identity_check, brute_force_shift, materialize
 from cycshift.spectral import ZERO_BIN_TOL
 
 

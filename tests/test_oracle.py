@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cycshift import Circulant, ls_circulant_fit, make_shift, shift_by_crosscorr
-from cycshift.oracle import brute_force_circulant_fit, brute_force_shift, materialize
+from cycshift.oracle import PAIRS, brute_force_circulant_fit, brute_force_shift, materialize
 
 
 def test_brute_force_shift_example():
@@ -141,3 +143,35 @@ def test_fit_zero_design_gives_minimum_norm():
 def test_fit_shape_mismatch():
     with pytest.raises(ValueError):
         brute_force_circulant_fit(np.ones((4, 2)), np.ones((3, 2)))
+
+
+# The oracle-pair table: cycshift selftest runs each row at its own sizes
+# (n <= 16); here the same rows also run at larger n.
+LARGER = (17, 24, 31, 32, 47, 48)
+
+
+def test_pairs_are_the_selftest_groups_in_order():
+    assert [pair.name for pair in PAIRS] == [
+        "fourier-unitarity", "shift-oracle-equivalence", "ratio-exactness",
+        "circulant-fit", "compressive-identities", "sensing-ambiguity"]
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda pair: pair.name)
+def test_oracle_pair_holds_at_field_and_larger_sizes(pair):
+    ok, detail = dataclasses.replace(pair, sizes=pair.sizes + LARGER).check()
+    assert ok, f"{pair.name}: {detail}"
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda pair: pair.name)
+def test_a_fast_output_off_by_more_than_the_tolerance_fails_the_row(pair):
+    def bumped(*args):
+        parts = [np.asarray(part, dtype=complex) for part in pair.fast(*args)]
+        eps = 10 * max(pair.tol, 1e-12) * max(1.0, max(np.abs(part).max() for part in parts))
+        return [part + eps for part in parts]
+
+    off = dataclasses.replace(pair, fast=bumped)
+    rng = np.random.default_rng(0)
+    for n in pair.sizes + LARGER:
+        args = pair.case(rng, n)
+        assert pair.deviation(*args) <= pair.tol < off.deviation(*args), n
+    assert not off.check()[0]

@@ -14,8 +14,10 @@ import ast
 from pathlib import Path
 
 import cycshift
+from cycshift import oracle
 
 MODULES = sorted(Path(cycshift.__file__).resolve().parent.glob("*.py"))
+PACKAGE = Path(cycshift.__file__).resolve().parent
 
 
 def _tree(path: Path) -> ast.Module:
@@ -199,3 +201,42 @@ def test_sources_parse_as_the_declared_python_floor():
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _imports(tree: ast.Module) -> list[str]:
+    """``name`` for ``import name`` and ``.module:name`` for ``from .module import name``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            found += [f"{'.' * node.level}{node.module or ''}:{a.name}" for a in node.names]
+    return found
+
+
+def test_selftest_runs_only_the_oracle_table():
+    # The field checks are the rows of oracle.PAIRS, not a second copy of them.
+    tree = _tree(PACKAGE / "selftest.py")
+    assert _imports(tree) == [".oracle:PAIRS"]
+    defined = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda))]
+    assert [getattr(node, "name", "<lambda>") for node in defined] == ["run_selftest"]
+
+
+def test_every_oracle_reference_serves_a_row():
+    # A reference is used by a row when the PAIRS table names it, directly or
+    # through one of the module's private helpers.
+    tree = _tree(PACKAGE / "oracle.py")
+    helpers = {node.name: node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    table = [node for node in tree.body if isinstance(node, ast.Assign)
+             and any(getattr(target, "id", None) == "PAIRS" for target in node.targets)]
+    assert len(table) == 1
+    used, todo = set(), table
+    while todo:
+        for name in _names(todo.pop()) - used:
+            used.add(name)
+            if name in helpers:
+                todo.append(helpers[name])
+    references = set(oracle.__all__) - {"Pair", "PAIRS"}
+    assert references and references <= used, references - used
