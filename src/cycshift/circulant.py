@@ -9,12 +9,11 @@ and a closed-form least-squares fit of a circulant to data pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
-from .errors import as_index, real_array
-from .spectral import dft, live, rdft
+from .errors import as_index, finite, real_array
+from .spectral import dft, live, rdft, scale_exponent
 
 __all__ = ["Circulant", "make_shift", "ls_circulant_fit"]
 
@@ -74,15 +73,9 @@ class Circulant:
             spec *= xs
             # The inverse lands in the spent spectrum of x.
             out = np.fft.irfft(spec, self.n, out=xs.view(np.float64)[: self.n])
-        if not _finite(out):
+        if not finite(out):
             raise ValueError("Circulant.apply: the product is not finite")
         return out
-
-
-def _finite(a: np.ndarray) -> bool:
-    # max and min propagate NaN and reach any infinity, and need no
-    # temporary the size of a.
-    return isfinite(a.max()) and isfinite(a.min())
 
 
 def make_shift(n: int, s: int) -> Circulant:
@@ -129,54 +122,42 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
         The fitted circulant and the residual ||Y - C X||_F, evaluated
         in the Fourier domain where the spectra are already available.
 
-    Beyond ~1e154 the spectral products overflow; the fit then runs once
-    more on X and Y divided by their peaks and is scaled back. A fit
-    that still overflows raises ValueError, as do complex values, NaN or
-    an infinity in X or Y.
+    The fit runs on X * 2**-a and Y * 2**-b, where 2**a and 2**b are
+    the binary orders of the two peaks, and is scaled back by 2**(b - a)
+    and 2**b: a power-of-two scale is exact, so the spectral products
+    neither overflow nor underflow at any finite magnitude. Peaks within
+    2**±400 are not scaled (a = 0 or b = 0), since the products are safe
+    there. A fit whose column or residual exceeds the float64 range
+    raises ValueError, as do complex values, NaN or an infinity in X or
+    Y.
     """
-    X, Y = real_array(X, "X"), real_array(Y, "Y")
-    if X.ndim == 1:
-        X = X[:, None]
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    X, Y = (a[:, None] if a.ndim == 1 else a for a in (real_array(X, "X"), real_array(Y, "Y")))
     if X.ndim != 2 or X.shape != Y.shape or X.size == 0:
         raise ValueError(f"X and Y must be real matrices of identical shape, got {X.shape} vs {Y.shape}")
-    fit = _fit(X, Y)
-    if fit is None:
-        # C maps X/a to Y/b exactly when (b/a) * C maps X to Y.
-        a = float(max(X.max(), -X.min())) or 1.0
-        b = float(max(Y.max(), -Y.min())) or 1.0
-        fit = _fit(X / a, Y / b)
-        if fit is not None:
-            fit = (fit[0] * (b / a), fit[1] * b)
-    if fit is None or not (_finite(fit[0]) and isfinite(fit[1])):
+    a, b = scale_exponent(X), scale_exponent(Y)
+    col, residual = _fit(np.ldexp(X, -a) if a else X, np.ldexp(Y, -b) if b else Y)
+    # C maps X * 2**-a to Y * 2**-b exactly when 2**(b - a) * C maps X to Y.
+    with np.errstate(over="ignore"):
+        col, residual = np.ldexp(col, b - a), float(np.ldexp(residual, b))
+    if not (finite(col) and finite(residual)):
         raise ValueError("ls_circulant_fit: the fit is not finite")
-    col, residual = fit
     return Circulant(col), residual
 
 
-def _fit(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """First column and residual of the fit, or None if a spectral product overflows."""
+def _fit(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
+    """First column and residual of the fit, for X and Y whose peaks lie in [2**-401, 2**400) or are 0."""
     n = X.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        Xs = rdft(X, axis=0)
-        Ys = rdft(Y, axis=0)
-        energy = np.vecdot(Xs, Xs).real  # vecdot conjugates its first argument
-        rows = live(np.sqrt(energy))
-        sigma = np.divide(np.vecdot(Xs, Ys), energy, out=np.zeros(energy.size, complex), where=rows)
-        # sigma holds the eigenvalues, the unscaled transform of the column.
-        col = np.fft.irfft(sigma, n)
+    Xs, Ys = rdft(X, axis=0), rdft(Y, axis=0)
+    energy = np.vecdot(Xs, Xs).real  # vecdot conjugates its first argument
+    rows = live(np.sqrt(energy))
+    sigma = np.divide(np.vecdot(Xs, Ys), energy, out=np.zeros(energy.size, complex), where=rows)
+    # sigma holds the eigenvalues, the unscaled transform of the column.
+    col = np.fft.irfft(sigma, n)
 
-        # The Frobenius norm is unitarily invariant, so the residual is summed
-        # over the spectral rows; each row strictly between 0 and n/2 stands
-        # for itself and its conjugate mirror. Ys becomes Ys - sigma * Xs.
-        Xs *= sigma[:, None]
-        Ys -= Xs
-        row_err = np.vecdot(Ys, Ys).real
-        mirrored = np.arange(row_err.size) * 2 % n != 0
-        residual = float(np.sqrt(row_err.sum() + row_err[mirrored].sum()))
-    # An overflowed row energy leaves its row dead, so the residual alone
-    # could still be finite.
-    if not (isfinite(energy.max()) and isfinite(residual)):
-        return None
-    return col, residual
+    # The Frobenius norm is unitarily invariant, so the residual is summed
+    # over the spectral rows; each row strictly between 0 and n/2 stands
+    # for itself and its conjugate mirror. Ys becomes Ys - sigma * Xs.
+    Xs *= sigma[:, None]
+    Ys -= Xs
+    row_err = np.vecdot(Ys, Ys).real
+    return col, float(np.sqrt(row_err.sum() + row_err[1:(n + 1) // 2].sum()))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, bench, compressive
 from .errors import IdentifiabilityError, as_index
-from .fileio import comma_list, load_any, load_signal, read_config, save_signal
+from .fileio import comma_list, load_any, load_signal, read_config, save_signal, scalar
 from .selftest import run_selftest
 
 EXIT_OK = 0
@@ -51,7 +51,8 @@ def _generate(kind: str, n: int, seed: int) -> np.ndarray:
 
 
 def _cmd_gen(args) -> int:
-    n, seed = as_index(args.n, "--n", 1), as_index(args.seed, "--seed", 0)
+    n = as_index(scalar(args.n, "--n", int), "--n", 1)
+    seed = as_index(scalar(args.seed, "--seed", int), "--seed", 0)
     save_signal(args.out, _generate(args.kind, n, seed))
     return EXIT_OK
 
@@ -76,7 +77,8 @@ def _cmd_retrieve(args) -> int:
             raise ValueError("compressive methods need --sensing (e.g. --sensing 1,3)")
         sensing = compressive.SensingSet(x.size, comma_list(args.sensing, "--sensing", int))
         x, y = compressive.measure(x, sensing), compressive.measure(y, sensing)
-    extra = (args.bin,) if args.method == "single_bin" else ()
+    i = None if args.bin is None else scalar(args.bin, "--bin", int)
+    extra = (i,) if args.method == "single_bin" else ()
 
     t0 = time.perf_counter()
     est = bench.estimate(args.method, x, y, *extra)
@@ -135,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="write a deterministic test signal file")
-    p_gen.add_argument("--n", type=int, required=True, help="signal length")
-    p_gen.add_argument("--seed", type=int, default=0, help="rng seed")
+    p_gen.add_argument("--n", required=True, help="signal length")
+    p_gen.add_argument("--seed", default=0, help="rng seed")
     p_gen.add_argument("--kind", choices=SIGNAL_KINDS, default="gaussian")
     p_gen.add_argument("--out", required=True, help="output path")
     p_gen.set_defaults(func=_cmd_gen)
@@ -145,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ret.add_argument("x", help="reference file (signal, or measurement with # K= header)")
     p_ret.add_argument("y", help="shifted file (same kind as x)")
     p_ret.add_argument("--method", choices=bench.METHODS, default="crosscorr")
-    p_ret.add_argument("--bin", type=int, default=None,
+    p_ret.add_argument("--bin", default=None,
                        help="spectral bin for single_bin (must be coprime with n)")
     p_ret.add_argument("--sensing", default=None,
                        help="comma-separated frequency indices for compressive methods")
@@ -153,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="Monte-Carlo success-rate sweep to CSV/JSON")
     p_bench.add_argument("--config", default=None, help="JSON or key=value config file")
-    p_bench.add_argument("--n", type=int, default=None)
-    p_bench.add_argument("--trials", type=int, default=None)
-    p_bench.add_argument("--seed", type=int, default=None)
+    p_bench.add_argument("--n", default=None)
+    p_bench.add_argument("--trials", default=None)
+    p_bench.add_argument("--seed", default=None)
     p_bench.add_argument("--snr-db", dest="snr_db_grid", metavar="SNR_DB", default=None,
                          help="comma list of SNRs in dB; 'inf' for noiseless")
     p_bench.add_argument("--methods", default=None, help="comma list of methods")

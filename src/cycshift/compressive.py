@@ -18,7 +18,7 @@ from math import gcd
 import numpy as np
 
 from .errors import IdentifiabilityError, as_index, as_tuple, real_array, require_finite
-from .retrieval import ShiftEstimate, _norm
+from .retrieval import ShiftEstimate, _lift, _lower, _norm
 from .spectral import dft_entry, live, unit_phases
 
 __all__ = [
@@ -85,13 +85,16 @@ def measure(x, sensing: SensingSet) -> Measurement:
     never materialized. An entry that is zero against the norm of x,
     the test :func:`~cycshift.retrieval.shift_single_bin` applies to its
     bin, is stored as an exact 0, so the measurement carries its own
-    dead bins. Raises ValueError on complex, NaN or infinite samples.
+    dead bins. Raises ValueError on complex, NaN or infinite samples,
+    and on finite ones whose norm overflows.
     """
     x = real_array(x, "x")
     if x.shape != (sensing.n,):
         raise ValueError(f"signal shape {x.shape} does not match ambient dimension {sensing.n}")
-    vals = np.array([dft_entry(x, k) for k in sensing.indices])
-    vals[~live(np.abs(vals), _norm(x))] = 0
+    # An overflowed entry or norm is refused by live, without numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.array([dft_entry(x, k) for k in sensing.indices])
+        vals[~live(np.abs(vals), _norm(x))] = 0
     return Measurement(vals, sensing)
 
 
@@ -156,7 +159,8 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     exact recovery; (b) absence of shift ambiguity, i.e. all n columns
     of the measured-shift matrix pairwise distinct, judged as the
     compressive estimators judge them. Purely diagnostic: raises only
-    on malformed input (wrong length, complex, NaN or infinite samples).
+    on malformed input (wrong length, complex, NaN or infinite samples)
+    and on samples whose norm overflows.
     """
     v = measure(x, sensing).values  # validates x
     n = sensing.n
@@ -197,13 +201,19 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
 
     Shifts that differ by a multiple of n / gcd(n, k_1, ..., k_m) have
     bitwise-equal phase-table columns and tie; the smallest is returned.
+    Measurements too small for their product are handled as in
+    :func:`~cycshift.retrieval.shift_by_crosscorr`: scaled up by a power
+    of two, with ValueError if the scores then underflow.
     """
     sensing = _common_sensing(z, v)
     n = sensing.n
     # An overflowed product shows as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.conj(z.values) * v.values
-        scores = (w @ unit_phases(np.asarray(sensing.indices)[:, None], np.arange(n), n)).real
+        zc, vc = np.conj(z.values), np.array(v.values)  # copies, lifted in place
+        up = _lift(zc) + _lift(vc)
+        scores = ((zc * vc) @ unit_phases(np.asarray(sensing.indices)[:, None], np.arange(n), n)).real
+    if up:
+        _lower("compressive_argmax", scores, up)
     s = int(np.argmax(scores)) % (n // gcd(n, *sensing.indices))
     flags = _ambiguity_flag(v.values, sensing.indices, n, s)
     return ShiftEstimate("compressive_argmax", n, s, float(scores[s]), scores, flags)

@@ -1,12 +1,14 @@
 """Exception types and the one owner of each argument rule.
 
 :func:`real_array` turns an array argument into float64 values,
-:func:`as_index` turns an index argument into an int in range and
-:func:`as_tuple` takes the items of a sequence argument; no other module
-restates these rules. Each error names the argument at fault.
+:func:`as_index` turns an index argument into an int in range,
+:func:`as_tuple` takes the items of a sequence argument and
+:func:`finite` tells whether values hold no NaN or infinity; no other
+module restates these rules. Each error names the argument at fault.
 """
 
 import operator
+from math import isfinite
 
 import numpy as np
 
@@ -21,14 +23,37 @@ class IdentifiabilityError(ValueError):
     """
 
 
+def finite(values) -> bool:
+    """Whether ``values`` (a number or an array) holds no NaN and no infinity.
+
+    The one finiteness test. max and min propagate NaN and reach any
+    infinity, so no temporary the size of ``values`` is made; complex
+    values are tested part by part. A float is tested directly: the
+    zero rule tests one scale per candidate shift of a compressive
+    estimate.
+    """
+    if isinstance(values, float):
+        return isfinite(values)
+    a = np.asarray(values)
+    return all(p.size == 0 or (isfinite(p.max()) and isfinite(p.min()))
+               for p in ((a.real, a.imag) if a.dtype.kind == "c" else (a,)))
+
+
 def require_finite(values, what: str) -> None:
     """Raise ValueError if ``values`` holds a NaN or an infinity.
 
     Non-finite input has no meaningful shift: left unchecked it yields
     an arbitrary estimate (often shift 0) with no flag.
     """
-    if not np.isfinite(values).all():
+    if not finite(values):
         raise ValueError(f"{what} contains NaN or infinite values")
+
+
+def _asarray(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values)
+    except ValueError:  # numpy's message for a ragged sequence names no argument
+        raise ValueError(f"{what} must be rectangular, got a ragged nested sequence") from None
 
 
 def real_numbers(values, what: str) -> np.ndarray:
@@ -36,10 +61,10 @@ def real_numbers(values, what: str) -> np.ndarray:
 
     Every other dtype is refused, not cast: a complex one would lose its
     imaginary part, and strings, None and other objects are not numbers
-    (only :mod:`cycshift.fileio` turns text into values). NaN and
-    infinities pass.
+    (only :mod:`cycshift.fileio` turns text into values), and neither
+    is a ragged nested sequence. NaN and infinities pass.
     """
-    arr = np.asarray(values)
+    arr = _asarray(values, what)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{what} must be real, got {arr.dtype} values")
     return arr
@@ -61,9 +86,10 @@ def as_tuple(values, what: str) -> tuple:
     """The items of a sequence argument, or ValueError naming ``what``.
 
     A string is refused as a whole rather than split into characters, as
-    is anything that is not a sequence (a number, None).
+    is anything that is not a sequence (a number, None) and a ragged
+    nested sequence.
     """
-    if np.ndim(values) == 0:
+    if _asarray(values, what).ndim == 0:
         raise ValueError(f"{what} must be a sequence, got {values!r}")
     return tuple(values)
 

@@ -120,16 +120,26 @@ def argmax_identity_check(z: compressive.Measurement, v: compressive.Measurement
     return lhs, rhs
 
 
-def gcd_verdict(n: int, indices) -> tuple[bool, bool]:
-    """The paper's gcd condition on a sensing set: (ambiguous, guarantee_holds).
+def gcd_verdict(n: int, indices) -> tuple[bool, bool, np.ndarray]:
+    """The paper's gcd condition on a sensing set: (ambiguous, guarantee_holds, classes).
 
     For a signal with no zero bin, shifts s and s' give equal
     measurements iff k * (s - s') = 0 mod n for every retained bin k, so
     some two shifts collide iff g = gcd(n, k_1, ..., k_m) > 1, and then
-    only shifts n/g apart do. A retained bin coprime with n pins the
-    shift down on its own.
+    exactly the shifts n/g apart do: ``classes`` maps each shift s to
+    s mod n/g, the smallest shift it collides with. A retained bin
+    coprime with n pins the shift down on its own.
     """
-    return gcd(n, *indices) > 1, any(gcd(k, n) == 1 for k in indices)
+    g = gcd(n, *indices)
+    return g > 1, any(gcd(k, n) == 1 for k in indices), np.arange(n) % (n // g)
+
+
+def _classes(report: compressive.SensingReport) -> np.ndarray:
+    """Each shift mapped to the smallest member of its duplicate group, or to itself."""
+    classes = np.arange(report.n)
+    for group in report.duplicate_shift_groups:
+        classes[list(group)] = group[0]
+    return classes
 
 
 SEED = 20240813
@@ -232,7 +242,7 @@ PAIRS = (
     # Every one-bin sensing set and one random set.
     Pair("sensing-ambiguity", lambda rng, n: (rng.standard_normal(n), [
              *(compressive.SensingSet(n, (k,)) for k in range(n)), _sensing_set(rng, n)]),
-         lambda x, sets: [(r.ambiguous, r.guarantee_holds) for r in (
+         lambda x, sets: [np.hstack((r.ambiguous, r.guarantee_holds, _classes(r))) for r in (
              compressive.check_sensing_conditions(x, sensing) for sensing in sets)],
-         lambda x, sets: [gcd_verdict(s.n, s.indices) for s in sets], 0.0),
+         lambda x, sets: [np.hstack(gcd_verdict(s.n, s.indices)) for s in sets], 0.0),
 )

@@ -30,8 +30,8 @@ from math import gcd, sqrt
 
 import numpy as np
 
-from .errors import IdentifiabilityError, as_index, real_array
-from .spectral import dft_entry, live, rdft
+from .errors import IdentifiabilityError, as_index, finite, real_array
+from .spectral import dft_entry, live, rdft, scale_exponent
 
 __all__ = [
     "ShiftEstimate",
@@ -75,7 +75,7 @@ class ShiftEstimate:
     flags: tuple[str, ...] | tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
-        if not np.isfinite(self.score).all():
+        if not finite(self.score):
             raise ValueError(f"{self.method}: the score is {self.score} (the inputs overflow)")
         if self.scores is not None:
             arr = real_array(self.scores, "scores")
@@ -109,12 +109,15 @@ def _norm(v: np.ndarray):
     """Euclidean norm along the last axis: a float, or one per row of a stack."""
     # einsum's single-threaded loop; np.linalg.norm goes through BLAS,
     # whose thread start-up dominates on long signals. Beyond ~1e154 the
-    # sum of squares overflows, so it is rescaled once.
+    # sum of squares overflows and below ~1e-154 it underflows (as it is
+    # for a zero row), so v is then divided by its peak once.
     sq = np.einsum("...i,...i->...", v, v)
-    if np.isfinite(sq).all():
+    if finite(sq) and (sq >= np.finfo(np.float64).tiny).all():
         return np.sqrt(sq) if sq.ndim else sqrt(sq)
     peak = np.abs(v).max(axis=-1, keepdims=True)
-    return peak[..., 0] * _norm(v / np.where(peak > 0, peak, 1.0))
+    u = v / np.where(peak > 0, peak, 1.0)
+    norm = peak[..., 0] * np.sqrt(np.einsum("...i,...i->...", u, u))
+    return norm if norm.ndim else float(norm)
 
 
 def _coprime_mask(size: int, n: int) -> np.ndarray:
@@ -164,6 +167,33 @@ def _peak(method: str, scores: np.ndarray) -> ShiftEstimate:
                          ((),) * len(s))
 
 
+def _lift(spec: np.ndarray) -> np.ndarray:
+    """Scale each row of a complex array that peaks below 2**-400 up to near 1, in place.
+
+    Returns the power of two applied to each row (0 where none was). The
+    scale is exact and only ever upward, so an overflowed row stays as
+    it is.
+    """
+    r = spec.view(np.float64)
+    up = -np.minimum(scale_exponent(r, -1), 0)
+    if up.any():
+        np.ldexp(r, up[..., None], out=r)
+    return up
+
+
+def _lower(method: str, scores: np.ndarray, up) -> None:
+    """Scale scores formed from lifted factors back down by 2**-up, in place, row by row.
+
+    Raises ValueError naming the underflow if that rounding moves the
+    argmax of a row: the scores of such inputs are too small for float64
+    to tell the shifts apart.
+    """
+    s = np.argmax(scores, axis=-1)
+    np.ldexp(scores, -up[..., None], out=scores)
+    if (np.argmax(scores, axis=-1) != s).any():
+        raise ValueError(f"{method}: the scores underflow (the inputs are too small)")
+
+
 def shift_by_crosscorr(x, y) -> ShiftEstimate:
     """Classic estimator: peak of the circular cross-correlation.
 
@@ -175,6 +205,11 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
     rest: three real transforms and one pointwise product in all. The
     inverse lands in the spent spectrum of y, so the call holds two
     spectrum-sized buffers.
+
+    A spectrum too small for the product to stay a normal float is
+    scaled up by a power of two before it, and the scores are scaled
+    back; if they then underflow so far that their argmax moves, the
+    call raises ValueError naming the underflow.
     """
     x, y = _pair(x, y)
     if not (x.any(axis=-1).all() and y.any(axis=-1).all()):
@@ -186,9 +221,12 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
         spec = np.fft.rfft(x)
         np.conjugate(spec, out=spec)
         ys = np.fft.rfft(y)
+        up = _lift(spec) + _lift(ys)
         spec *= ys
         # The inverse lands in the spent spectrum of y.
         scores = np.fft.irfft(spec, n, out=ys.view(np.float64)[..., :n])
+    if up.any():
+        _lower("crosscorr", scores, up)
     return _peak("crosscorr", scores)
 
 
@@ -276,15 +314,17 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
     """
     x, y = _pair(x, y)
     n = x.shape[-1]
-    if i is None:
-        i = _strongest_bin(np.abs(rdft(x)), n) if n >= 2 else 0
-    else:
-        i = as_index(i, "bin index i", 0, n)
-        if gcd(i, n) != 1:
-            raise IdentifiabilityError(
-                f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"
-            )
-    xi, yi, norm = dft_entry(x, i), dft_entry(y, i), _norm(x)
+    # An overflowed magnitude is refused by live, without numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if i is None:
+            i = _strongest_bin(np.abs(rdft(x)), n) if n >= 2 else 0
+        else:
+            i = as_index(i, "bin index i", 0, n)
+            if gcd(i, n) != 1:
+                raise IdentifiabilityError(
+                    f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"
+                )
+        xi, yi, norm = dft_entry(x, i), dft_entry(y, i), _norm(x)
     if x.ndim == 1:
         s, score, flags = _phase_shift(complex(xi), complex(yi), norm, i, n)
         return ShiftEstimate("single_bin", n, s, score, None, flags)
@@ -335,7 +375,8 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     n = x.size
     if n < 3:
         raise IdentifiabilityError(f"affine shift fit needs n >= 3 for three unknowns, got {n}")
-    total = float(x.sum())
+    with np.errstate(over="ignore"):  # an overflowed sum is refused by live
+        total = float(x.sum())
     x_peak = float(max(x.max(), -x.min()))
     if not live(abs(total), n * x_peak):
         raise IdentifiabilityError("sum(x) is numerically zero: the offset term is unidentifiable")

@@ -13,7 +13,9 @@ only a product of transforms may call ``numpy.fft`` directly and fold the
 scale factors into its ``norm=`` argument instead of a separate pass.
 
 Only this module knows when a spectral magnitude counts as zero
-(:func:`live`) and how a delay becomes a unit phase (:func:`unit_phases`).
+(:func:`live`), when a magnitude is too extreme to use unscaled
+(:func:`scale_exponent`) and how a delay becomes a unit phase
+(:func:`unit_phases`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .errors import as_index, real_array
+from .errors import as_index, finite, real_array
 
 __all__ = ["dft", "idft", "rdft", "fourier_column", "dft_entry"]
 
@@ -41,9 +43,29 @@ def live(values, scale=None):
     ``values`` is an array, or one magnitude when ``scale`` is given;
     ``scale`` defaults to the largest value along the last axis, so each
     row of a stack is judged against its own peak. Nothing is live at
-    scale zero.
+    scale zero. A scale that is not finite raises ValueError naming the
+    overflow: an overflowed magnitude is not zero, and reading it as the
+    peak would make every finite value dead.
     """
-    return values > ZERO_BIN_TOL * (values.max(axis=-1, keepdims=True) if scale is None else scale)
+    peak = values.max(axis=-1, keepdims=True) if scale is None else scale
+    if not finite(peak):
+        raise ValueError("the inputs overflow: a magnitude they give exceeds the float64 range")
+    return values > ZERO_BIN_TOL * peak
+
+
+def scale_exponent(a: np.ndarray, axis=None):
+    """Binary exponent e of the peak |a| (peak = f * 2**e, 0.5 <= f < 1), or 0 inside 2**±400.
+
+    The peak is taken over ``axis`` of a real array (the whole array by
+    default). ``ldexp(a, -e)`` peaks in [0.5, 1), or is ``a`` itself when
+    e is 0; a power-of-two scale is exact. A zero or non-finite peak
+    gives 0.
+    """
+    e = np.frexp(np.maximum(a.max(axis=axis), -a.min(axis=axis)))[1]
+    # Within 2^±400, squares and pairwise products of entries from
+    # ZERO_BIN_TOL of the peak up, summed over fewer than 2^62 terms, stay
+    # normal floats, between 2^-1022 and 2^1023: no scaling is needed.
+    return np.where(abs(e) > 400, e, 0)
 
 
 def unit_phases(k, s, n: int) -> np.ndarray:

@@ -4,8 +4,9 @@ Every entry point that takes a real array refuses complex values (an
 ndarray or a list), values that are not numbers (strings, None,
 objects), NaN and infinities; every index argument refuses a float, even
 a whole one, and a string; every sequence argument refuses a number,
-None and a string. Each refusal is a ValueError whose message names the
-argument. Python ints and numpy integers pass.
+None and a string; both refuse a ragged nested sequence. Each refusal is
+a ValueError whose message names the argument. Python ints and numpy
+integers pass.
 """
 
 import os
@@ -70,6 +71,7 @@ BAD_ARRAYS = {
     "strings": lambda good: good.astype(str),
     "object complex": lambda good: _poisoned(good.astype(object), 1 + 1j),
     "None": lambda good: None,
+    "ragged": lambda good: [good.tolist(), [1.0]],
 }
 # Only booleans, integers and real floats are numbers.
 NOT_NUMBERS = ("strings", "object complex", "None")
@@ -126,6 +128,7 @@ def _config(**fields):
 SEQUENCE_CASES = {
     "SensingSet int": (lambda: SensingSet(8, 3), "sensing indices"),
     "SensingSet None": (lambda: SensingSet(8, None), "sensing indices"),
+    "SensingSet ragged": (lambda: SensingSet(8, [[1], [1, 2]]), "sensing indices"),
     "snr_db_grid of strings": (lambda: _config(snr_db_grid=("inf",)), "snr_db_grid"),
     "snr_db_grid float": (lambda: _config(snr_db_grid=5.0), "snr_db_grid"),
     "methods string": (lambda: _config(methods="crosscorr"), "methods"),

@@ -115,6 +115,27 @@ def test_retrieve_bin_with_another_method_exits_1_naming_the_flag(tmp_path, caps
     assert "--bin" in err
 
 
+# Numeric flags are read by fileio like all input text: a value that is
+# not an integer exits 1 naming the flag (bench flags go by their config
+# keys), not with argparse's usage text.
+@pytest.mark.parametrize("argv, name", [
+    (["gen", "--n", "1.7", "--out", "OUT"], "--n"),
+    (["gen", "--n", "4", "--seed", "x", "--out", "OUT"], "--seed"),
+    (["bench", "--n", "8.0", "--trials", "2", "--snr-db", "inf"], "n"),
+    (["bench", "--n", "8", "--trials", "2.5", "--snr-db", "inf"], "trials"),
+    (["bench", "--n", "8", "--trials", "2", "--seed", "1e3", "--snr-db", "inf"], "seed"),
+    (["retrieve", "X", "Y", "--method", "single_bin", "--bin", "1.5"], "--bin"),
+])
+def test_numeric_flags_that_are_not_integers_exit_1_naming_the_flag(tmp_path, capsys, argv, name):
+    _, x_path, y_path = make_pair(tmp_path)
+    paths = {"OUT": str(tmp_path / "out.csv"), "X": str(x_path), "Y": str(y_path)}
+    code, out, err = run_cli(capsys, *[paths.get(arg, arg) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"cycshift: error: {name}: cannot read ")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_retrieve_sensing_other_than_the_measurement_files_k_exits_1(tmp_path, capsys):
     x = np.random.default_rng(8).standard_normal(8)
     K = SensingSet(8, (1, 3))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from cycshift import Circulant, ls_circulant_fit, make_shift, shift_by_crosscorr
+from cycshift import Circulant, compressive, ls_circulant_fit, make_shift, shift_by_crosscorr
 from cycshift.oracle import PAIRS, brute_force_circulant_fit, brute_force_shift, materialize
 
 
@@ -175,3 +175,18 @@ def test_a_fast_output_off_by_more_than_the_tolerance_fails_the_row(pair):
         args = pair.case(rng, n)
         assert pair.deviation(*args) <= pair.tol < off.deviation(*args), n
     assert not off.check()[0]
+
+
+def test_sensing_ambiguity_row_compares_the_groups_not_only_the_flags(monkeypatch):
+    # Duplicate groups of the right sizes but the wrong members leave both
+    # booleans of every report as they were; the row must still fail.
+    true_groups = compressive._duplicate_groups
+
+    def blocks(values, indices, n):
+        cuts = np.cumsum([len(g) for g in true_groups(values, indices, n)])[:-1]
+        return tuple(tuple(block.tolist()) for block in np.split(np.arange(n), cuts))
+
+    row = PAIRS[-1]
+    assert row.name == "sensing-ambiguity" and row.check()[0]
+    monkeypatch.setattr(compressive, "_duplicate_groups", blocks)
+    assert not row.check()[0]

@@ -5,9 +5,10 @@ counts as zero (no other production module holds a tolerance below
 1e-6) and how a delay turns into a unit phase; ``fileio`` is
 the only one that turns input text into values; ``errors`` is the only
 one that turns an array argument into float64 values or an index
-argument into an int in range. The checks walk the
-syntax tree of each package module, so docstrings and comments that
-describe the rules do not count; only code that restates them does.
+argument into an int in range, and the only one that tests finiteness.
+The checks walk the syntax tree of each package module, so docstrings
+and comments that describe the rules do not count; only code that
+restates them does.
 """
 
 import ast
@@ -95,7 +96,7 @@ def test_unit_phase_is_built_in_one_spectral_function():
 
 
 def _input_rules(tree: ast.Module) -> set[str]:
-    """The input rules a module restates: decoding JSON or splitting on ','."""
+    """The input rules a module restates: decoding JSON, splitting on ',' or an argparse ``type=``."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "json":
@@ -108,6 +109,8 @@ def _input_rules(tree: ast.Module) -> set[str]:
         if (func.attr in ("split", "rsplit", "partition", "rpartition") and args
                 and isinstance(args[0], ast.Constant) and args[0].value == ","):
             found.add(f"{func.attr}(',')")
+        if func.attr == "add_argument" and any(kw.arg == "type" for kw in node.keywords):
+            found.add("add_argument(type=)")
     return found
 
 
@@ -115,6 +118,14 @@ def test_only_fileio_turns_input_text_into_values():
     readers = {p.name: _input_rules(_tree(p)) for p in MODULES}
     assert readers.pop("fileio.py") == {"json.loads", "split(',')", "partition(',')"}
     assert {name: rules for name, rules in readers.items() if rules} == {}
+
+
+def test_only_errors_tests_finiteness():
+    # errors.finite is the one finiteness test, numpy's or math's isfinite
+    # is named nowhere else, and the circulant core's own copy is gone.
+    users = {p.name for p in MODULES if "isfinite" in _names(_tree(p))}
+    assert users == {"errors.py"}
+    assert "_finite" not in _names(_tree(PACKAGE / "circulant.py"))
 
 
 def _tiny_floats(tree: ast.Module) -> set[float]:
