@@ -109,14 +109,19 @@ def embed(values, sensing: SensingSet) -> np.ndarray:
     return out
 
 
-def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, ...], ...]:
-    """Group shifts whose measurement columns coincide.
+def _twins(cols: np.ndarray, s: int, peak: float) -> np.ndarray:
+    """Mask of the shifts whose measured column coincides with column s.
 
-    Column s of the (conceptual) measured-shift matrix is
-    values * exp(-2j*pi*k*s/n); two shifts in the same group cannot be
-    told apart from these measurements. Two columns coincide when their
-    largest difference is not live against the largest value.
+    Column t of the (conceptual) measured-shift matrix is
+    values * exp(-2j*pi*k*t/n). Two columns coincide, and their shifts
+    cannot be told apart from these measurements, when their largest
+    difference is not live against ``peak``, the largest |value|.
     """
+    return ~live(np.abs(cols - cols[:, s:s + 1]).max(axis=0), peak)
+
+
+def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, ...], ...]:
+    """Group the n shifts by :func:`_twins`, each group led by its lowest unassigned shift."""
     cols = values[:, None] * unit_phases(np.asarray(indices)[:, None], np.arange(n), n)
     peak = np.abs(values).max()
     groups = []
@@ -124,8 +129,7 @@ def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, .
     for s in range(n):
         if assigned[s]:
             continue
-        apart = live(np.abs(cols - cols[:, s:s + 1]).max(axis=0), peak)
-        members = np.flatnonzero(~(apart | assigned))
+        members = np.flatnonzero(_twins(cols, s, peak) & ~assigned)
         assigned[members] = True
         groups.append(tuple(members.tolist()))
     return tuple(groups)
@@ -184,39 +188,47 @@ def _common_sensing(z: Measurement, v: Measurement) -> SensingSet:
     return z.sensing
 
 
-def _ambiguity_flag(values: np.ndarray, indices, n: int, shift: int) -> tuple[str, ...]:
-    group = next(g for g in _duplicate_groups(values, indices, n) if shift in g)
-    return ("ambiguous",) if len(group) > 1 else ()
+def _settle(method: str, scores: np.ndarray, best: int, values: np.ndarray, table: np.ndarray,
+            flags: tuple[str, ...] = ()) -> ShiftEstimate:
+    """The estimate at the smallest twin of shift ``best``, flagged ``"ambiguous"`` if it has any.
+
+    Column t is ``values`` times column t of the phase ``table`` that scored the shifts.
+    """
+    # Measurement files can hold values whose products and differences
+    # overflow; an overflowed difference is inf, which live reads as apart.
+    with np.errstate(over="ignore", invalid="ignore"):
+        twins = np.flatnonzero(_twins(values[:, None] * table, best, np.abs(values).max()))
+    flags = ("ambiguous",) * (twins.size > 1) + flags
+    return ShiftEstimate(method, scores.size, int(twins[0]), float(scores[twins[0]]), scores, flags)
 
 
 def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate:
     """Correlation test on compressed measurements.
 
     Scores each candidate shift s with
-    Re( sum_i conj(z_i) * v_i * exp(-2j*pi*k_i*s/n) ) and returns the
-    argmax. With z measured from a delayed copy of v's signal every
-    term peaks simultaneously at the true shift. If the winning shift
-    sits in a duplicate measurement class the estimate is flagged
-    ``"ambiguous"``.
+    Re( sum_i conj(z_i) * v_i * exp(-2j*pi*k_i*s/n) ). With z measured
+    from a delayed copy of v's signal every term peaks simultaneously at
+    the true shift.
 
-    Shifts that differ by a multiple of n / gcd(n, k_1, ..., k_m) have
-    bitwise-equal phase-table columns and tie; the smallest is returned.
-    Measurements too small for their product are handled as in
+    Shifts whose measured columns of v coincide with the argmax's cannot
+    be told apart from it (for instance those n / gcd(n, k_1, ..., k_m)
+    apart, or any two when every bin is dead); their scores differ only
+    by rounding. The smallest of them is returned with its own score,
+    and the estimate is flagged ``"ambiguous"`` when there is more than
+    one. Measurements too small for their product are handled as in
     :func:`~cycshift.retrieval.shift_by_crosscorr`: scaled up by a power
     of two, with ValueError if the scores then underflow.
     """
     sensing = _common_sensing(z, v)
-    n = sensing.n
+    table = unit_phases(np.asarray(sensing.indices)[:, None], np.arange(sensing.n), sensing.n)
     # An overflowed product shows as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         zc, vc = np.conj(z.values), np.array(v.values)  # copies, lifted in place
         up = _lift(zc) + _lift(vc)
-        scores = ((zc * vc) @ unit_phases(np.asarray(sensing.indices)[:, None], np.arange(n), n)).real
+        scores = ((zc * vc) @ table).real
     if up:
         _lower("compressive_argmax", scores, up)
-    s = int(np.argmax(scores)) % (n // gcd(n, *sensing.indices))
-    flags = _ambiguity_flag(v.values, sensing.indices, n, s)
-    return ShiftEstimate("compressive_argmax", n, s, float(scores[s]), scores, flags)
+    return _settle("compressive_argmax", scores, int(np.argmax(scores)), v.values, table)
 
 
 def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
@@ -226,27 +238,25 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
     must equal the unit phase exp(-2j*pi*k_i*s/n) of the true shift;
     the estimator returns the s whose phase vector is nearest to rho in
     least squares. ``scores`` holds the n match residuals (argmin
-    semantics) and ``score`` the winning residual, which is ~0 for
-    exactly shifted pairs.
+    semantics) and ``score`` the returned shift's residual, which is ~0
+    for exactly shifted pairs.
 
     Bins with |v_i| zero against the largest |v| are dropped (flag
     ``"dropped_bins"``); on a :func:`measure` output these are exactly
-    the bins stored as 0. If the survivors cannot distinguish all
-    shifts the estimate is additionally flagged ``"ambiguous"``.
+    the bins stored as 0. Shifts whose columns on the surviving bins
+    coincide with the argmin's are settled as in
+    :func:`shift_by_compressive_argmax`: the smallest is returned, and
+    more than one flags the estimate ``"ambiguous"``.
     """
     sensing = _common_sensing(z, v)
     keep = live(np.abs(v.values))  # holds at the peak unless every value is zero
     if not keep.any():
         raise IdentifiabilityError("every reference measurement bin is zero")
     kept_idx = np.asarray(sensing.indices, dtype=np.int64)[keep]
-    rho = z.values[keep] / v.values[keep]
     table = unit_phases(kept_idx[:, None], np.arange(sensing.n), sensing.n)
-    residuals = np.linalg.norm(rho[:, None] - table, axis=0)
-    s = int(np.argmin(residuals))
-    flags = list(_ambiguity_flag(v.values[keep], kept_idx, sensing.n, s))
-    if not keep.all():
-        flags.append("dropped_bins")
-    return ShiftEstimate(
-        "compressive_ratio", sensing.n, s, float(residuals[s]), residuals, tuple(flags)
-    )
-
+    # An overflowed ratio shows as a residual that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = z.values[keep] / v.values[keep]
+        residuals = np.linalg.norm(rho[:, None] - table, axis=0)
+    return _settle("compressive_ratio", residuals, int(np.argmin(residuals)), v.values[keep], table,
+                   ("dropped_bins",) * (not keep.all()))

@@ -54,7 +54,9 @@ class ShiftEstimate:
     ``scores``, when present, holds one value per candidate shift;
     ``shift`` is its argmax (argmin for the residual-based
     ``compressive_ratio`` method). Ties always resolve to the smallest
-    index. ``flags`` carries soft diagnostics such as ``"ambiguous"``
+    index; the compressive methods also return the smallest of the
+    shifts their measurements cannot tell apart from the winner, whose
+    scores differ only by rounding. ``flags`` carries soft diagnostics such as ``"ambiguous"``
     or ``"model_misfit"`` that do not prevent an estimate from being
     returned. A float64 ``scores`` array is taken over, not copied: it
     becomes the estimate's own and is marked read-only. For crosscorr

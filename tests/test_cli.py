@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cycshift import SensingSet, measure
+from cycshift import Measurement, SensingSet, measure
 from cycshift.cli import main
 from cycshift import fileio, spectral
 from cycshift.fileio import load_signal, save_measurement, save_signal
@@ -262,6 +262,28 @@ def test_retrieve_near_overflow_never_prints_a_nan_shift(tmp_path, capsys, metho
         assert out == "" and err == f"cycshift: error: {method}: the score is nan (the inputs overflow)\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["compressive_argmax", "compressive_ratio"])
+@pytest.mark.parametrize("first, error", [
+    (1e308 + 1e308j, "{method}: the score is nan (the inputs overflow)"),
+    (1.5e308 + 1.5e308j, "the inputs overflow: a magnitude they give exceeds the float64 range"),
+], ids=["products-overflow", "magnitude-overflows"])
+def test_retrieve_overflowed_measurement_files_print_one_error_line(
+        tmp_path, capsys, method, first, error):
+    # Measurement files skip measure's refusal: the ratio z/v, the measured
+    # columns and their differences overflow (and |first| itself in the
+    # second case), and the only stderr line is cycshift's own.
+    K = SensingSet(8, (1, 3))
+    v = np.array([first, 1e308 - 1e308j])
+    v_path, z_path = tmp_path / "v.csv", tmp_path / "z.csv"
+    save_measurement(v_path, Measurement(v, K))
+    save_measurement(z_path, Measurement(np.conj(v), K))
+    code, out, err = run_cli(capsys, "retrieve", str(v_path), str(z_path), "--method", method)
+    assert code == 1
+    assert out == ""
+    assert err == "cycshift: error: " + error.format(method=method) + "\n"
+
+
 def test_retrieve_small_measurements_are_not_ambiguous(tmp_path, capsys):
     x = 1e-9 * np.random.default_rng(0).standard_normal(8)
     K = SensingSet(8, (1,))
@@ -374,7 +396,7 @@ def test_bench_byte_deterministic_with_no_timing(tmp_path, capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("n", [64, 255])
+@pytest.mark.parametrize("n", [64, 255, 256, 1000])
 def test_bench_no_timing_matches_golden_file(tmp_path, capsys, n):
     # The golden files hold the output of the original complex-FFT
     # estimators; a faster transform must not change a single byte.

@@ -212,6 +212,42 @@ def test_sensing_report_ambiguity_is_the_estimator_flag(n, seed, log_c, bins):
         "ambiguous" in shift_by_compressive_argmax(v, v).flags)
 
 
+def test_estimators_settle_on_the_smallest_twin_when_dead_bins_merge_shifts():
+    # Bin 1 of this period-3 signal is dead, so only bin 4 is measured and
+    # shifts 2 and 5 give one measurement, though gcd(6, 1, 4) = 1.
+    x = np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
+    K = SensingSet(6, (1, 4))
+    z, v = measure(np.roll(x, 2), K), measure(x, K)
+    assert (2, 5) in check_sensing_conditions(x, K).duplicate_shift_groups
+    for method in (shift_by_compressive_argmax, shift_by_compressive_ratio):
+        est = method(z, v)
+        assert est.shift == 2
+        assert "ambiguous" in est.flags
+        assert est.score == est.scores[2]
+
+
+@given(*short_period_cases, st.integers(0, 47))
+# Dead bins merge these shifts with a smaller one; the winning score's
+# last bits used to pick the larger.
+@example(6, 2679844982, 5.943179160964803, {2, 23, 44}, 5)
+@example(10, 2879537138, -10.188991284043976, {9, 14, 20}, 9)
+@settings(max_examples=150, deadline=None)
+def test_noiseless_estimates_are_the_smallest_shift_of_the_planted_group(n, seed, log_c, bins, s):
+    # The estimators and check_sensing_conditions judge which shifts the
+    # measurements cannot tell apart by one rule, dead bins included.
+    x = short_period_signal(n, seed, log_c)
+    s %= n
+    K = SensingSet(n, tuple(sorted({k % n for k in bins})))
+    group = next((g for g in check_sensing_conditions(x, K).duplicate_shift_groups if s in g), (s,))
+    z, v = measure(np.roll(x, s), K), measure(x, K)
+    for method in (shift_by_compressive_argmax, shift_by_compressive_ratio):
+        if method is shift_by_compressive_ratio and not v.values.any():
+            continue  # no bin to divide by: test_ratio_all_bins_zero_fails
+        est = method(z, v)
+        assert est.shift == group[0], method.__name__
+        assert ("ambiguous" in est.flags) == (len(group) > 1), method.__name__
+
+
 @given(*short_period_cases, st.integers(0, 47))
 @settings(max_examples=100, deadline=None)
 def test_qualifying_bins_are_the_bins_single_bin_accepts(n, seed, log_c, bins, s):

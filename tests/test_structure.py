@@ -6,6 +6,8 @@ counts as zero (no other production module holds a tolerance below
 the only one that turns input text into values; ``errors`` is the only
 one that turns an array argument into float64 values or an index
 argument into an int in range, and the only one that tests finiteness.
+The O(m*n^2) duplicate-group scan serves ``check_sensing_conditions``
+alone; the compressive estimators settle their shift without it.
 The checks walk the syntax tree of each package module, so docstrings
 and comments that describe the rules do not count; only code that
 restates them does.
@@ -251,3 +253,31 @@ def test_every_oracle_reference_serves_a_row():
                 todo.append(helpers[name])
     references = set(oracle.__all__) - {"Pair", "PAIRS"}
     assert references and references <= used, references - used
+
+
+def _users(tree: ast.Module, name: str) -> set[str]:
+    """The top-level definitions (or ``<module>``) that read ``name``, leaving out its own."""
+    owners = ((getattr(node, "name", "<module>"), node) for node in tree.body)
+    return {owner for owner, node in owners if owner != name and name in _names(node)}
+
+
+def test_only_check_sensing_conditions_scans_for_duplicate_groups():
+    # The estimators settle on the twins of their winning shift; the
+    # O(m*n^2) scan over all n shifts serves the diagnostic alone.
+    users = {p.name: _users(_tree(p), "_duplicate_groups") for p in MODULES}
+    assert {name: fns for name, fns in users.items() if fns} == {
+        "compressive.py": {"check_sensing_conditions"}}
+
+
+def test_compressive_estimators_reduce_no_shift_by_a_gcd():
+    # Dead bins merge shifts a gcd over the retained bins would keep apart,
+    # so the estimators, and every module function they reach, name no gcd.
+    tree = _tree(PACKAGE / "compressive.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached = set()
+    todo = ["shift_by_compressive_argmax", "shift_by_compressive_ratio"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += [f for f in _names(functions[name]) & set(functions) if f not in reached]
+    assert {name for name in reached if "gcd" in _names(functions[name])} == set()
