@@ -8,13 +8,15 @@ the sentinel value ``inf`` gives the noiseless row.
 Determinism: every trial draws from its own generator seeded by
 (master seed, trial index), so results do not depend on the order the
 (snr, method) cells run in and trials of the same index share signal,
-shift and raw noise across cells. Each trial is drawn once, and the
-full-signal estimators score all trials of a cell in one stacked call.
+shift and raw noise across cells. Each trial is drawn once, and every
+estimator scores all trials of a cell in one stacked call; the
+compressive ones score the (trials, m) measurements that one
+:func:`~cycshift.compressive.measure` call per block and side gives.
 Elapsed-time columns are the one inherently non-reproducible output;
 they cover the estimator calls only (measuring the compressive methods'
-inputs is preparation, not timed), and for a stacked cell they are the
-stacked call's time divided by the trials. Set ``measure_time=False``
-to zero them when byte-identical files matter.
+inputs is preparation, not timed): the stacked call's time divided by
+the trials. Set ``measure_time=False`` to zero them when byte-identical
+files matter.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ METHOD_TABLE = {
 METHODS = tuple(METHOD_TABLE)
 CSV_COLUMNS = ("snr_db", "method", "n", "m", "trials", "success_rate", "mean_elapsed_us")
 # Trials are drawn and scored in blocks of about this many samples, so a
-# sweep holds a few block-sized stacks at a time whatever its size.
+# sweep holds a few block-sized stacks at a time whatever its size. A
+# compressive cell's (trials, m, n) tables get at most four times as many
+# entries, so full sensing at large n scores fewer trials per block.
 _BLOCK_SAMPLES = 1 << 18
 
 
@@ -152,24 +156,23 @@ def run_bench(config: ExperimentConfig) -> list[dict]:
     )
     n, grid, methods = config.n, config.snr_db_grid, config.methods
     measured_any = any(METHOD_TABLE[m][2] for m in methods)
+    m = sensing_set.m if measured_any else 1
     hits = [[0] * len(methods) for _ in grid]
     elapsed = [[0.0] * len(methods) for _ in grid]
-    block = max(1, _BLOCK_SAMPLES // n)
+    block = max(1, min(_BLOCK_SAMPLES // n, 4 * _BLOCK_SAMPLES // (m * n)))
     for start in range(0, config.trials, block):
         trials = range(start, min(start + block, config.trials))
         x, shifts, noise = _draw(config.seed, trials, n, not all(np.isinf(grid)))
         # Row t is np.roll(x[t], shifts[t]).
         clean = np.take_along_axis(x, (np.arange(n) - shifts[:, None]) % n, axis=1)
-        vx = [compressive.measure(row, sensing_set) for row in x] if measured_any else None
+        vx = compressive.measure(x, sensing_set) if measured_any else None
         for i, snr_db in enumerate(grid):
             y = clean if np.isinf(snr_db) else clean + noise_sigma(x, snr_db)[:, None] * noise
-            vy = [compressive.measure(row, sensing_set) for row in y] if measured_any else None
+            vy = compressive.measure(y, sensing_set) if measured_any else None
             for j, method in enumerate(methods):
+                pair = (vx, vy) if METHOD_TABLE[method][2] else (x, y)
                 t0 = time.perf_counter()
-                if METHOD_TABLE[method][2]:
-                    hits[i][j] += sum(map(partial(_hit, method), vx, vy, shifts))
-                else:
-                    hits[i][j] += _stack_hits(method, x, y, shifts)
+                hits[i][j] += _stack_hits(method, *pair, shifts)
                 elapsed[i][j] += time.perf_counter() - t0
     return [{
         "snr_db": snr_db,
@@ -209,8 +212,11 @@ def _hit(method: str, x, y, s) -> bool:
         return False  # counted as a miss
 
 
-def _stack_hits(method: str, x: np.ndarray, y: np.ndarray, shifts: np.ndarray) -> int:
-    """Hits of one stacked call; if a row is unidentifiable, rows are scored one by one."""
+def _stack_hits(method: str, x, y, shifts: np.ndarray) -> int:
+    """Hits of one call on stacks of signals or of measurements.
+
+    If a row is unidentifiable, the rows are scored one by one.
+    """
     try:
         return int(np.count_nonzero(estimate(method, x, y).shift == shifts))
     except IdentifiabilityError:

@@ -8,6 +8,11 @@ signals survives this compression: a single well-chosen bin is enough.
 The m-by-n sensing matrix is conceptually a row subset of the Fourier
 matrix but is never formed here; :func:`measure` evaluates the needed
 transform entries directly. The dense forms live in :mod:`cycshift.oracle`.
+
+:func:`measure` and both estimators also take (B, n) signal and (B, m)
+measurement stacks, one pair per row, as the full-signal estimators of
+:mod:`cycshift.retrieval` do; row b of a stacked result equals the
+result for row b alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -62,62 +67,84 @@ class SensingSet:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """Compressed spectrum: complex values at the sensing indices, all finite."""
+    """Compressed spectrum: complex values at the sensing indices, all finite.
+
+    ``values`` holds m values, or a (B, m) stack of them, one
+    measurement per row. Iterating a stack gives its rows, each as its
+    own one-row measurement.
+    """
 
     values: np.ndarray
     sensing: SensingSet
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128)
-        if vals.ndim != 1 or vals.size != self.sensing.m:
+        vals = np.array(self.values, dtype=np.complex128, order="C")
+        if vals.ndim not in (1, 2) or vals.shape[-1] != self.sensing.m or not vals.size:
             raise ValueError(
-                f"expected {self.sensing.m} measurement values, got shape {vals.shape}"
+                f"expected {self.sensing.m} measurement values, or a (B, {self.sensing.m}) "
+                f"stack of them, got shape {vals.shape}"
             )
         require_finite(vals, "measurement")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    def __iter__(self):
+        if self.values.ndim != 2:
+            raise TypeError("a one-row measurement has no rows to iterate")
+        return (Measurement(row, self.sensing) for row in self.values)
+
 
 def measure(x, sensing: SensingSet) -> Measurement:
     """Measure a signal: unitary-DFT entries at the sensing indices.
 
-    Each entry is evaluated directly in O(n); the sensing matrix is
-    never materialized. An entry that is zero against the norm of x,
-    the test :func:`~cycshift.retrieval.shift_single_bin` applies to its
-    bin, is stored as an exact 0, so the measurement carries its own
-    dead bins. Raises ValueError on complex, NaN or infinite samples,
-    and on finite ones whose norm overflows.
+    ``x`` is one signal of length n, or a (B, n) stack of them; a stack
+    gives a (B, m) measurement whose row b equals the measurement of row
+    b alone, bit for bit. Each entry is evaluated directly in O(n); the
+    sensing matrix is never materialized. An entry that is zero against
+    the norm of its signal, the test
+    :func:`~cycshift.retrieval.shift_single_bin` applies to its bin, is
+    stored as an exact 0, so the measurement carries its own dead bins.
+    Raises ValueError on complex, NaN or infinite samples, and on finite
+    ones whose norm overflows.
     """
     x = real_array(x, "x")
-    if x.shape != (sensing.n,):
-        raise ValueError(f"signal shape {x.shape} does not match ambient dimension {sensing.n}")
+    if x.ndim not in (1, 2) or x.shape[-1] != sensing.n or not x.size:
+        raise ValueError(f"x: signal shape {x.shape} does not match ambient dimension {sensing.n}")
     # An overflowed entry or norm is refused by live, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.array([dft_entry(x, k) for k in sensing.indices])
+        # One call per bin shares its phase table across the rows of a
+        # stack and contracts each row on its own, as for a single signal.
+        vals = np.array([dft_entry(x, k) for k in sensing.indices])  # bin-major: (m,) or (m, B)
         vals[~live(np.abs(vals), _norm(x))] = 0
-    return Measurement(vals, sensing)
+    return Measurement(vals.T, sensing)
 
 
 def embed(values, sensing: SensingSet) -> np.ndarray:
-    """Scatter m finite values into a length-n complex vector, zeros elsewhere."""
+    """Scatter m finite values into a length-n complex vector, zeros elsewhere.
+
+    Takes one measurement's values; a (B, m) stack raises ValueError
+    naming ``values``.
+    """
     vals = np.asarray(values, dtype=np.complex128)
     if vals.ndim != 1 or vals.size != sensing.m:
-        raise ValueError(f"expected {sensing.m} values, got shape {vals.shape}")
+        raise ValueError(f"values: expected {sensing.m} values, got shape {vals.shape}")
     require_finite(vals, "values")
     out = np.zeros(sensing.n, dtype=np.complex128)
     out[list(sensing.indices)] = vals
     return out
 
 
-def _twins(cols: np.ndarray, s: int, peak: float) -> np.ndarray:
-    """Mask of the shifts whose measured column coincides with column s.
+def _twins(cols: np.ndarray, col: np.ndarray, peak) -> np.ndarray:
+    """Mask of the shifts whose measured column coincides with ``col``.
 
-    Column t of the (conceptual) measured-shift matrix is
+    Column t of the (conceptual) (m, n) measured-shift matrix is
     values * exp(-2j*pi*k*t/n). Two columns coincide, and their shifts
     cannot be told apart from these measurements, when their largest
     difference is not live against ``peak``, the largest |value|.
+    ``cols`` may be a (B, m, n) stack of matrices, with one (m, 1)
+    column and one peak per matrix.
     """
-    return ~live(np.abs(cols - cols[:, s:s + 1]).max(axis=0), peak)
+    return ~live(np.abs(cols - col).max(axis=-2), peak)
 
 
 def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, ...], ...]:
@@ -129,7 +156,7 @@ def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, .
     for s in range(n):
         if assigned[s]:
             continue
-        members = np.flatnonzero(_twins(cols, s, peak) & ~assigned)
+        members = np.flatnonzero(_twins(cols, cols[:, s:s + 1], peak) & ~assigned)
         assigned[members] = True
         groups.append(tuple(members.tolist()))
     return tuple(groups)
@@ -164,9 +191,12 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     of the measured-shift matrix pairwise distinct, judged as the
     compressive estimators judge them. Purely diagnostic: raises only
     on malformed input (wrong length, complex, NaN or infinite samples)
-    and on samples whose norm overflows.
+    and on samples whose norm overflows. Takes one signal; a (B, n)
+    stack raises ValueError naming x.
     """
     v = measure(x, sensing).values  # validates x
+    if v.ndim != 1:
+        raise ValueError(f"x must be one signal, got a stack of shape {v.shape[:1] + (sensing.n,)}")
     n = sensing.n
     qualifying = tuple(k for k, vk in zip(sensing.indices, v) if gcd(k, n) == 1 and vk != 0)
     dup = tuple(g for g in _duplicate_groups(v, sensing.indices, n) if len(g) > 1)
@@ -185,21 +215,42 @@ def _common_sensing(z: Measurement, v: Measurement) -> SensingSet:
         raise TypeError("expected Measurement inputs")
     if z.sensing != v.sensing:
         raise ValueError("measurements use different sensing sets")
+    if z.values.shape != v.values.shape:
+        raise ValueError(f"measurement shapes differ: {z.values.shape} vs {v.values.shape}")
     return z.sensing
 
 
-def _settle(method: str, scores: np.ndarray, best: int, values: np.ndarray, table: np.ndarray,
-            flags: tuple[str, ...] = ()) -> ShiftEstimate:
+def _phase_table(sensing: SensingSet) -> np.ndarray:
+    """The (m, n) unit phases a delay by each shift puts on each sensed bin."""
+    return unit_phases(np.asarray(sensing.indices)[:, None], np.arange(sensing.n), sensing.n)
+
+
+# The flags of a settled estimate, indexed by ambiguous + 2 * dropped_bins.
+_FLAGS = ((), ("ambiguous",), ("dropped_bins",), ("ambiguous", "dropped_bins"))
+
+
+def _settle(method: str, scores: np.ndarray, best, values: np.ndarray, table: np.ndarray,
+            dropped=False) -> ShiftEstimate:
     """The estimate at the smallest twin of shift ``best``, flagged ``"ambiguous"`` if it has any.
 
-    Column t is ``values`` times column t of the phase ``table`` that scored the shifts.
+    Column t is ``values`` times column t of the phase ``table`` that
+    scored the shifts. Each row of a stack is settled on its own, and
+    flagged ``"dropped_bins"`` where ``dropped`` holds.
     """
     # Measurement files can hold values whose products and differences
     # overflow; an overflowed difference is inf, which live reads as apart.
     with np.errstate(over="ignore", invalid="ignore"):
-        twins = np.flatnonzero(_twins(values[:, None] * table, best, np.abs(values).max()))
-    flags = ("ambiguous",) * (twins.size > 1) + flags
-    return ShiftEstimate(method, scores.size, int(twins[0]), float(scores[twins[0]]), scores, flags)
+        cols = values[..., None] * table
+        # Column best of cols, from the same products.
+        at_best = (values * table[:, best].T)[..., None]
+        twins = _twins(cols, at_best, np.abs(values).max(axis=-1, keepdims=True))
+    shift = twins.argmax(axis=-1)  # the first twin
+    last = twins.shape[-1] - 1 - twins[..., ::-1].argmax(axis=-1)  # the last twin
+    flags = [_FLAGS[c] for c in np.atleast_1d((last > shift) + 2 * dropped).tolist()]
+    if scores.ndim == 1:
+        return ShiftEstimate(method, scores.size, int(shift), float(scores[shift]), scores, flags[0])
+    return ShiftEstimate(method, scores.shape[-1], shift, scores[np.arange(shift.size), shift],
+                         scores, tuple(flags))
 
 
 def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate:
@@ -218,17 +269,23 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     one. Measurements too small for their product are handled as in
     :func:`~cycshift.retrieval.shift_by_crosscorr`: scaled up by a power
     of two, with ValueError if the scores then underflow.
+
+    (B, m) stacks z and v score row b of z against row b of v in one
+    call, and give the stacked estimate described at
+    :class:`~cycshift.retrieval.ShiftEstimate`, with one flag tuple per
+    row; row b equals the estimate of that pair alone, bit for bit. The
+    call holds (B, m, n) complex arrays.
     """
-    sensing = _common_sensing(z, v)
-    table = unit_phases(np.asarray(sensing.indices)[:, None], np.arange(sensing.n), sensing.n)
+    table = _phase_table(_common_sensing(z, v))
     # An overflowed product shows as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         zc, vc = np.conj(z.values), np.array(v.values)  # copies, lifted in place
         up = _lift(zc) + _lift(vc)
-        scores = ((zc * vc) @ table).real
-    if up:
+        # One vector-matrix product per row, as for a single measurement.
+        scores = np.matmul((zc * vc)[..., None, :], table)[..., 0, :].real
+    if up.any():
         _lower("compressive_argmax", scores, up)
-    return _settle("compressive_argmax", scores, int(np.argmax(scores)), v.values, table)
+    return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), v.values, table)
 
 
 def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
@@ -247,16 +304,23 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
     coincide with the argmin's are settled as in
     :func:`shift_by_compressive_argmax`: the smallest is returned, and
     more than one flags the estimate ``"ambiguous"``.
+
+    (B, m) stacks are scored as in :func:`shift_by_compressive_argmax`.
+    Each row drops its own bins and gets its own flags; a row with no
+    nonzero reference bin makes the whole call raise
+    IdentifiabilityError.
     """
-    sensing = _common_sensing(z, v)
-    keep = live(np.abs(v.values))  # holds at the peak unless every value is zero
-    if not keep.any():
+    table = _phase_table(_common_sensing(z, v))
+    keep = live(np.abs(v.values))  # holds at each row's peak unless the row is all zero
+    if not keep.any(axis=-1).all():
         raise IdentifiabilityError("every reference measurement bin is zero")
-    kept_idx = np.asarray(sensing.indices, dtype=np.int64)[keep]
-    table = unit_phases(kept_idx[:, None], np.arange(sensing.n), sensing.n)
     # An overflowed ratio shows as a residual that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = z.values[keep] / v.values[keep]
-        residuals = np.linalg.norm(rho[:, None] - table, axis=0)
-    return _settle("compressive_ratio", residuals, int(np.argmin(residuals)), v.values[keep], table,
-                   ("dropped_bins",) * (not keep.all()))
+        rho = np.divide(z.values, v.values, out=np.zeros(z.values.shape, complex), where=keep)
+        diff = rho[..., None] - table
+        diff[~keep] = 0  # a dropped bin adds an exact 0 to each sum of squares
+        residuals = np.linalg.norm(diff, axis=-2)
+        # Freed here, _settle's columns reuse its memory instead of faulting in fresh pages.
+        del diff
+    return _settle("compressive_ratio", residuals, np.argmin(residuals, axis=-1),
+                   np.where(keep, v.values, 0), table, ~keep.all(axis=-1))

@@ -34,6 +34,9 @@ def save_signal(path, values) -> None:
 
 
 def save_measurement(path, meas: Measurement) -> None:
+    """Write a measurement file. A file holds one measurement: a (B, m) stack raises ValueError."""
+    if meas.values.ndim != 1:
+        raise ValueError(f"meas must be one measurement, got a stack of shape {meas.values.shape}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# n={meas.sensing.n}\n")
         fh.write("# K=" + ",".join(str(k) for k in meas.sensing.indices) + "\n")

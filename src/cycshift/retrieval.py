@@ -65,8 +65,9 @@ class ShiftEstimate:
     ValueError naming the method; complex or non-finite ``scores`` raise
     ValueError naming ``scores``.
 
-    An estimate of a (B, n) stack holds length-B ``shift`` and ``score``
-    arrays, a (B, n) ``scores`` (or None) and one flag tuple per row.
+    An estimate of a stack of B pairs (signals or measurements) holds
+    length-B ``shift`` and ``score`` arrays, a (B, n) ``scores`` (or
+    None) and one flag tuple per row.
     """
 
     method: str

@@ -21,6 +21,7 @@ from cycshift import (
     ShiftEstimate,
     check_sensing_conditions,
     dft_entry,
+    embed,
     fourier_column,
     ls_circulant_fit,
     make_shift,
@@ -31,7 +32,7 @@ from cycshift import (
     shift_single_bin,
 )
 from cycshift.bench import ExperimentConfig
-from cycshift.fileio import save_signal
+from cycshift.fileio import save_measurement, save_signal
 from cycshift.spectral import rdft
 
 X = np.random.default_rng(0).standard_normal(8)
@@ -181,3 +182,19 @@ def test_a_stack_of_bins_is_checked_bin_by_bin():
     for bad in ([1, 2.0], np.array([1.0, 3.0]), [1, 8]):
         with pytest.raises(ValueError, match=_names("k")):
             dft_entry(stack, bad)
+
+
+STACK = np.stack([X, X[::-1]])
+# One-row entry point -> (call with a (2, n) stack, the argument's name).
+ONE_ROW_SITES = {
+    "check_sensing_conditions": (lambda: check_sensing_conditions(STACK, K), "x"),
+    "embed": (lambda: embed(measure(STACK, K).values, K), "values"),
+    "save_measurement": (lambda: save_measurement(os.devnull, measure(STACK, K)), "meas"),
+}
+
+
+@pytest.mark.parametrize("site", ONE_ROW_SITES)
+def test_one_row_entry_points_refuse_a_stack_by_name(site):
+    call, name = ONE_ROW_SITES[site]
+    with pytest.raises(ValueError, match=_names(name)):
+        call()

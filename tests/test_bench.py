@@ -13,6 +13,7 @@ from cycshift import (
     SensingSet,
     bench,
     check_sensing_conditions,
+    compressive,
     measure,
     retrieval,
     shift_affine,
@@ -224,6 +225,26 @@ def test_a_cell_whose_stack_raises_is_scored_row_by_row(monkeypatch):
               for t in range(cfg.trials)]
     assert 0 < row["success_rate"] < 1
     assert row["success_rate"] == sum(s <= 0 for s in starts) / cfg.trials
+
+
+@pytest.mark.parametrize("method", ["compressive_argmax", "compressive_ratio"])
+def test_a_trial_whose_reference_measures_all_zero_is_the_only_miss(monkeypatch, method):
+    # The stub zeroes the reference measurement of one trial. argmax scores
+    # it as ambiguous at shift 0; ratio refuses the stack, then that row.
+    cfg = small_config(trials=12, methods=(method,))
+    draws = [np.random.default_rng([cfg.seed, t]) for t in range(cfg.trials)]
+    trials = [(rng.standard_normal(cfg.n), int(rng.integers(cfg.n))) for rng in draws]
+    dead = next(x for x, s in trials if s)  # a nonzero shift: its delayed copy differs from it
+    real = compressive.measure
+
+    def dead_reference(x, sensing):
+        values = real(x, sensing).values
+        return compressive.Measurement(np.where((x == dead).all(axis=-1)[..., None], 0, values),
+                                       sensing)
+
+    monkeypatch.setattr(compressive, "measure", dead_reference)
+    (row,) = run_bench(cfg)
+    assert row["success_rate"] == (cfg.trials - 1) / cfg.trials
 
 
 def test_trial_blocks_change_no_result(monkeypatch):

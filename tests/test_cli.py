@@ -408,6 +408,20 @@ def test_bench_no_timing_matches_golden_file(tmp_path, capsys, n):
     assert out.read_bytes() == (GOLDEN / f"bench_n{n}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n, sensing", [(64, "2,6"), (255, "3,5,85")])
+def test_bench_no_timing_on_ambiguous_sensing_sets_matches_golden_file(tmp_path, capsys, n, sensing):
+    # Every bin of these sets shares a factor with n (all of them at
+    # n = 64), so trials settle on twin shifts; the files hold the output
+    # of the estimators that scored each trial in its own call.
+    out = tmp_path / "bench.csv"
+    code, _, _ = run_cli(capsys, "bench", "--n", str(n), "--trials", "300", "--seed", "5",
+                         "--snr-db", "inf,0,-10", "--sensing", sensing, "--no-timing",
+                         "--out", str(out))
+    assert code == 0
+    golden = GOLDEN / f"bench_n{n}_K{sensing.replace(',', '_')}.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("missing", ["--n", "--trials", "--snr-db"])
 def test_bench_without_config_names_missing_flags(capsys, missing):
     flags = {"--n": "8", "--trials": "2", "--snr-db": "inf"}

@@ -334,8 +334,8 @@ def test_argmax_full_sensing_collapses_to_crosscorr(n):
 @settings(max_examples=12, deadline=None)
 def test_full_sensing_collapses_to_the_full_signal_estimators(n, seed):
     # With every bin kept, the compressive scores are the full-signal ones.
-    # The O(m*n^2) duplicate scan makes an n = 256 example cost ~0.3 s,
-    # so the example count is kept small.
+    # Measuring all n bins, one dft_entry call per bin, makes an n = 256
+    # example cost ~30 ms, so the example count is kept small.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     s = int(rng.integers(n))
@@ -481,6 +481,119 @@ def test_guaranteed_recovery_singletons_and_pairs(n):
             z = measure(np.roll(x, s), K)
             assert shift_by_compressive_argmax(z, v).shift == s
             assert shift_by_compressive_ratio(z, v).shift == s
+
+
+# ---------------------------------------------------------------------------
+# (B, m) stacks
+# ---------------------------------------------------------------------------
+
+def _alone(estimator, z, v):
+    """The one-row estimate, or the type of error the call raises."""
+    try:
+        return estimator(z, v)
+    except ValueError as err:
+        return type(err)
+
+
+# n -> sensing set (c, a, b) with a and b dividing n. A row of period n/a
+# lives on the multiples of a, so of the sensed bins only a (and b where a
+# divides it) stay live: the rest are dead, and the live ones share a
+# factor with n. n = 513 and 1000 take dft_entry's blocked path.
+STACK_SETS = {12: (1, 3, 4), 64: (2, 8, 16), 513: (1, 27, 171), 1000: (1, 8, 250)}
+
+
+@pytest.mark.parametrize("tiny", [None, 2.0**-450, 2.0**-600])
+@pytest.mark.parametrize("n", sorted(STACK_SETS))
+def test_a_stacked_measurement_and_estimate_equal_their_rows_alone(n, tiny):
+    rng = np.random.default_rng(n)
+    sensing = SensingSet(n, STACK_SETS[n])
+    c, a, b = sensing.indices
+    tone = np.cos(2 * np.pi * (c * np.arange(n) / n + rng.random()))  # bin c of the reference
+    period = [np.tile(rng.standard_normal(n // k), k) for k in (a, b)]
+    x = np.stack([rng.standard_normal(n), *period, period[0] + tone, rng.standard_normal(n)])
+    if tiny:
+        x[-1] *= tiny  # below 2**-400: argmax lifts this row alone, or refuses on underflow
+    y = np.stack([np.roll(row, s) for row, s in zip(x, rng.integers(n, size=len(x)))])
+    y[::2] += 0.01 * np.abs(x[::2]).max(axis=1, keepdims=True) * rng.standard_normal((3, n))
+    v, z = measure(x, sensing), measure(y, sensing)
+    assert v.values.shape == z.values.shape == (len(x), sensing.m)
+    rows_v, rows_z = list(v), list(z)
+    for row, (vb, zb) in enumerate(zip(rows_v, rows_z)):
+        assert vb.values.tobytes() == measure(x[row], sensing).values.tobytes()
+        assert zb.values.tobytes() == measure(y[row], sensing).values.tobytes()
+    for estimator in (shift_by_compressive_argmax, shift_by_compressive_ratio):
+        alone = [_alone(estimator, zb, vb) for zb, vb in zip(rows_z, rows_v)]
+        refusals = {e for e in alone if isinstance(e, type)}
+        if refusals:
+            assert tiny == 2.0**-600 and estimator is shift_by_compressive_argmax
+            with pytest.raises(ValueError) as err:
+                estimator(z, v)
+            assert err.type in refusals
+            continue
+        stacked = estimator(z, v)
+        assert stacked.shift.shape == stacked.score.shape == (len(x),)
+        assert not stacked.scores.flags.writeable
+        for row, est in enumerate(alone):
+            assert stacked.shift[row] == est.shift
+            assert stacked.score[row].tobytes() == np.float64(est.score).tobytes()
+            assert stacked.scores[row].tobytes() == np.ascontiguousarray(est.scores).tobytes()
+            assert stacked.flags[row] == est.flags
+        flags = [set(f) for f in stacked.flags]
+        assert any("ambiguous" in f for f in flags)
+        if estimator is shift_by_compressive_ratio:
+            assert {"dropped_bins" in f for f in flags} == {True, False}
+
+
+def test_stacked_ratio_residuals_leave_each_rows_dropped_bins_out():
+    # Row 0 has period 4, so of bins 1, 3 and 4 of n = 12 only bin 3 is
+    # live; row 1 keeps all three. Each residual is the distance between
+    # the kept ratios and the kept phases of the shift.
+    n, shifts = 12, np.array([5, 7])
+    sensing = SensingSet(n, (1, 3, 4))
+    rng = np.random.default_rng(5)
+    x = np.stack([np.tile(rng.standard_normal(4), 3), rng.standard_normal(n)])
+    y = np.stack([np.roll(row, s) for row, s in zip(x, shifts)])
+    v, z = measure(x, sensing), measure(y, sensing)
+    est = shift_by_compressive_ratio(z, v)
+    assert est.flags == (("ambiguous", "dropped_bins"), ())
+    assert est.shift.tolist() == [1, 7]  # row 0: 5 mod 4, its smallest twin
+    assert est.score.max() < 1e-12
+    k = np.asarray(sensing.indices)
+    for row, kept in enumerate([k == 3, k > 0]):
+        rho = z.values[row, kept] / v.values[row, kept]
+        phases = np.exp(-2j * np.pi * np.outer(k[kept], np.arange(n)) / n)
+        assert_allclose(est.scores[row], np.linalg.norm(rho[:, None] - phases, axis=0), atol=1e-12)
+
+
+def test_ratio_settles_twins_on_its_kept_bins_alone():
+    # Bin 1 is dropped at 0.9e-12 of the peak, yet its column moves by
+    # 1.8e-12 of the peak between shifts 0 and 2, which bin 2 cannot tell apart.
+    sensing = SensingSet(4, (1, 2))
+    v = Measurement([0.9e-12, 1.0], sensing)
+    est = shift_by_compressive_ratio(v, v)
+    assert (est.shift, est.flags) == (0, ("ambiguous", "dropped_bins"))
+
+
+def test_a_stack_with_an_all_zero_reference_row_refuses_the_ratio():
+    sensing = SensingSet(8, (1, 3))
+    x = np.random.default_rng(3).standard_normal((3, 8))
+    x[1] = 0.0
+    v, z = measure(x, sensing), measure(np.roll(x, 2, axis=1), sensing)
+    with pytest.raises(IdentifiabilityError):
+        shift_by_compressive_ratio(z, v)
+    assert shift_by_compressive_argmax(z, v).flags[1] == ("ambiguous",)
+
+
+def test_measurement_stacks_must_match_and_may_be_in_any_memory_order():
+    sensing = SensingSet(8, (1, 3))
+    x = np.random.default_rng(4).standard_normal((3, 8))
+    with pytest.raises(ValueError, match="shapes differ"):
+        shift_by_compressive_argmax(measure(x, sensing), measure(x[0], sensing))
+    with pytest.raises(TypeError):
+        iter(measure(x[0], sensing))
+    # The lift views each row's complex values as pairs of floats.
+    fortran = Measurement(np.asfortranarray(measure(x, sensing).values), sensing)
+    assert shift_by_compressive_argmax(fortran, fortran).shift.tolist() == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

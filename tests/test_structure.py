@@ -8,6 +8,9 @@ one that turns an array argument into float64 values or an index
 argument into an int in range, and the only one that tests finiteness.
 The O(m*n^2) duplicate-group scan serves ``check_sensing_conditions``
 alone; the compressive estimators settle their shift without it.
+``run_bench`` measures each block of trials in one call per side, and
+only ``_stack_hits`` scores trials one by one, after a stacked call
+refused.
 The checks walk the syntax tree of each package module, so docstrings
 and comments that describe the rules do not count; only code that
 restates them does.
@@ -281,3 +284,20 @@ def test_compressive_estimators_reduce_no_shift_by_a_gcd():
         reached.add(name)
         todo += [f for f in _names(functions[name]) & set(functions) if f not in reached]
     assert {name for name in reached if "gcd" in _names(functions[name])} == set()
+
+
+def test_bench_measures_whole_blocks_never_rows():
+    # Each block is measured in one call per side; a comprehension or a
+    # map would measure it one trial at a time.
+    tree = _tree(PACKAGE / "bench.py")
+    per_row = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+               or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map")]
+    assert "measure" in _names(tree)
+    assert [ast.unparse(node) for node in per_row if "measure" in _names(node)] == []
+
+
+def test_bench_scores_rows_one_by_one_only_after_a_stack_refused():
+    # Every cell is one stacked estimator call; _stack_hits alone falls
+    # back to one call per trial.
+    assert _users(_tree(PACKAGE / "bench.py"), "_hit") == {"_stack_hits"}
