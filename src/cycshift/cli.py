@@ -70,6 +70,8 @@ def _cmd_retrieve(args) -> int:
     takes_measurements = bench.METHOD_TABLE[args.method][2]
     if measured and not takes_measurements:
         raise ValueError(f"measurement files require a compressive method, not {args.method!r}")
+    if args.sensing is not None and not takes_measurements:
+        raise ValueError(f"--sensing applies to compressive methods only, not {args.method!r}")
     if measured and args.sensing and comma_list(args.sensing, "--sensing", int) != x.sensing.indices:
         raise ValueError(f"--sensing {args.sensing} differs from the files' K {x.sensing.indices}")
     if takes_measurements and not measured:

@@ -12,7 +12,9 @@ transform entries directly. The dense forms live in :mod:`cycshift.oracle`.
 :func:`measure` and both estimators also take (B, n) signal and (B, m)
 measurement stacks, one pair per row, as the full-signal estimators of
 :mod:`cycshift.retrieval` do; row b of a stacked result equals the
-result for row b alone, bit for bit.
+result for row b alone, bit for bit. As there, a one-pair call is the
+one-row stack: the estimators settle each row on its own and hand the
+rows to the one estimate builder of :mod:`cycshift.retrieval`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import gcd
 import numpy as np
 
 from .errors import IdentifiabilityError, as_index, as_tuple, real_array, require_finite
-from .retrieval import ShiftEstimate, _lift, _lower, _norm
+from .retrieval import ShiftEstimate, _estimate, _lift, _lower, _norm
 from .spectral import dft_entry, live, unit_phases
 
 __all__ = [
@@ -244,13 +246,10 @@ def _settle(method: str, scores: np.ndarray, best, values: np.ndarray, table: np
         # Column best of cols, from the same products.
         at_best = (values * table[:, best].T)[..., None]
         twins = _twins(cols, at_best, np.abs(values).max(axis=-1, keepdims=True))
-    shift = twins.argmax(axis=-1)  # the first twin
-    last = twins.shape[-1] - 1 - twins[..., ::-1].argmax(axis=-1)  # the last twin
-    flags = [_FLAGS[c] for c in np.atleast_1d((last > shift) + 2 * dropped).tolist()]
-    if scores.ndim == 1:
-        return ShiftEstimate(method, scores.size, int(shift), float(scores[shift]), scores, flags[0])
-    return ShiftEstimate(method, scores.shape[-1], shift, scores[np.arange(shift.size), shift],
-                         scores, tuple(flags))
+    ambiguous = np.count_nonzero(twins, axis=-1) > 1
+    flags = [_FLAGS[c] for c in np.ravel(ambiguous + 2 * dropped).tolist()]
+    # The first twin of each row.
+    return _estimate(method, scores.shape[-1], twins.argmax(axis=-1), scores=scores, flags=flags)
 
 
 def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate:

@@ -20,13 +20,15 @@ The crosscorr, ratio and single-bin estimators also take a (B, n) stack
 of reference signals and a stack of shifted ones, and score row b of y
 against row b of x in one call, with the transforms run along the last
 axis. Row b of a stacked estimate equals the estimate of that pair
-alone, bit for bit.
+alone, bit for bit. A one-pair call is the one-row stack: every step
+works row by row, and one builder turns the rows' results into a
+:class:`ShiftEstimate`, unwrapping one pair's into plain numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, sqrt
+from math import gcd
 
 import numpy as np
 
@@ -53,10 +55,10 @@ class ShiftEstimate:
 
     ``scores``, when present, holds one value per candidate shift;
     ``shift`` is its argmax (argmin for the residual-based
-    ``compressive_ratio`` method). Ties always resolve to the smallest
-    index; the compressive methods also return the smallest of the
-    shifts their measurements cannot tell apart from the winner, whose
-    scores differ only by rounding. ``flags`` carries soft diagnostics such as ``"ambiguous"``
+    ``compressive_ratio`` method), ties going to the smallest index, and
+    ``score`` the value there. The compressive methods return the
+    smallest of the shifts their measurements cannot tell apart from the
+    winner. ``flags`` carries soft diagnostics such as ``"ambiguous"``
     or ``"model_misfit"`` that do not prevent an estimate from being
     returned. A float64 ``scores`` array is taken over, not copied: it
     becomes the estimate's own and is marked read-only. For crosscorr
@@ -65,9 +67,9 @@ class ShiftEstimate:
     ValueError naming the method; complex or non-finite ``scores`` raise
     ValueError naming ``scores``.
 
-    An estimate of a stack of B pairs (signals or measurements) holds
-    length-B ``shift`` and ``score`` arrays, a (B, n) ``scores`` (or
-    None) and one flag tuple per row.
+    One pair gives an int ``shift``, a float ``score`` and one flag
+    tuple; a stack of B pairs gives length-B arrays, a (B, n) ``scores``
+    (or None) and one flag tuple per row.
     """
 
     method: str
@@ -109,18 +111,24 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _norm(v: np.ndarray):
-    """Euclidean norm along the last axis: a float, or one per row of a stack."""
+    """Euclidean norm along the last axis: a float, or one per row of a stack.
+
+    Each row takes its own path, so a row of a stack gets the bits it
+    gets alone.
+    """
     # einsum's single-threaded loop; np.linalg.norm goes through BLAS,
     # whose thread start-up dominates on long signals. Beyond ~1e154 the
     # sum of squares overflows and below ~1e-154 it underflows (as it is
-    # for a zero row), so v is then divided by its peak once.
-    sq = np.einsum("...i,...i->...", v, v)
-    if finite(sq) and (sq >= np.finfo(np.float64).tiny).all():
-        return np.sqrt(sq) if sq.ndim else sqrt(sq)
-    peak = np.abs(v).max(axis=-1, keepdims=True)
-    u = v / np.where(peak > 0, peak, 1.0)
-    norm = peak[..., 0] * np.sqrt(np.einsum("...i,...i->...", u, u))
-    return norm if norm.ndim else float(norm)
+    # for a zero row), so such a row is then divided by its peak once.
+    rows = v.reshape(-1, v.shape[-1])
+    sq = np.einsum("ij,ij->i", rows, rows)
+    norm = np.sqrt(sq)
+    odd = (sq < np.finfo(np.float64).tiny) | (sq == np.inf)
+    if odd.any():
+        peak = np.abs(rows[odd]).max(axis=-1, keepdims=True)
+        u = rows[odd] / np.where(peak > 0, peak, 1.0)
+        norm[odd] = peak[:, 0] * np.sqrt(np.einsum("ij,ij->i", u, u))
+    return norm if v.ndim > 1 else norm.item()
 
 
 def _coprime_mask(size: int, n: int) -> np.ndarray:
@@ -160,14 +168,24 @@ def _ratio_impulse(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return np.fft.irfft(rho, n, out=xs.view(np.float64)[..., :n]), usable
 
 
+def _estimate(method: str, n: int, shift: np.ndarray, score=None, scores=None, flags=None) -> ShiftEstimate:
+    """The estimate of each row's ``shift``, ``score``, ``scores`` and ``flags``.
+
+    ``shift`` holds one shift per row of a stack, or is 0-d for one
+    pair, whose estimate then holds an int, a float and one flag tuple.
+    ``score`` defaults to each row's ``scores`` at its shift, and
+    ``flags`` (one tuple per row) to none.
+    """
+    score = np.take_along_axis(scores, shift[..., None], -1)[..., 0] if score is None else score
+    flags = ((),) * shift.size if flags is None else tuple(flags)
+    if shift.ndim == 0:
+        return ShiftEstimate(method, n, shift.item(), score.item(), scores, flags[0])
+    return ShiftEstimate(method, n, shift, score, scores, flags)
+
+
 def _peak(method: str, scores: np.ndarray) -> ShiftEstimate:
     """The estimate whose shift is the argmax of each row of ``scores``."""
-    s = np.argmax(scores, axis=-1)
-    if scores.ndim == 1:
-        return ShiftEstimate(method, scores.size, int(s), float(scores[s]), scores)
-    # The row maximum is the value at the row's argmax.
-    return ShiftEstimate(method, scores.shape[-1], s, scores.max(axis=-1), scores,
-                         ((),) * len(s))
+    return _estimate(method, scores.shape[-1], np.argmax(scores, axis=-1), scores=scores)
 
 
 def _lift(spec: np.ndarray) -> np.ndarray:
@@ -268,7 +286,7 @@ def select_bin(xspec) -> int:
     xs = np.asarray(xspec)
     if xs.ndim != 1 or xs.size < 2:
         raise ValueError("spectrum must be 1-D with length >= 2")
-    return _strongest_bin(np.abs(xs), xs.size)
+    return int(_strongest_bin(np.abs(xs), xs.size))
 
 
 def _strongest_bin(mags: np.ndarray, n: int):
@@ -277,17 +295,16 @@ def _strongest_bin(mags: np.ndarray, n: int):
     Taking the bins 0..n//2 of a real signal's spectrum gives the same
     winner as the full spectrum up to its mirror n - i, which has equal
     magnitude and identifies the same shift. If the strongest coprime
-    bin is not live, no coprime bin is. Gives an int, or one bin per
-    row of a stack of magnitudes.
+    bin is not live, no coprime bin is. Gives one bin per row of a stack
+    of magnitudes (0-d for one spectrum).
     """
     coprime = np.where(_coprime_mask(mags.shape[-1], n), mags, 0.0)
-    i = np.argmax(coprime, axis=-1)
     if not live(coprime.max(axis=-1), mags.max(axis=-1)).all():
         raise IdentifiabilityError(
             "no usable bin: every nonzero bin fails the gcd(i, n) = 1 "
             "disambiguation condition (excluded bins cannot identify the shift)"
         )
-    return i if coprime.ndim > 1 else int(i)
+    return np.argmax(coprime, axis=-1)
 
 
 def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
@@ -328,14 +345,11 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
                     f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"
                 )
         xi, yi, norm = dft_entry(x, i), dft_entry(y, i), _norm(x)
-    if x.ndim == 1:
-        s, score, flags = _phase_shift(complex(xi), complex(yi), norm, i, n)
-        return ShiftEstimate("single_bin", n, s, score, None, flags)
-    # The O(1) end runs per row in Python numbers, as for one pair.
-    rows = map(_phase_shift, xi.tolist(), yi.tolist(), norm.tolist(),
-               np.broadcast_to(i, norm.shape).tolist(), [n] * len(norm))
-    shift, score, flags = zip(*rows)
-    return ShiftEstimate("single_bin", n, np.array(shift), np.array(score), None, flags)
+    # The O(1) end runs per row in Python numbers; numpy's array forms of it round differently.
+    rows = zip(*(np.ravel(a).tolist() for a in np.broadcast_arrays(xi, yi, norm, i)))
+    shift, score, flags = zip(*(_phase_shift(*row, n) for row in rows))
+    shape = np.shape(norm)
+    return _estimate("single_bin", n, np.reshape(shift, shape), np.reshape(score, shape), None, flags)
 
 
 def _phase_shift(xi: complex, yi: complex, norm: float, i: int, n: int):

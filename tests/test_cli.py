@@ -152,6 +152,20 @@ def test_retrieve_sensing_other_than_the_measurement_files_k_exits_1(tmp_path, c
     assert json.loads(out)["shift"] == 3
 
 
+@pytest.mark.parametrize("method", ["crosscorr", "ratio", "single_bin"])
+@pytest.mark.parametrize("sensing", ["1,3", "5,7", "1,x", ""])
+def test_retrieve_refuses_sensing_for_a_full_signal_method(tmp_path, capsys, method, sensing):
+    # A sensing set means nothing to a method that reads the whole
+    # signal; it is refused by name, malformed or not.
+    _, x_path, y_path = make_pair(tmp_path, n=8, s=3)
+    code, out, err = run_cli(capsys, "retrieve", str(x_path), str(y_path),
+                             "--method", method, "--sensing", sensing)
+    assert (code, out) == (1, "")
+    assert err == f"cycshift: error: --sensing applies to compressive methods only, not {method!r}\n"
+    code, out, _ = run_cli(capsys, "retrieve", str(x_path), str(y_path), "--method", method)
+    assert code == 0 and json.loads(out)["shift"] == 3
+
+
 def test_retrieve_constant_signal_exits_2_naming_condition(tmp_path, capsys):
     x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
     save_signal(x_path, np.ones(8))
@@ -252,8 +266,9 @@ def test_retrieve_near_overflow_never_prints_a_nan_shift(tmp_path, capsys, metho
     x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
     save_signal(x_path, x)
     save_signal(y_path, np.roll(x, 2))
+    sensing = ("--sensing", "1") if method.startswith("compressive") else ()
     got, out, err = run_cli(capsys, "retrieve", str(x_path), str(y_path), "--method", method,
-                            "--sensing", "1")
+                            *sensing)
     assert got == code
     assert "NaN" not in out
     if code == 0:

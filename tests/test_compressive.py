@@ -212,6 +212,38 @@ def test_sensing_report_ambiguity_is_the_estimator_flag(n, seed, log_c, bins):
         "ambiguous" in shift_by_compressive_argmax(v, v).flags)
 
 
+def closed_form_groups(values, indices, n):
+    """The residues mod n/g, where g is the gcd of n and the bins with a nonzero stored value."""
+    step = n // gcd(n, *(k for k, vk in zip(indices, values) if vk != 0))
+    return tuple(tuple(range(r, n, step)) for r in range(step))
+
+
+@given(*short_period_cases)
+@settings(max_examples=200, deadline=None)
+def test_duplicate_groups_are_the_residues_mod_n_over_the_live_gcd(n, seed, log_c, bins):
+    # Groundwork for the closed-form class rule: on measure's output of a
+    # short-period signal, the O(m*n^2) scan finds exactly these classes.
+    x = short_period_signal(n, seed, log_c)
+    K = SensingSet(n, tuple(sorted({k % n for k in bins})))
+    v = measure(x, K).values
+    assert _duplicate_groups(v, K.indices, n) == closed_form_groups(v, K.indices, n)
+
+
+def test_a_weak_live_bin_is_where_the_scan_and_the_closed_form_differ_by_design():
+    # Bin 2 is live at 5e-11 of the peak, but between nearby even shifts
+    # it moves its column by less than 1e-12 of the peak, so the scan
+    # merges them; the closed form, like the paper, keeps them apart and
+    # pairs s with s + 2048 alone.
+    v = Measurement([5e-11, 1.0], SensingSet(4096, (2, 2048)))
+    scan = _duplicate_groups(v.values, v.sensing.indices, 4096)
+    closed = closed_form_groups(v.values, v.sensing.indices, 4096)
+    assert len(scan) == 512
+    assert closed == tuple((s, s + 2048) for s in range(2048))
+    assert scan[0] == (0, 2, 4, 6, 2042, 2044, 2046, 2048, 2050, 2052, 2054, 4090, 4092, 4094)
+    # Each closed-form class lies inside one group of the scan.
+    assert all((s + 2048) % 4096 in group for group in scan for s in group)
+
+
 def test_estimators_settle_on_the_smallest_twin_when_dead_bins_merge_shifts():
     # Bin 1 of this period-3 signal is dead, so only bin 4 is measured and
     # shifts 2 and 5 give one measurement, though gcd(6, 1, 4) = 1.

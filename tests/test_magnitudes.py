@@ -22,6 +22,7 @@ from cycshift import (
     circulant,
     ls_circulant_fit,
     measure,
+    retrieval,
     shift_affine,
     shift_by_compressive_argmax,
     shift_by_compressive_ratio,
@@ -181,6 +182,24 @@ def test_a_stacked_tiny_row_equals_its_one_pair_call():
         alone = shift_by_crosscorr(x[b], y[b])
         assert (stacked.shift[b], stacked.score[b]) == (alone.shift, alone.score)
         assert np.array_equal(stacked.scores[b], alone.scores)
+
+
+def test_a_unit_row_beside_a_tiny_row_gets_its_one_row_norm_measurement_and_estimate():
+    # The tiny row's sum of squares underflows, so its norm divides it by
+    # its peak first; the unit row takes the plain sum, as it does alone.
+    rng = np.random.default_rng(17)
+    sensing = SensingSet(64, (1, 3, 5))
+    for _ in range(40):
+        x = np.stack([rng.standard_normal(64), 2.0 ** -600 * rng.standard_normal(64)])
+        y = np.roll(x, 5, axis=1)
+        norms, stacked = retrieval._norm(x), shift_single_bin(x, y, 3)
+        measured = measure(x, sensing).values
+        for b in range(2):
+            assert norms[b].tobytes() == np.float64(retrieval._norm(x[b])).tobytes()
+            assert measured[b].tobytes() == measure(x[b], sensing).values.tobytes()
+            alone = shift_single_bin(x[b], y[b], 3)
+            assert (stacked.shift[b], stacked.flags[b]) == (alone.shift, alone.flags) == (5, ())
+            assert stacked.score[b].tobytes() == np.float64(alone.score).tobytes()
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0 ** -540])

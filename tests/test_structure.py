@@ -11,6 +11,8 @@ alone; the compressive estimators settle their shift without it.
 ``run_bench`` measures each block of trials in one call per side, and
 only ``_stack_hits`` scores trials one by one, after a stacked call
 refused.
+``retrieval._estimate`` alone builds a ``ShiftEstimate`` from per-row
+results and alone tells one pair from a stack.
 The checks walk the syntax tree of each package module, so docstrings
 and comments that describe the rules do not count; only code that
 restates them does.
@@ -301,3 +303,31 @@ def test_bench_scores_rows_one_by_one_only_after_a_stack_refused():
     # Every cell is one stacked estimator call; _stack_hits alone falls
     # back to one call per trial.
     assert _users(_tree(PACKAGE / "bench.py"), "_hit") == {"_stack_hits"}
+
+
+def _callers(tree: ast.Module, name: str) -> set[str]:
+    """The top-level functions that call ``name``."""
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+                    for call in ast.walk(node))}
+
+
+def _shape_branches(node: ast.AST) -> list[str]:
+    """The ``if`` tests and conditional expressions in ``node`` that ask for an array's shape."""
+    return [ast.unparse(sub.test) for sub in ast.walk(node) if isinstance(sub, (ast.If, ast.IfExp))
+            and _names(sub.test) & {"ndim", "shape", "size", "len"}]
+
+
+def test_one_builder_makes_every_estimate_and_unwraps_one_pair():
+    # A one-pair call is the one-row stack: the estimators hand per-row
+    # results to retrieval._estimate, which alone builds a ShiftEstimate
+    # and alone tells one pair from a stack.
+    trees = {name: _tree(PACKAGE / name) for name in ("retrieval.py", "compressive.py")}
+    builders = {name: _callers(tree, "ShiftEstimate") for name, tree in trees.items()}
+    assert builders == {"retrieval.py": {"_estimate"}, "compressive.py": set()}
+    estimators = ("_peak", "_settle", "shift_single_bin")
+    assert set(estimators) <= set().union(*(_callers(tree, "_estimate") for tree in trees.values()))
+    functions = {node.name: node for tree in trees.values() for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in estimators}
+    assert {name: _shape_branches(node) for name, node in functions.items()} == dict.fromkeys(
+        estimators, [])
