@@ -136,21 +136,14 @@ def embed(values, sensing: SensingSet) -> np.ndarray:
     return out
 
 
-def _twins(cols: np.ndarray, col: np.ndarray, peak) -> np.ndarray:
-    """Mask of the shifts whose measured column coincides with ``col``.
+def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, ...], ...]:
+    """Group the n shifts whose measured columns coincide, each led by its lowest unassigned shift.
 
-    Column t of the (conceptual) (m, n) measured-shift matrix is
+    Column t of the (m, n) measured-shift matrix is
     values * exp(-2j*pi*k*t/n). Two columns coincide, and their shifts
     cannot be told apart from these measurements, when their largest
-    difference is not live against ``peak``, the largest |value|.
-    ``cols`` may be a (B, m, n) stack of matrices, with one (m, 1)
-    column and one peak per matrix.
+    difference is not live against the largest |value|.
     """
-    return ~live(np.abs(cols - col).max(axis=-2), peak)
-
-
-def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, ...], ...]:
-    """Group the n shifts by :func:`_twins`, each group led by its lowest unassigned shift."""
     cols = values[:, None] * unit_phases(np.asarray(indices)[:, None], np.arange(n), n)
     peak = np.abs(values).max()
     groups = []
@@ -158,7 +151,7 @@ def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, .
     for s in range(n):
         if assigned[s]:
             continue
-        members = np.flatnonzero(_twins(cols, cols[:, s:s + 1], peak) & ~assigned)
+        members = np.flatnonzero(~live(np.abs(cols - cols[:, s:s + 1]).max(axis=0), peak) & ~assigned)
         assigned[members] = True
         groups.append(tuple(members.tolist()))
     return tuple(groups)
@@ -190,11 +183,13 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     measurement the estimators would see: (a) existence of a retained
     bin k with a nonzero entry and gcd(k, n) = 1, which guarantees
     exact recovery; (b) absence of shift ambiguity, i.e. all n columns
-    of the measured-shift matrix pairwise distinct, judged as the
-    compressive estimators judge them. Purely diagnostic: raises only
-    on malformed input (wrong length, complex, NaN or infinite samples)
-    and on samples whose norm overflows. Takes one signal; a (B, n)
-    stack raises ValueError naming x.
+    of the measured-shift matrix pairwise distinct against the largest
+    measured value. Its groups are the compressive estimators' gcd
+    classes, except where a live bin is too weak to move the columns of
+    nearby shifts apart: the scan merges those. Purely diagnostic:
+    raises only on malformed input (wrong length, complex, NaN or
+    infinite samples) and on samples whose norm overflows. Takes one
+    signal; a (B, n) stack raises ValueError naming x.
     """
     v = measure(x, sensing).values  # validates x
     if v.ndim != 1:
@@ -231,25 +226,20 @@ def _phase_table(sensing: SensingSet) -> np.ndarray:
 _FLAGS = ((), ("ambiguous",), ("dropped_bins",), ("ambiguous", "dropped_bins"))
 
 
-def _settle(method: str, scores: np.ndarray, best, values: np.ndarray, table: np.ndarray,
+def _settle(method: str, scores: np.ndarray, best, live_bins: np.ndarray, sensing: SensingSet,
             dropped=False) -> ShiftEstimate:
-    """The estimate at the smallest twin of shift ``best``, flagged ``"ambiguous"`` if it has any.
+    """The estimate at the smallest shift in ``best``'s class, flagged ``"ambiguous"`` if it has others.
 
-    Column t is ``values`` times column t of the phase ``table`` that
-    scored the shifts. Each row of a stack is settled on its own, and
-    flagged ``"dropped_bins"`` where ``dropped`` holds.
+    A delay by s turns sensed bin k by exp(-2j*pi*k*s/n), so the bins
+    marked in ``live_bins`` cannot tell apart shifts that differ by a
+    multiple of n / g, g = gcd(n, those bins), and tell apart all
+    others; g = n when no bin is live. Each row of a stack is settled
+    on its own, and flagged ``"dropped_bins"`` where ``dropped`` holds.
     """
-    # Measurement files can hold values whose products and differences
-    # overflow; an overflowed difference is inf, which live reads as apart.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cols = values[..., None] * table
-        # Column best of cols, from the same products.
-        at_best = (values * table[:, best].T)[..., None]
-        twins = _twins(cols, at_best, np.abs(values).max(axis=-1, keepdims=True))
-    ambiguous = np.count_nonzero(twins, axis=-1) > 1
-    flags = [_FLAGS[c] for c in np.ravel(ambiguous + 2 * dropped).tolist()]
-    # The first twin of each row.
-    return _estimate(method, scores.shape[-1], twins.argmax(axis=-1), scores=scores, flags=flags)
+    n = sensing.n
+    g = np.gcd(np.gcd.reduce(np.where(live_bins, sensing.indices, 0), axis=-1), n)
+    flags = [_FLAGS[c] for c in np.ravel((g > 1) + 2 * dropped).tolist()]
+    return _estimate(method, n, best % (n // g), scores=scores, flags=flags)
 
 
 def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate:
@@ -260,12 +250,15 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     from a delayed copy of v's signal every term peaks simultaneously at
     the true shift.
 
-    Shifts whose measured columns of v coincide with the argmax's cannot
-    be told apart from it (for instance those n / gcd(n, k_1, ..., k_m)
-    apart, or any two when every bin is dead); their scores differ only
-    by rounding. The smallest of them is returned with its own score,
-    and the estimate is flagged ``"ambiguous"`` when there is more than
-    one. Measurements too small for their product are handled as in
+    The bins where |v_i| is live against the largest |v| cannot tell
+    apart shifts that differ by a multiple of n / g, g = gcd(n, those
+    bins), the paper's gcd condition; g = n when no bin is live. Their
+    scores differ only by what dead bins add and by rounding, so the
+    argmax is reduced mod n / g to the smallest shift of its class,
+    returned with its own score, and the estimate is flagged
+    ``"ambiguous"`` when g > 1. An overflowed |v_i| raises ValueError
+    naming the overflow. Measurements too small for their product are
+    handled as in
     :func:`~cycshift.retrieval.shift_by_crosscorr`: scaled up by a power
     of two, with ValueError if the scores then underflow.
 
@@ -273,18 +266,20 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     call, and give the stacked estimate described at
     :class:`~cycshift.retrieval.ShiftEstimate`, with one flag tuple per
     row; row b equals the estimate of that pair alone, bit for bit. The
-    call holds (B, m, n) complex arrays.
+    call holds the (m, n) phase table and (B, n) scores.
     """
     table = _phase_table(_common_sensing(z, v))
-    # An overflowed product shows as a score that is not finite.
+    # An overflowed |v_i| is refused by live; an overflowed product shows
+    # as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
+        live_bins = live(np.abs(v.values))
         zc, vc = np.conj(z.values), np.array(v.values)  # copies, lifted in place
         up = _lift(zc) + _lift(vc)
         # One vector-matrix product per row, as for a single measurement.
         scores = np.matmul((zc * vc)[..., None, :], table)[..., 0, :].real
     if up.any():
         _lower("compressive_argmax", scores, up)
-    return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), v.values, table)
+    return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), live_bins, v.sensing)
 
 
 def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
@@ -299,15 +294,15 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
 
     Bins with |v_i| zero against the largest |v| are dropped (flag
     ``"dropped_bins"``); on a :func:`measure` output these are exactly
-    the bins stored as 0. Shifts whose columns on the surviving bins
-    coincide with the argmin's are settled as in
-    :func:`shift_by_compressive_argmax`: the smallest is returned, and
-    more than one flags the estimate ``"ambiguous"``.
+    the bins stored as 0. The argmin is settled on the class rule of
+    :func:`shift_by_compressive_argmax` over the surviving bins: reduced
+    mod n / gcd(n, those bins), and flagged ``"ambiguous"`` when that
+    gcd exceeds 1.
 
     (B, m) stacks are scored as in :func:`shift_by_compressive_argmax`.
     Each row drops its own bins and gets its own flags; a row with no
     nonzero reference bin makes the whole call raise
-    IdentifiabilityError.
+    IdentifiabilityError. The call holds (B, m, n) complex arrays.
     """
     table = _phase_table(_common_sensing(z, v))
     keep = live(np.abs(v.values))  # holds at each row's peak unless the row is all zero
@@ -319,7 +314,5 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
         diff = rho[..., None] - table
         diff[~keep] = 0  # a dropped bin adds an exact 0 to each sum of squares
         residuals = np.linalg.norm(diff, axis=-2)
-        # Freed here, _settle's columns reuse its memory instead of faulting in fresh pages.
-        del diff
-    return _settle("compressive_ratio", residuals, np.argmin(residuals, axis=-1),
-                   np.where(keep, v.values, 0), table, ~keep.all(axis=-1))
+    return _settle("compressive_ratio", residuals, np.argmin(residuals, axis=-1), keep, v.sensing,
+                   ~keep.all(axis=-1))

@@ -378,7 +378,8 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     When |alpha| * max|x| is negligible against max|y| the shift is
     meaningless and the model is flagged ``"alpha_unidentifiable"``.
     Both checks compare like with like, so scaling x and y together
-    changes neither.
+    changes neither. A fit whose alpha, beta or residual is not finite
+    raises ValueError naming the overflow.
 
     Returns
     -------
@@ -403,20 +404,24 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     if not (usable & _coprime_mask(usable.size, n)).any():
         raise IdentifiabilityError("no usable coprime bin: the shift part is unidentifiable")
 
-    # One scratch buffer holds |d - mean(d)|, then the residual.
-    buf = np.subtract(d, d.mean())
-    s = int(np.argmax(np.abs(buf, out=buf)))
-    pedestal = float((d.sum() - d[s]) / (n - 1))  # mean of d without entry s
-    alpha = float(d[s] - pedestal)
-    beta = pedestal * total
+    # An overflowed impulse or fit shows as a value that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # One scratch buffer holds |d - mean(d)|, then the residual.
+        buf = np.subtract(d, d.mean())
+        s = int(np.argmax(np.abs(buf, out=buf)))
+        pedestal = float((d.sum() - d[s]) / (n - 1))  # mean of d without entry s
+        alpha = float(d[s] - pedestal)
+        beta = pedestal * total
+        # y - alpha * roll(x, s) - beta, where roll(x, s)[t] = x[(t - s) mod n]
+        np.multiply(x[: n - s], alpha, out=buf[s:])
+        np.multiply(x[n - s:], alpha, out=buf[:s])
+        np.subtract(y, buf, out=buf)
+        buf -= beta
+        residual = _norm(buf)
+    if not finite((alpha, beta, residual)):
+        raise ValueError("shift_affine: the fit is not finite (the inputs overflow)")
 
     flags: tuple[str, ...] = ()
     if not live(abs(alpha) * x_peak, float(max(y.max(), -y.min()))):
         flags = ("alpha_unidentifiable",)
-
-    # y - alpha * roll(x, s) - beta, where roll(x, s)[t] = x[(t - s) mod n]
-    np.multiply(x[: n - s], alpha, out=buf[s:])
-    np.multiply(x[n - s:], alpha, out=buf[:s])
-    np.subtract(y, buf, out=buf)
-    buf -= beta
-    return AffineShiftModel(s, alpha, beta, flags), _norm(buf)
+    return AffineShiftModel(s, alpha, beta, flags), residual

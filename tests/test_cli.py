@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -554,6 +557,16 @@ def test_selftest_passes(capsys):
     assert out.count("PASS") == 6
     assert "FAIL" not in out
     assert elapsed < 10.0
+
+
+def test_importing_the_cli_leaves_the_oracles_unloaded():
+    # Only the selftest command runs the O(n^2) references; retrieve's
+    # start-up does not import them.
+    env = {**os.environ, "PYTHONPATH": str(Path(fileio.__file__).resolve().parent.parent)}
+    probe = "import sys, cycshift.cli; print('cycshift.oracle' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"
 
 
 def test_selftest_negative_control_corrupted_dft(capsys, monkeypatch):

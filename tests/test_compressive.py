@@ -242,6 +242,11 @@ def test_a_weak_live_bin_is_where_the_scan_and_the_closed_form_differ_by_design(
     assert scan[0] == (0, 2, 4, 6, 2042, 2044, 2046, 2048, 2050, 2052, 2054, 4090, 4092, 4094)
     # Each closed-form class lies inside one group of the scan.
     assert all((s + 2048) % 4096 in group for group in scan for s in group)
+    # The ratio estimator settles on the closed form: planted shift 100
+    # is told apart from 94, the smallest of the nearby even shifts whose
+    # columns come within 1e-12 of the peak of its own.
+    z = Measurement(v.values * np.exp(-2j * np.pi * np.array([2, 2048]) * 100 / 4096), v.sensing)
+    assert shift_by_compressive_ratio(z, v).shift == 100
 
 
 def test_estimators_settle_on_the_smallest_twin_when_dead_bins_merge_shifts():
@@ -256,6 +261,16 @@ def test_estimators_settle_on_the_smallest_twin_when_dead_bins_merge_shifts():
         assert est.shift == 2
         assert "ambiguous" in est.flags
         assert est.score == est.scores[2]
+    # The class rule takes the gcd over each row's live bins alone: beside
+    # a Gaussian row, where bin 1 is live, the period-3 row still merges
+    # shifts 2 and 5, and the Gaussian row keeps its planted shift apart.
+    X = np.stack((x, np.random.default_rng(4).standard_normal(6)))
+    z, v = measure(np.roll(X, 5, axis=1), K), measure(X, K)
+    assert v.values[0, 0] == 0 and v.values[1, 0] != 0
+    for method in (shift_by_compressive_argmax, shift_by_compressive_ratio):
+        est = method(z, v)
+        assert est.shift.tolist() == [2, 5]
+        assert "ambiguous" in est.flags[0] and est.flags[1] == ()
 
 
 @given(*short_period_cases, st.integers(0, 47))

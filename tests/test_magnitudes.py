@@ -107,7 +107,10 @@ def test_a_fit_whose_column_overflows_is_refused():
     lambda: shift_single_bin(TOP, np.roll(TOP, 3)),
     lambda: shift_single_bin(TOP, np.roll(TOP, 3), 1),
     lambda: shift_affine(TOP, np.roll(TOP, 3)),
-], ids=["measure", "check_sensing_conditions", "ratio", "single_bin", "single_bin i=1", "affine"])
+    # Finite samples whose spectral ratio, and so the fit, exceed the float64 range.
+    lambda: shift_affine(1e-300 * (X[:, 0] + 2), 1e300 * np.roll(X[:, 0] + 2, 3)),
+], ids=["measure", "check_sensing_conditions", "ratio", "single_bin", "single_bin i=1", "affine",
+        "affine fit"])
 def test_an_overflowed_magnitude_is_refused_by_name(call):
     with pytest.raises(ValueError, match="overflow"):
         call()

@@ -5,6 +5,9 @@ n-point scratch is not counted. The peak of one call, with the result it
 returns still held, is read in units of one n-float array (8n bytes).
 The spectrum of a real signal, n//2 + 1 complex values, is one such
 unit, so two spectra and a few boolean masks stay under 2.25 of them.
+
+A stacked compressive argmax call holds its (B, n) scores and the
+(m, n) phase table, never a (B, m, n) array of measured columns.
 """
 
 import tracemalloc
@@ -12,7 +15,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cycshift import Circulant, shift_affine, shift_by_crosscorr, shift_by_ratio
+from cycshift import (
+    Circulant,
+    SensingSet,
+    measure,
+    shift_affine,
+    shift_by_compressive_argmax,
+    shift_by_crosscorr,
+    shift_by_ratio,
+)
 
 N = 2**16
 
@@ -48,3 +59,12 @@ def test_full_signal_call_holds_two_spectra(path):
         "apply": lambda _, v: C.apply(v),
     }[path]
     assert traced_peak(call, x, y) <= 2.25
+
+
+def test_compressive_argmax_stack_holds_no_column_per_bin():
+    # 20 rows at n = 4096, m = 4: a (B, m, n) complex array alone is 8 units of 8Bn.
+    B, n = 20, 4096
+    X = np.random.default_rng(1).standard_normal((B, n))
+    K = SensingSet(n, (1, 3, 5, 7))
+    z, v = measure(np.roll(X, 7, axis=1), K), measure(X, K)
+    assert traced_peak(shift_by_compressive_argmax, z, v) * N / (B * n) < 4

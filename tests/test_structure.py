@@ -267,25 +267,11 @@ def _users(tree: ast.Module, name: str) -> set[str]:
 
 
 def test_only_check_sensing_conditions_scans_for_duplicate_groups():
-    # The estimators settle on the twins of their winning shift; the
+    # The estimators settle on the gcd class of their winning shift; the
     # O(m*n^2) scan over all n shifts serves the diagnostic alone.
     users = {p.name: _users(_tree(p), "_duplicate_groups") for p in MODULES}
     assert {name: fns for name, fns in users.items() if fns} == {
         "compressive.py": {"check_sensing_conditions"}}
-
-
-def test_compressive_estimators_reduce_no_shift_by_a_gcd():
-    # Dead bins merge shifts a gcd over the retained bins would keep apart,
-    # so the estimators, and every module function they reach, name no gcd.
-    tree = _tree(PACKAGE / "compressive.py")
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached = set()
-    todo = ["shift_by_compressive_argmax", "shift_by_compressive_ratio"]
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        todo += [f for f in _names(functions[name]) & set(functions) if f not in reached]
-    assert {name for name in reached if "gcd" in _names(functions[name])} == set()
 
 
 def test_bench_measures_whole_blocks_never_rows():
