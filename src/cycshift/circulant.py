@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import as_index, finite, real_array
-from .spectral import dft, live, rdft, scale_exponent
+from .spectral import dft, live, scale_exponent
 
 __all__ = ["Circulant", "make_shift", "ls_circulant_fit"]
 
@@ -147,7 +147,7 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
 def _fit(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
     """First column and residual of the fit, for X and Y whose peaks lie in [2**-401, 2**400) or are 0."""
     n = X.shape[0]
-    Xs, Ys = rdft(X, axis=0), rdft(Y, axis=0)
+    Xs, Ys = np.fft.rfft(X, axis=0, norm="ortho"), np.fft.rfft(Y, axis=0, norm="ortho")
     energy = np.vecdot(Xs, Xs).real  # vecdot conjugates its first argument
     rows = live(np.sqrt(energy))
     sigma = np.divide(np.vecdot(Xs, Ys), energy, out=np.zeros(energy.size, complex), where=rows)

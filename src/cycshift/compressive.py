@@ -86,9 +86,8 @@ class Measurement:
                 f"expected {self.sensing.m} measurement values, or a (B, {self.sensing.m}) "
                 f"stack of them, got shape {vals.shape}"
             )
-        require_finite(vals, "measurement")
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", require_finite(vals, "measurement"))
 
     def __iter__(self):
         if self.values.ndim != 2:
@@ -256,7 +255,14 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     scores differ only by what dead bins add and by rounding, so the
     argmax is reduced mod n / g to the smallest shift of its class,
     returned with its own score, and the estimate is flagged
-    ``"ambiguous"`` when g > 1. An overflowed |v_i| raises ValueError
+    ``"ambiguous"`` when g > 1. The scores weight bin i by |v_i|**2, so a
+    bin that is live but weak moves them by less than their rounding and
+    cannot separate its shifts: an estimate is certain only modulo
+    n / gcd(n, the bins whose weighted term survives rounding), which can
+    be coarser than n / g. With v = (5e-11, 1.0) on K = (2, 2048) at
+    n = 4096, g = 2, yet the estimate is certain only modulo 2, not 2048;
+    :func:`shift_by_compressive_ratio` divides by v_i and keeps such a bin.
+    An overflowed |v_i| raises ValueError
     naming the overflow. Measurements too small for their product are
     handled as in
     :func:`~cycshift.retrieval.shift_by_crosscorr`: scaled up by a power

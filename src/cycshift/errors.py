@@ -1,10 +1,12 @@
 """Exception types and the one owner of each argument rule.
 
-:func:`real_array` turns an array argument into float64 values,
+:func:`real_array` turns an array argument into float64 values
+(:func:`real_rows` also hands back the peak of each row),
 :func:`as_index` turns an index argument into an int in range,
 :func:`as_tuple` takes the items of a sequence argument and
-:func:`finite` tells whether values hold no NaN or infinity; no other
-module restates these rules. Each error names the argument at fault.
+:func:`finite` tells whether values hold no NaN or infinity; both
+finiteness tests read :func:`peak`, so a checked input is read once. No
+other module restates these rules. Each error names the argument at fault.
 """
 
 import operator
@@ -23,30 +25,42 @@ class IdentifiabilityError(ValueError):
     """
 
 
-def finite(values) -> bool:
-    """Whether ``values`` (a number or an array) holds no NaN and no infinity.
+def peak(a: np.ndarray, axis=None):
+    """The largest |value| of ``a``: over the whole array, or along the last axis for ``axis=-1``.
 
-    The one finiteness test. max and min propagate NaN and reach any
-    infinity, so no temporary the size of ``values`` is made; complex
-    values are tested part by part. A float is tested directly: the
-    zero rule tests one scale per candidate shift of a compressive
-    estimate.
+    The one read of an array's magnitudes: max and min propagate NaN and
+    reach any infinity, so the peak is not finite exactly when ``a``
+    holds a NaN or an infinity, and no temporary the size of ``a`` is
+    made. Complex values count part by part, read as one float view (a
+    complex array that is not contiguous is copied for it). An empty
+    span peaks at 0.
     """
-    if isinstance(values, float):
-        return isfinite(values)
-    a = np.asarray(values)
-    return all(p.size == 0 or (isfinite(p.max()) and isfinite(p.min()))
-               for p in ((a.real, a.imag) if a.dtype.kind == "c" else (a,)))
+    if a.dtype.kind == "c":  # real and imaginary parts side by side, each row still one row
+        a = np.ascontiguousarray(a).view(a.real.dtype)
+    hi, lo = a.max(axis, initial=0.0), -a.min(axis, initial=0.0)
+    # A NaN reaches both or neither, so the plain max suffices for one peak (and is faster).
+    return np.maximum(hi, lo) if hi.ndim else max(hi, lo)
 
 
-def require_finite(values, what: str) -> None:
-    """Raise ValueError if ``values`` holds a NaN or an infinity.
+def finite(values) -> bool:
+    """Whether ``values`` (a float, or floats or complex values in an array or sequence) are all finite.
+
+    The one finiteness test: its :func:`peak` is finite. A float is
+    tested directly: the zero rule tests one scale per candidate shift
+    of a compressive estimate.
+    """
+    return isfinite(values if isinstance(values, float) else peak(np.asarray(values)))
+
+
+def require_finite(values, what: str):
+    """``values``, or ValueError naming ``what`` if they hold a NaN or an infinity.
 
     Non-finite input has no meaningful shift: left unchecked it yields
     an arbitrary estimate (often shift 0) with no flag.
     """
     if not finite(values):
         raise ValueError(f"{what} contains NaN or infinite values")
+    return values
 
 
 def _asarray(values, what: str) -> np.ndarray:
@@ -70,6 +84,17 @@ def real_numbers(values, what: str) -> np.ndarray:
     return arr
 
 
+def real_rows(values, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`real_array` of ``values`` and the :func:`peak` of each row, from one read.
+
+    The peaks are taken along the last axis, so one signal has one and a
+    (B, n) stack one per row (0 for an empty row); the finiteness test
+    is read off them.
+    """
+    arr = real_numbers(values, what).astype(np.float64, copy=False)
+    return arr, require_finite(peak(arr, -1 if arr.ndim else None), what)
+
+
 def real_array(values, what: str) -> np.ndarray:
     """``values`` as a float64 array, or ValueError naming ``what``.
 
@@ -77,9 +102,7 @@ def real_array(values, what: str) -> np.ndarray:
     (:func:`real_numbers`); NaN and infinities are refused too. A
     float64 array is returned as it is, not copied.
     """
-    arr = real_numbers(values, what).astype(np.float64, copy=False)
-    require_finite(arr, what)
-    return arr
+    return require_finite(real_numbers(values, what).astype(np.float64, copy=False), what)
 
 
 def as_tuple(values, what: str) -> tuple:

@@ -32,8 +32,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import IdentifiabilityError, as_index, finite, real_array
-from .spectral import dft_entry, live, rdft, scale_exponent
+from .errors import IdentifiabilityError, as_index, finite, real_array, real_rows
+from .spectral import BAND, dft_entry, live, scale_exponent
 
 __all__ = [
     "ShiftEstimate",
@@ -98,16 +98,20 @@ class AffineShiftModel:
     flags: tuple[str, ...] = ()
 
 
-def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as float64 signals, or as (B, n) stacks of them."""
-    x, y = real_array(x, "x"), real_array(y, "y")
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x and y as float64 signals, or as (B, n) stacks of them, and the peak |value| of each row of each.
+
+    The peaks come from the finiteness check's own read of each input
+    (:func:`~cycshift.errors.real_rows`).
+    """
+    (x, px), (y, py) = real_rows(x, "x"), real_rows(y, "y")
     if x.ndim not in (1, 2) or y.ndim not in (1, 2):
         raise ValueError("signals must be one-dimensional, or a (B, n) stack of them")
     if x.size == 0:
         raise ValueError("signals are empty")
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return x, y
+    return x, y, px, py
 
 
 def _norm(v: np.ndarray):
@@ -176,7 +180,7 @@ def _estimate(method: str, n: int, shift: np.ndarray, score=None, scores=None, f
     ``score`` defaults to each row's ``scores`` at its shift, and
     ``flags`` (one tuple per row) to none.
     """
-    score = np.take_along_axis(scores, shift[..., None], -1)[..., 0] if score is None else score
+    score = scores.reshape(-1, n)[np.arange(shift.size), shift.ravel()] if score is None else score
     flags = ((),) * shift.size if flags is None else tuple(flags)
     if shift.ndim == 0:
         return ShiftEstimate(method, n, shift.item(), score.item(), scores, flags[0])
@@ -189,7 +193,7 @@ def _peak(method: str, scores: np.ndarray) -> ShiftEstimate:
 
 
 def _lift(spec: np.ndarray) -> np.ndarray:
-    """Scale each row of a complex array that peaks below 2**-400 up to near 1, in place.
+    """Scale each row of a complex array whose parts peak below 2**-401 up to near 1, in place.
 
     Returns the power of two applied to each row (0 where none was). The
     scale is exact and only ever upward, so an overflowed row stays as
@@ -230,10 +234,13 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
     A spectrum too small for the product to stay a normal float is
     scaled up by a power of two before it, and the scores are scaled
     back; if they then underflow so far that their argmax moves, the
-    call raises ValueError naming the underflow.
+    call raises ValueError naming the underflow. Only an input row
+    peaking below 2**-400 can give such a spectrum (see
+    ``cycshift.spectral.BAND``), so the spectra are scanned for it only
+    then; the zero test reads the input peaks too.
     """
-    x, y = _pair(x, y)
-    if not (x.any(axis=-1).all() and y.any(axis=-1).all()):
+    x, y, px, py = _pair(x, y)
+    if not (px.all() and py.all()):
         raise IdentifiabilityError("cross-correlation needs nonzero signals")
     n = x.shape[-1]
     # An overflowed product shows as a score that is not finite.
@@ -242,11 +249,11 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
         spec = np.fft.rfft(x)
         np.conjugate(spec, out=spec)
         ys = np.fft.rfft(y)
-        up = _lift(spec) + _lift(ys)
+        up = _lift(spec) + _lift(ys) if (np.minimum(px, py) < 2.0 ** -BAND).any() else None
         spec *= ys
         # The inverse lands in the spent spectrum of y.
         scores = np.fft.irfft(spec, n, out=ys.view(np.float64)[..., :n])
-    if up.any():
+    if up is not None:
         _lower("crosscorr", scores, up)
     return _peak("crosscorr", scores)
 
@@ -263,7 +270,7 @@ def shift_by_ratio(x, y) -> ShiftEstimate:
     0..n//2 are divided and the real inverse transform implies the
     rest.
     """
-    d, usable = _ratio_impulse(*_pair(x, y))
+    d, usable = _ratio_impulse(*_pair(x, y)[:2])
     if not usable.any(axis=-1).all():
         raise IdentifiabilityError("reference signal has no usable spectral bin (all zero)")
     return _peak("ratio", d)
@@ -332,12 +339,12 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
     ``abs(|rho| - 1)`` exceeds ``MISFIT_TOL`` the estimate is flagged
     ``"model_misfit"`` (y is not a pure delay of x) but still returned.
     """
-    x, y = _pair(x, y)
+    x, y = _pair(x, y)[:2]
     n = x.shape[-1]
     # An overflowed magnitude is refused by live, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         if i is None:
-            i = _strongest_bin(np.abs(rdft(x)), n) if n >= 2 else 0
+            i = _strongest_bin(np.abs(np.fft.rfft(x, norm="ortho")), n) if n >= 2 else 0
         else:
             i = as_index(i, "bin index i", 0, n)
             if gcd(i, n) != 1:
@@ -387,7 +394,7 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
         The fitted model and the reconstruction residual
         ||y - alpha * delay(x, s) - beta||_2.
     """
-    x, y = _pair(x, y)
+    x, y, x_peak, y_peak = _pair(x, y)
     if x.ndim != 1:
         raise ValueError("shift_affine takes one pair of one-dimensional signals")
     n = x.size
@@ -395,8 +402,7 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
         raise IdentifiabilityError(f"affine shift fit needs n >= 3 for three unknowns, got {n}")
     with np.errstate(over="ignore"):  # an overflowed sum is refused by live
         total = float(x.sum())
-    x_peak = float(max(x.max(), -x.min()))
-    if not live(abs(total), n * x_peak):
+    if not live(abs(total), n * float(x_peak)):
         raise IdentifiabilityError("sum(x) is numerically zero: the offset term is unidentifiable")
 
     # |X[0]| = |sum(x)| > tol * n * max|x| >= tol * max|X|, so bin 0 is live.
@@ -421,7 +427,5 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     if not finite((alpha, beta, residual)):
         raise ValueError("shift_affine: the fit is not finite (the inputs overflow)")
 
-    flags: tuple[str, ...] = ()
-    if not live(abs(alpha) * x_peak, float(max(y.max(), -y.min()))):
-        flags = ("alpha_unidentifiable",)
+    flags = () if live(abs(alpha) * float(x_peak), y_peak) else ("alpha_unidentifiable",)
     return AffineShiftModel(s, alpha, beta, flags), residual

@@ -14,8 +14,8 @@ scale factors into its ``norm=`` argument instead of a separate pass.
 
 Only this module knows when a spectral magnitude counts as zero
 (:func:`live`), when a magnitude is too extreme to use unscaled
-(:func:`scale_exponent`) and how a delay becomes a unit phase
-(:func:`unit_phases`).
+(:func:`scale_exponent` and the band ``BAND`` it keeps) and how a delay
+becomes a unit phase (:func:`unit_phases`).
 """
 
 from __future__ import annotations
@@ -24,13 +24,21 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .errors import as_index, finite, real_array
+from .errors import as_index, finite, peak, real_array
 
 __all__ = ["dft", "idft", "rdft", "fourier_column", "dft_entry"]
 
 # Relative size below which a spectral magnitude (a bin, a spectral row,
 # a single transform entry) counts as zero.
 ZERO_BIN_TOL = 1e-12
+
+# Peaks inside 2**±BAND need no scaling (scale_exponent gives them 0).
+# A real signal row peaking at p has, by Parseval, a bin of modulus at
+# least p among bins 0..n//2 of its unscaled transform (the n bins carry
+# n * sum(x**2) >= n * p**2, and a bin's mirror has its modulus), so a real
+# or imaginary part of at least p / sqrt(2). Only a row peaking below
+# 2**-BAND can therefore have a half-spectrum below the band.
+BAND = 400
 
 # Up to this length dft_entry evaluates all n phases directly; beyond it
 # the blocked evaluation's O(sqrt(n)) trigonometric calls are cheaper.
@@ -47,25 +55,25 @@ def live(values, scale=None):
     overflow: an overflowed magnitude is not zero, and reading it as the
     peak would make every finite value dead.
     """
-    peak = values.max(axis=-1, keepdims=True) if scale is None else scale
-    if not finite(peak):
+    scale = values.max(axis=-1, keepdims=True) if scale is None else scale
+    if not finite(scale):
         raise ValueError("the inputs overflow: a magnitude they give exceeds the float64 range")
-    return values > ZERO_BIN_TOL * peak
+    return values > ZERO_BIN_TOL * scale
 
 
 def scale_exponent(a: np.ndarray, axis=None):
-    """Binary exponent e of the peak |a| (peak = f * 2**e, 0.5 <= f < 1), or 0 inside 2**±400.
+    """Binary exponent e of the peak |a| (peak = f * 2**e, 0.5 <= f < 1), or 0 inside 2**±BAND.
 
     The peak is taken over ``axis`` of a real array (the whole array by
     default). ``ldexp(a, -e)`` peaks in [0.5, 1), or is ``a`` itself when
     e is 0; a power-of-two scale is exact. A zero or non-finite peak
     gives 0.
     """
-    e = np.frexp(np.maximum(a.max(axis=axis), -a.min(axis=axis)))[1]
-    # Within 2^±400, squares and pairwise products of entries from
+    e = np.frexp(peak(a, axis))[1]
+    # Within 2^±BAND, squares and pairwise products of entries from
     # ZERO_BIN_TOL of the peak up, summed over fewer than 2^62 terms, stay
     # normal floats, between 2^-1022 and 2^1023: no scaling is needed.
-    return np.where(abs(e) > 400, e, 0)
+    return np.where(abs(e) > BAND, e, 0)
 
 
 def unit_phases(k, s, n: int) -> np.ndarray:

@@ -247,6 +247,12 @@ def test_a_weak_live_bin_is_where_the_scan_and_the_closed_form_differ_by_design(
     # columns come within 1e-12 of the peak of its own.
     z = Measurement(v.values * np.exp(-2j * np.pi * np.array([2, 2048]) * 100 / 4096), v.sensing)
     assert shift_by_compressive_ratio(z, v).shift == 100
+    # argmax weights bin 2 by |v|**2 = 2.5e-21 of the peak's weight, below the
+    # scores' rounding, so it only knows the shift modulo 2 = n / gcd(n, 2048),
+    # and says so with its flag.
+    est = shift_by_compressive_argmax(z, v)
+    assert "ambiguous" in est.flags
+    assert est.shift % 2 == 100 % 2
 
 
 def test_estimators_settle_on_the_smallest_twin_when_dead_bins_merge_shifts():
