@@ -129,9 +129,8 @@ def embed(values, sensing: SensingSet) -> np.ndarray:
     vals = np.asarray(values, dtype=np.complex128)
     if vals.ndim != 1 or vals.size != sensing.m:
         raise ValueError(f"values: expected {sensing.m} values, got shape {vals.shape}")
-    require_finite(vals, "values")
     out = np.zeros(sensing.n, dtype=np.complex128)
-    out[list(sensing.indices)] = vals
+    out[list(sensing.indices)] = require_finite(vals, "values")
     return out
 
 

@@ -92,7 +92,10 @@ def real_rows(values, what: str) -> tuple[np.ndarray, np.ndarray]:
     is read off them.
     """
     arr = real_numbers(values, what).astype(np.float64, copy=False)
-    return arr, require_finite(peak(arr, -1 if arr.ndim else None), what)
+    peaks = peak(arr, -1 if arr.ndim else None)
+    # A peak is >= 0 or NaN, so the largest tests them all; one signal's peak is a float already.
+    require_finite(peaks.max() if peaks.ndim else peaks, what)
+    return arr, peaks
 
 
 def real_array(values, what: str) -> np.ndarray:

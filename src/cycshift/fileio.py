@@ -137,10 +137,9 @@ def _measurement_from(path, headers, data) -> Measurement:
         values = [complex(float(re), float(im)) for re, _, im in (s.partition(",") for s in data)]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    require_finite(values, str(path))
     if len(values) != sensing.m:
         raise ValueError(f"{path}: header K has {sensing.m} bins but file has {len(values)} values")
-    return Measurement(np.array(values), sensing)
+    return Measurement(require_finite(np.array(values), str(path)), sensing)
 
 
 def _load(path, want=None):

@@ -21,7 +21,8 @@ microseconds; when two trees ran, the ratio of their medians and the
 median over rounds of the ratio of a round's two processes; every
 process's figures; and the Python and numpy versions and the CPU count.
 
-No timing is asserted: ``--calls 50`` is a quick smoke run.
+No timing is asserted: ``--calls 50 --rounds 1`` is a quick smoke run
+(one process per tree); comparisons use the default 40 rounds.
 """
 
 from __future__ import annotations
