@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import IdentifiabilityError, as_index, as_tuple, real_array, require_finite
 from .retrieval import ShiftEstimate, _estimate, _lift, _lower, _norm
-from .spectral import dft_entry, live, unit_phases
+from .spectral import dft_entries, live, phase_factors, unit_phases
 
 __all__ = [
     "SensingSet",
@@ -100,8 +100,9 @@ def measure(x, sensing: SensingSet) -> Measurement:
 
     ``x`` is one signal of length n, or a (B, n) stack of them; a stack
     gives a (B, m) measurement whose row b equals the measurement of row
-    b alone, bit for bit. Each entry is evaluated directly in O(n); the
-    sensing matrix is never materialized. An entry that is zero against
+    b alone, bit for bit. One pass evaluates every entry directly, each
+    in O(n) with the bits :func:`~cycshift.spectral.dft_entry` gives it;
+    the sensing matrix is never materialized. An entry that is zero against
     the norm of its signal, the test
     :func:`~cycshift.retrieval.shift_single_bin` applies to its bin, is
     stored as an exact 0, so the measurement carries its own dead bins.
@@ -113,9 +114,9 @@ def measure(x, sensing: SensingSet) -> Measurement:
         raise ValueError(f"x: signal shape {x.shape} does not match ambient dimension {sensing.n}")
     # An overflowed entry or norm is refused by live, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        # One call per bin shares its phase table across the rows of a
-        # stack and contracts each row on its own, as for a single signal.
-        vals = np.array([dft_entry(x, k) for k in sensing.indices])  # bin-major: (m,) or (m, B)
+        # One pass takes every bin, bins on a leading axis; each (bin, row)
+        # entry is contracted on its own, with the bits of dft_entry(row, bin).
+        vals = dft_entries(x, np.reshape(sensing.indices, (-1,) + (1,) * (x.ndim - 1)))  # (m,) or (m, B)
         vals[~live(np.abs(vals), _norm(x))] = 0
     return Measurement(vals.T, sensing)
 
@@ -215,11 +216,6 @@ def _common_sensing(z: Measurement, v: Measurement) -> SensingSet:
     return z.sensing
 
 
-def _phase_table(sensing: SensingSet) -> np.ndarray:
-    """The (m, n) unit phases a delay by each shift puts on each sensed bin."""
-    return unit_phases(np.asarray(sensing.indices)[:, None], np.arange(sensing.n), sensing.n)
-
-
 # The flags of a settled estimate, indexed by ambiguous + 2 * dropped_bins.
 _FLAGS = ((), ("ambiguous",), ("dropped_bins",), ("ambiguous", "dropped_bins"))
 
@@ -271,20 +267,25 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     call, and give the stacked estimate described at
     :class:`~cycshift.retrieval.ShiftEstimate`, with one flag tuple per
     row; row b equals the estimate of that pair alone, bit for bit. The
-    call holds the (m, n) phase table and (B, n) scores.
+    call holds the two (m, ~sqrt(n)) phase factors of
+    :func:`~cycshift.spectral.phase_factors`, no (m, n) phase table, and
+    (B, n) scores.
     """
-    table = _phase_table(_common_sensing(z, v))
+    sensing = _common_sensing(z, v)
+    coarse, fine = phase_factors(sensing.indices, sensing.n)
     # An overflowed |v_i| is refused by live; an overflowed product shows
     # as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         live_bins = live(np.abs(v.values))
         zc, vc = np.conj(z.values), np.array(v.values)  # copies, lifted in place
         up = _lift(zc) + _lift(vc)
-        # One vector-matrix product per row, as for a single measurement.
-        scores = np.matmul((zc * vc)[..., None, :], table)[..., 0, :].real
+        # Shift i*b + j scores Re sum_k w_k * coarse[k, i] * fine[k, j]:
+        # one (a, m) @ (m, b) product per row, cut to the n shifts.
+        scores = ((zc * vc)[..., None, :] * coarse.T) @ fine
+        scores = scores.reshape(scores.shape[:-2] + (-1,))[..., :sensing.n].real
     if up.any():
         _lower("compressive_argmax", scores, up)
-    return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), live_bins, v.sensing)
+    return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), live_bins, sensing)
 
 
 def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
@@ -307,9 +308,13 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
     (B, m) stacks are scored as in :func:`shift_by_compressive_argmax`.
     Each row drops its own bins and gets its own flags; a row with no
     nonzero reference bin makes the whole call raise
-    IdentifiabilityError. The call holds (B, m, n) complex arrays.
+    IdentifiabilityError. The call holds the (m, n) phase table, built
+    from the two phase factors of :func:`~cycshift.spectral.phase_factors`,
+    and (B, m, n) complex arrays.
     """
-    table = _phase_table(_common_sensing(z, v))
+    sensing = _common_sensing(z, v)
+    coarse, fine = phase_factors(sensing.indices, sensing.n)
+    table = np.einsum("ka,kb->kab", coarse, fine).reshape(sensing.m, -1)[:, :sensing.n]
     keep = live(np.abs(v.values))  # holds at each row's peak unless the row is all zero
     if not keep.any(axis=-1).all():
         raise IdentifiabilityError("every reference measurement bin is zero")

@@ -14,8 +14,10 @@ scale factors into its ``norm=`` argument instead of a separate pass.
 
 Only this module knows when a spectral magnitude counts as zero
 (:func:`live`), when a magnitude is too extreme to use unscaled
-(:func:`scale_exponent` and the band ``BAND`` it keeps) and how a delay
-becomes a unit phase (:func:`unit_phases`).
+(:func:`scale_exponent` and the band ``BAND`` it keeps), how a delay
+becomes a unit phase (:func:`unit_phases`) and how the phases of all n
+delays split into two factors of O(sqrt(n)) phases each
+(:func:`phase_factors`).
 """
 
 from __future__ import annotations
@@ -162,45 +164,73 @@ def dft_entry(x, k):
     bits it gets alone.
 
     Long inputs are cut into blocks of b = ceil(sqrt(n)) samples, so
-    the phases cost O(sqrt(n)) trigonometric evaluations. Each block is
-    contracted against one shared real (2, b) table of cos and -sin
+    the phases cost O(sqrt(n)) trigonometric evaluations: the two
+    factors of :func:`phase_factors`. Each block is contracted against
+    one shared real (2, b) table of the fine factor's cos and -sin
     values, which gives the real and imaginary parts of its partial sum
-    without casting real input to complex; a second, length-n/b phase
-    vector then combines the blocks. All phase arguments are reduced
-    mod n before evaluation, so no accuracy is lost to large trig
-    arguments.
+    without casting real input to complex; the coarse factor then
+    combines the blocks. All phase arguments are reduced mod n before
+    evaluation, so no accuracy is lost to large trig arguments.
 
     Returns a complex scalar for 1-D input, a complex vector for 2-D.
     """
     arr = np.asarray(x)
     if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
         raise ValueError("x must be a nonempty 1-D vector or 2-D stack of vectors")
-    n = arr.shape[-1]
     k = np.asarray(k)
     if k.shape not in ((), arr.shape[:-1]):
         raise ValueError(f"expected one bin or one per row, got shape {k.shape}")
     for i in k.ravel().tolist():
-        as_index(i, "bin index k", 0, n)
-    k = k[..., None]  # broadcasts each row's bin along its phase table
+        as_index(i, "bin index k", 0, arr.shape[-1])
     if not np.iscomplexobj(arr):
         arr = arr.astype(np.float64, copy=False)
+    return dft_entries(arr, k)
 
+
+def dft_entries(x: np.ndarray, k: np.ndarray):
+    """``dft(x)[..., k]`` for float64 or complex ``x`` and checked integer bins ``k``.
+
+    ``k`` broadcasts against the leading axes of ``x``: one bin per row
+    as in :func:`dft_entry`, or bins on an axis of their own in front, so
+    that one pass evaluates every bin of a sensing set. Each (bin, row)
+    entry is its own vector product and gets the bits of
+    ``dft_entry(row, bin)``.
+    """
+    n = x.shape[-1]
     if n <= _DIRECT_ENTRY_MAX:
-        return _row_dot(arr, unit_phases(k, np.arange(n, dtype=np.int64), n)) / sqrt(n)
+        return _row_dot(x, unit_phases(k[..., None], np.arange(n, dtype=np.int64), n)) / sqrt(n)
 
-    b = isqrt(n - 1) + 1
-    m = -(-n // b)
+    coarse, fine = phase_factors(k, n)  # each broadcasts a row's bin along its phases
+    a, b = coarse.shape[-1], fine.shape[-1]
     if n % b:
-        pad = np.zeros(arr.shape[:-1] + (m * b - n,), dtype=arr.dtype)
-        arr = np.concatenate((arr, pad), axis=-1)
-    within = unit_phases(k, np.arange(b, dtype=np.int64), n)
-    trig = np.stack((within.real, within.imag), axis=-2)
-    across = unit_phases(k * b % n, np.arange(m, dtype=np.int64), n)
+        x = np.concatenate((x, np.zeros(x.shape[:-1] + (a * b - n,), dtype=x.dtype)), axis=-1)
+    trig = np.stack((fine.real, fine.imag), axis=-2)
     # einsum runs one single-threaded SIMD loop. A multithreaded BLAS
     # product over a signal this long can cost ~10x more (measured 8 ms
     # against 0.9 ms at n = 2^20 on 2 cores), mostly waking its threads.
-    partial = np.einsum("...mb,...kb->...mk", arr.reshape(arr.shape[:-1] + (m, b)), trig)
-    return _row_dot(partial[..., 0] + 1j * partial[..., 1], across) / sqrt(n)
+    partial = np.einsum("...mb,...kb->...mk", x.reshape(x.shape[:-1] + (a, b)), trig)
+    return _row_dot(partial[..., 0] + 1j * partial[..., 1], coarse) / sqrt(n)
+
+
+def phase_factors(k, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse and fine factors of the phases that delays put on bins ``k``.
+
+    With b = ceil(sqrt(n)) and a = ceil(n / b), a delay by s = i*b + j
+    (0 <= j < b) puts on bin k the phase coarse[..., i] * fine[..., j]:
+    coarse = unit_phases(k, b * arange(a), n) and fine =
+    unit_phases(k, arange(b), n), each with a trailing axis after those
+    of ``k``, both taken from one unit_phases call. Their a*b products
+    cover shifts 0..a*b-1, at least n of them; cut to the first n they
+    give every shift its phase, from O(sqrt(n)) trigonometric
+    evaluations per bin instead of n.
+    """
+    b = isqrt(n - 1) + 1
+    a = -(-n // b)
+    delays = np.arange(a + b, dtype=np.int64)
+    delays[:a] *= b  # b*i for the coarse factor
+    delays[a:] -= a  # j for the fine one
+    phases = unit_phases(np.asarray(k)[..., None], delays, n)
+    return phases[..., :a], phases[..., a:]
 
 
 def _row_dot(a: np.ndarray, v: np.ndarray):

@@ -1,4 +1,4 @@
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from cycshift import dft, dft_entry, fourier_column, idft
-from cycshift.spectral import _DIRECT_ENTRY_MAX, rdft
+from cycshift.spectral import _DIRECT_ENTRY_MAX, phase_factors, rdft
 
 
 def naive_dft(x):
@@ -115,6 +115,21 @@ def test_dft_entry_blocked_path_matches_fft(n, kind):
     for k in sorted(k for k in bins if k < n):
         got = dft_entry(x, k)
         assert np.abs(got - full[..., k]).max() <= 1e-10 * max(1.0, np.abs(full).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 4096, 4097])
+def test_phase_factors_multiply_to_the_dense_phase_table(n):
+    # Shift i*b + j takes coarse[i] * fine[j]. Where a*b > n (3, 7, 1000,
+    # 4097) the products run past the last shift and are cut to n.
+    coprime = next((k for k in range(n // 3 + 1, n) if gcd(k, n) == 1), 0)
+    k = np.array(sorted({0, n // 2, n - 1, coprime}))
+    coarse, fine = phase_factors(k, n)
+    a, b = coarse.shape[-1], fine.shape[-1]
+    assert coarse.shape == (k.size, a) and fine.shape == (k.size, b)
+    assert (a - 1) * b < n <= a * b and (b - 1) ** 2 < n <= b * b
+    product = (coarse[:, :, None] * fine[:, None, :]).reshape(k.size, -1)[:, :n]
+    dense = np.exp(-2j * np.pi * (np.outer(k, np.arange(n)) % n) / n)
+    assert np.abs(product - dense).max() <= 16 * np.finfo(np.float64).eps
 
 
 @given(st.integers(1, 64), st.integers(0, 2**32 - 1))

@@ -1,4 +1,4 @@
-"""Time one-pair calls at n = 64, for the working tree and optionally a second ``src/`` tree.
+"""Time one-pair calls, for the working tree and optionally a second ``src/`` tree.
 
 Run from anywhere as ``python tools/one_pair_timing.py``. It times, at
 n = 64, one call at a time of:
@@ -6,7 +6,14 @@ n = 64, one call at a time of:
 * ``shift_by_crosscorr``, ``shift_by_ratio``;
 * ``shift_single_bin`` with an automatic bin and with bin 1;
 * ``measure`` with K = (1, 3);
-* ``oracle.brute_force_shift``, the O(n^2) reference.
+* ``oracle.brute_force_shift``, the O(n^2) reference;
+
+and at n = 4096, on one row, the compressive path:
+
+* ``measure`` with the 4-bin K = (8, 100, 1001, 2048), whose one odd
+  bin pins the shift down;
+* ``shift_by_compressive_argmax`` and ``shift_by_compressive_ratio`` on
+  the two measurements of a pair delayed by 5.
 
 Each measurement runs in a fresh process that imports ``cycshift`` from
 one tree, warms each call up, then times ``--calls`` calls of each in
@@ -39,7 +46,9 @@ from pathlib import Path
 
 WORKING_SRC = Path(__file__).resolve().parent.parent / "src"
 N = 64
-CALLS = ("crosscorr", "ratio", "single_bin_auto", "single_bin_1", "measure_1_3", "brute_force_shift")
+N_COMPRESSIVE = 4096
+CALLS = ("crosscorr", "ratio", "single_bin_auto", "single_bin_1", "measure_1_3", "brute_force_shift",
+         "measure_4096_4_bins", "compressive_argmax_4096", "compressive_ratio_4096")
 BLOCKS = 10
 
 
@@ -57,12 +66,16 @@ def _worker(calls: int) -> dict:
     """Microseconds per call of each timed call, from the tree on sys.path."""
     import numpy as np
 
-    from cycshift import SensingSet, measure, oracle, shift_by_crosscorr, shift_by_ratio, shift_single_bin
+    from cycshift import (SensingSet, measure, oracle, shift_by_compressive_argmax, shift_by_compressive_ratio,
+                          shift_by_crosscorr, shift_by_ratio, shift_single_bin)
 
     rng = np.random.default_rng(17)
     x = rng.standard_normal(N)
     y = np.roll(x, 5)
     sensing = SensingSet(N, (1, 3))
+    long_x = rng.standard_normal(N_COMPRESSIVE)
+    bins = SensingSet(N_COMPRESSIVE, (8, 100, 1001, 2048))
+    z, v = measure(np.roll(long_x, 5), bins), measure(long_x, bins)
     bodies = {
         "crosscorr": lambda: shift_by_crosscorr(x, y),
         "ratio": lambda: shift_by_ratio(x, y),
@@ -70,6 +83,9 @@ def _worker(calls: int) -> dict:
         "single_bin_1": lambda: shift_single_bin(x, y, 1),
         "measure_1_3": lambda: measure(x, sensing),
         "brute_force_shift": lambda: oracle.brute_force_shift(x, y),
+        "measure_4096_4_bins": lambda: measure(long_x, bins),
+        "compressive_argmax_4096": lambda: shift_by_compressive_argmax(z, v),
+        "compressive_ratio_4096": lambda: shift_by_compressive_ratio(z, v),
     }
     block = max(1, calls // BLOCKS)
     for body in bodies.values():
@@ -121,7 +137,7 @@ def main(argv=None) -> None:
         for side in order:
             runs[side].append(_run_side(sides[side], args.calls))
     report = {
-        "what": f"one-pair calls at n = {N}: per process, the fastest of {BLOCKS} blocks of "
+        "what": f"one-pair calls at n = {N} and compressive calls at n = {N_COMPRESSIVE}: per process, the fastest of {BLOCKS} blocks of "
                 f"{max(1, args.calls // BLOCKS)} calls, in microseconds per call; "
                 f"{args.rounds} processes per tree" + (", alternating" if len(sides) > 1 else ""),
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
