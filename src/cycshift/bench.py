@@ -51,9 +51,10 @@ METHOD_TABLE = {
 METHODS = tuple(METHOD_TABLE)
 CSV_COLUMNS = ("snr_db", "method", "n", "m", "trials", "success_rate", "mean_elapsed_us")
 # Trials are drawn and scored in blocks of about this many samples, so a
-# sweep holds a few block-sized stacks at a time whatever its size. A
-# compressive cell's (trials, m, n) tables get at most four times as many
-# entries, so full sensing at large n scores fewer trials per block.
+# sweep holds a few block-sized stacks at a time whatever its size. Only
+# a compressive_ratio cell holds a (trials, m, n) array, its phase
+# differences; it gets at most four times as many entries, so full
+# sensing at large n scores fewer trials per block.
 _BLOCK_SAMPLES = 1 << 18
 
 

@@ -33,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from .errors import IdentifiabilityError, as_index, finite, real_array, real_rows
-from .spectral import BAND, dft_entry, live, scale_exponent
+from .spectral import BAND, dft_entries, live, scale_exponent
 
 __all__ = [
     "ShiftEstimate",
@@ -338,10 +338,13 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
     The estimate's score is |rho|, which equals 1 for exact shifts. If
     ``abs(|rho| - 1)`` exceeds ``MISFIT_TOL`` the estimate is flagged
     ``"model_misfit"`` (y is not a pure delay of x) but still returned.
+    A bin whose ratio overflows gives a score that is not finite, which
+    raises ValueError naming the overflow.
     """
     x, y = _pair(x, y)[:2]
     n = x.shape[-1]
-    # An overflowed magnitude is refused by live, without numpy's warnings.
+    # An overflowed magnitude is refused by live, and an overflowed phase
+    # by the estimate's score, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         if i is None:
             i = _strongest_bin(np.abs(np.fft.rfft(x, norm="ortho")), n) if n >= 2 else 0
@@ -351,23 +354,19 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
                 raise IdentifiabilityError(
                     f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"
                 )
-        xi, yi, norm = dft_entry(x, i), dft_entry(y, i), _norm(x)
-    # The O(1) end runs per row in Python numbers; numpy's array forms of it round differently.
-    rows = zip(*(np.ravel(a).tolist() for a in np.broadcast_arrays(xi, yi, norm, i)))
-    shift, score, flags = zip(*(_phase_shift(*row, n) for row in rows))
-    shape = np.shape(norm)
-    return _estimate("single_bin", n, np.reshape(shift, shape), np.reshape(score, shape), None, flags)
-
-
-def _phase_shift(xi: complex, yi: complex, norm: float, i: int, n: int):
-    """Shift, score |rho| and flags of single_bin from X[i], Y[i] and ||x||."""
-    if not live(abs(xi), norm):
-        raise IdentifiabilityError(f"bin {i} of the reference spectrum is numerically zero")
-    rho = yi / xi
-    flags = ("model_misfit",) if abs(abs(rho) - 1.0) > MISFIT_TOL else ()
-    t = round(-float(np.angle(rho)) * n / (2 * np.pi)) % n
-    s = (t * pow(i, -1, n)) % n if n > 1 else 0
-    return int(s), float(abs(rho)), flags
+        # All rows in one pass; the bins are checked above, so dft_entries does not check them again.
+        k = np.asarray(i)
+        xi = dft_entries(x, k)
+        usable = live(np.abs(xi), _norm(x))
+        if not usable.all():
+            dead = np.broadcast_to(k, usable.shape)[~usable][0]
+            raise IdentifiabilityError(f"bin {dead} of the reference spectrum is numerically zero")
+        rho = dft_entries(y, k) / xi
+        score = np.abs(rho)
+        t = np.rint(-np.angle(rho) * n / (2 * np.pi)).astype(np.int64) % n
+    shift = t * np.reshape([pow(b, -1, n) for b in k.ravel().tolist()], k.shape) % n
+    flags = map(((), ("model_misfit",)).__getitem__, np.ravel(np.abs(score - 1.0) > MISFIT_TOL).tolist())
+    return _estimate("single_bin", n, shift, score, None, flags)
 
 
 def shift_affine(x, y) -> tuple[AffineShiftModel, float]:

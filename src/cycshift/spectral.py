@@ -26,9 +26,9 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .errors import as_index, finite, peak, real_array
+from .errors import as_index, finite, peak
 
-__all__ = ["dft", "idft", "rdft", "fourier_column", "dft_entry"]
+__all__ = ["dft", "idft", "fourier_column", "dft_entry"]
 
 # Relative size below which a spectral magnitude (a bin, a spectral row,
 # a single transform entry) counts as zero.
@@ -124,17 +124,6 @@ def idft(X) -> np.ndarray:
     ``idft(dft(x))`` reproduces ``x`` to machine precision.
     """
     return np.fft.ifft(_as_vector(X, "X"), norm="ortho")
-
-
-def rdft(x, axis: int = -1) -> np.ndarray:
-    """Bins 0..n//2 of the unitary DFT of real input, along ``axis``.
-
-    A real signal has a conjugate-symmetric spectrum, X[n-a] =
-    conj(X[a]), so these n//2 + 1 bins determine the rest. Computing
-    only them takes about half the work and memory of :func:`dft`.
-    Complex values, NaN and infinities in x raise ValueError.
-    """
-    return np.fft.rfft(real_array(x, "x"), axis=axis, norm="ortho")
 
 
 def fourier_column(n: int, q: int) -> np.ndarray:

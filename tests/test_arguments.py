@@ -33,7 +33,6 @@ from cycshift import (
 )
 from cycshift.bench import ExperimentConfig
 from cycshift.fileio import save_measurement, save_signal
-from cycshift.spectral import rdft
 
 X = np.random.default_rng(0).standard_normal(8)
 MAT = np.random.default_rng(1).standard_normal((8, 3))
@@ -53,7 +52,6 @@ ARRAY_SITES = {
     "ls_circulant_fit X": (lambda a: ls_circulant_fit(a, MAT), MAT, "X"),
     "ls_circulant_fit Y": (lambda a: ls_circulant_fit(MAT, a), MAT, "Y"),
     "save_signal": (lambda a: save_signal(os.devnull, a), X, "values"),
-    "rdft": (rdft, X, "x"),
     "ShiftEstimate": (lambda a: ShiftEstimate("crosscorr", 8, 0, 1.0, a), X.copy(), "scores"),
 }
 

@@ -117,6 +117,18 @@ def test_an_overflowed_magnitude_is_refused_by_name(call):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("i", [1, None], ids=["bin 1", "automatic bin"])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_single_bin_refuses_an_overflowed_bin_of_y_by_name(n, i):
+    # x and its norm are unit scale; Y[i] sums n samples of +-1.7e308 and
+    # overflows, so the phase of rho is NaN and must not reach a shift.
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n), 1.7e308 * np.sign(rng.standard_normal(n))
+    with pytest.raises(ValueError, match=r"^single_bin: the score is \S+ \(the inputs overflow\)$"):
+        shift_single_bin(x, y, i)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_crosscorr_and_apply_keep_their_overflow_messages():
     with pytest.raises(ValueError, match=r"^crosscorr: the score is nan \(the inputs overflow\)$"):
         shift_by_crosscorr(TOP, np.roll(TOP, 3))

@@ -6,8 +6,9 @@ returns still held, is read in units of one n-float array (8n bytes).
 The spectrum of a real signal, n//2 + 1 complex values, is one such
 unit, so two spectra and a few boolean masks stay under 2.25 of them.
 
-A stacked compressive argmax call holds its (B, n) scores and the
-(m, n) phase table, never a (B, m, n) array of measured columns.
+A stacked compressive argmax call holds its (B, n) scores and the two
+phase factors of ``spectral.phase_factors``, O(m * sqrt(n)) phases in
+all, never a (B, m, n) array of measured columns.
 """
 
 import tracemalloc

@@ -4,8 +4,9 @@ Run from anywhere as ``python tools/one_pair_timing.py``. It times, at
 n = 64, one call at a time of:
 
 * ``shift_by_crosscorr``, ``shift_by_ratio``;
-* ``shift_single_bin`` with an automatic bin and with bin 1;
-* ``measure`` with K = (1, 3);
+* ``shift_single_bin`` with an automatic bin and with bin 1, and with
+  an automatic bin on one (20, 64) stack, the shape of a bench cell;
+* ``measure`` and ``check_sensing_conditions`` with K = (1, 3);
 * ``oracle.brute_force_shift``, the O(n^2) reference;
 
 and at n = 4096, on one row, the compressive path:
@@ -47,8 +48,10 @@ from pathlib import Path
 WORKING_SRC = Path(__file__).resolve().parent.parent / "src"
 N = 64
 N_COMPRESSIVE = 4096
-CALLS = ("crosscorr", "ratio", "single_bin_auto", "single_bin_1", "measure_1_3", "brute_force_shift",
-         "measure_4096_4_bins", "compressive_argmax_4096", "compressive_ratio_4096")
+CALLS = ("crosscorr", "ratio", "single_bin_auto", "single_bin_1", "single_bin_auto_20x64", "measure_1_3",
+         "check_sensing_64", "brute_force_shift", "measure_4096_4_bins", "compressive_argmax_4096",
+         "compressive_ratio_4096")
+CELL_ROWS = 20
 BLOCKS = 10
 
 
@@ -66,8 +69,8 @@ def _worker(calls: int) -> dict:
     """Microseconds per call of each timed call, from the tree on sys.path."""
     import numpy as np
 
-    from cycshift import (SensingSet, measure, oracle, shift_by_compressive_argmax, shift_by_compressive_ratio,
-                          shift_by_crosscorr, shift_by_ratio, shift_single_bin)
+    from cycshift import (SensingSet, check_sensing_conditions, measure, oracle, shift_by_compressive_argmax,
+                          shift_by_compressive_ratio, shift_by_crosscorr, shift_by_ratio, shift_single_bin)
 
     rng = np.random.default_rng(17)
     x = rng.standard_normal(N)
@@ -76,12 +79,16 @@ def _worker(calls: int) -> dict:
     long_x = rng.standard_normal(N_COMPRESSIVE)
     bins = SensingSet(N_COMPRESSIVE, (8, 100, 1001, 2048))
     z, v = measure(np.roll(long_x, 5), bins), measure(long_x, bins)
+    cell_x = rng.standard_normal((CELL_ROWS, N))
+    cell_y = np.roll(cell_x, 5, axis=-1)
     bodies = {
         "crosscorr": lambda: shift_by_crosscorr(x, y),
         "ratio": lambda: shift_by_ratio(x, y),
         "single_bin_auto": lambda: shift_single_bin(x, y),
         "single_bin_1": lambda: shift_single_bin(x, y, 1),
+        "single_bin_auto_20x64": lambda: shift_single_bin(cell_x, cell_y),
         "measure_1_3": lambda: measure(x, sensing),
+        "check_sensing_64": lambda: check_sensing_conditions(x, sensing),
         "brute_force_shift": lambda: oracle.brute_force_shift(x, y),
         "measure_4096_4_bins": lambda: measure(long_x, bins),
         "compressive_argmax_4096": lambda: shift_by_compressive_argmax(z, v),
@@ -137,7 +144,8 @@ def main(argv=None) -> None:
         for side in order:
             runs[side].append(_run_side(sides[side], args.calls))
     report = {
-        "what": f"one-pair calls at n = {N} and compressive calls at n = {N_COMPRESSIVE}: per process, the fastest of {BLOCKS} blocks of "
+        "what": f"one-pair calls and one ({CELL_ROWS}, {N}) stack at n = {N}, and compressive calls at "
+                f"n = {N_COMPRESSIVE}: per process, the fastest of {BLOCKS} blocks of "
                 f"{max(1, args.calls // BLOCKS)} calls, in microseconds per call; "
                 f"{args.rounds} processes per tree" + (", alternating" if len(sides) > 1 else ""),
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
