@@ -20,13 +20,14 @@ rows to the one estimate builder of :mod:`cycshift.retrieval`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 
 from .errors import IdentifiabilityError, as_index, as_tuple, real_array, require_finite
 from .retrieval import ShiftEstimate, _estimate, _lift, _lower, _norm
-from .spectral import dft_entries, live, phase_factors, unit_phases
+from .spectral import BAND, dft_entries, entry_phases, live, phase_factors, unit_phases
 
 __all__ = [
     "SensingSet",
@@ -46,6 +47,14 @@ class SensingSet:
     ``n`` and each index must be integers (Python or numpy; a float,
     even a whole one, raises ValueError), with n >= 1 and every index in
     0..n-1.
+
+    The set holds the arrays its bins determine, built on its first
+    measurement or estimate and kept for the next: their two phase
+    factors from :func:`~cycshift.spectral.phase_factors`, which both
+    estimators read, and the phases :func:`measure` contracts a signal
+    against (:func:`~cycshift.spectral.entry_phases`, built from those
+    factors). Building a set builds neither; equality and hashing read
+    ``n`` and ``indices`` alone.
     """
 
     n: int
@@ -65,6 +74,12 @@ class SensingSet:
     @property
     def m(self) -> int:
         return len(self.indices)
+
+    @cached_property
+    def _arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]:
+        factors = phase_factors(self.indices, self.n)
+        # measure's phases put the bins on an axis of their own, in front of a stack's rows.
+        return factors, entry_phases(np.array(self.indices)[:, None], self.n, [f[:, None] for f in factors])
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +116,8 @@ def measure(x, sensing: SensingSet) -> Measurement:
     ``x`` is one signal of length n, or a (B, n) stack of them; a stack
     gives a (B, m) measurement whose row b equals the measurement of row
     b alone, bit for bit. One pass evaluates every entry directly, each
-    in O(n) with the bits :func:`~cycshift.spectral.dft_entry` gives it;
+    in O(n) with the bits :func:`~cycshift.spectral.dft_entry` gives it,
+    from the phases the sensing set keeps for every call;
     the sensing matrix is never materialized. An entry that is zero against
     the norm of its signal, the test
     :func:`~cycshift.retrieval.shift_single_bin` applies to its bin, is
@@ -116,9 +132,9 @@ def measure(x, sensing: SensingSet) -> Measurement:
     with np.errstate(over="ignore", invalid="ignore"):
         # One pass takes every bin, bins on a leading axis; each (bin, row)
         # entry is contracted on its own, with the bits of dft_entry(row, bin).
-        vals = dft_entries(x, np.reshape(sensing.indices, (-1,) + (1,) * (x.ndim - 1)))  # (m,) or (m, B)
+        vals = dft_entries(x, sensing._arrays[1])  # (m, 1) or (m, B)
         vals[~live(np.abs(vals), _norm(x))] = 0
-    return Measurement(vals.T, sensing)
+    return Measurement(vals.T.reshape(x.shape[:-1] + (sensing.m,)), sensing)
 
 
 def embed(values, sensing: SensingSet) -> np.ndarray:
@@ -267,23 +283,28 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     call, and give the stacked estimate described at
     :class:`~cycshift.retrieval.ShiftEstimate`, with one flag tuple per
     row; row b equals the estimate of that pair alone, bit for bit. The
-    call holds the two (m, ~sqrt(n)) phase factors of
-    :func:`~cycshift.spectral.phase_factors`, no (m, n) phase table, and
-    (B, n) scores.
+    call reads the two (m, ~sqrt(n)) phase factors its sensing set keeps
+    (:func:`~cycshift.spectral.phase_factors`), holds no (m, n) phase
+    table, and returns (B, n) scores. Only a row of z or v peaking below
+    2**(1 - BAND) in modulus can have parts small enough to need scaling
+    (``cycshift.spectral.BAND``), so the rows are scanned for it only
+    then, as :func:`~cycshift.retrieval.shift_by_crosscorr` scans its
+    spectra.
     """
     sensing = _common_sensing(z, v)
-    coarse, fine = phase_factors(sensing.indices, sensing.n)
+    coarse, fine = sensing._arrays[0]
     # An overflowed |v_i| is refused by live; an overflowed product shows
     # as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         live_bins = live(np.abs(v.values))
         zc, vc = np.conj(z.values), np.array(v.values)  # copies, lifted in place
-        up = _lift(zc) + _lift(vc)
+        # _lift scales only parts below 2**-401, which no row peaking at 2**(1 - BAND) in modulus has.
+        up = _lift(zc) + _lift(vc) if (np.abs((z.values, v.values)).max(axis=-1) < 2.0 ** (1 - BAND)).any() else 0
         # Shift i*b + j scores Re sum_k w_k * coarse[k, i] * fine[k, j]:
         # one (a, m) @ (m, b) product per row, cut to the n shifts.
         scores = ((zc * vc)[..., None, :] * coarse.T) @ fine
         scores = scores.reshape(scores.shape[:-2] + (-1,))[..., :sensing.n].real
-    if up.any():
+    if np.any(up):
         _lower("compressive_argmax", scores, up)
     return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), live_bins, sensing)
 
@@ -308,21 +329,26 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
     (B, m) stacks are scored as in :func:`shift_by_compressive_argmax`.
     Each row drops its own bins and gets its own flags; a row with no
     nonzero reference bin makes the whole call raise
-    IdentifiabilityError. The call holds the (m, n) phase table, built
-    from the two phase factors of :func:`~cycshift.spectral.phase_factors`,
-    and (B, m, n) complex arrays.
+    IdentifiabilityError. The residuals come from the two phase factors
+    its sensing set keeps (:func:`~cycshift.spectral.phase_factors`),
+    with no (m, n) phase table: as |coarse_ki| = 1, shift i*b + j has
+    |rho_k - coarse_ki * fine_kj| = |rho_k * conj(coarse_ki) - fine_kj|
+    on bin k. The call holds one (B, m, a*b) complex difference, a*b
+    being n or a little more, and (B, n) residuals.
     """
     sensing = _common_sensing(z, v)
-    coarse, fine = phase_factors(sensing.indices, sensing.n)
-    table = np.einsum("ka,kb->kab", coarse, fine).reshape(sensing.m, -1)[:, :sensing.n]
+    coarse, fine = sensing._arrays[0]
     keep = live(np.abs(v.values))  # holds at each row's peak unless the row is all zero
     if not keep.any(axis=-1).all():
         raise IdentifiabilityError("every reference measurement bin is zero")
     # An overflowed ratio shows as a residual that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         rho = np.divide(z.values, v.values, out=np.zeros(z.values.shape, complex), where=keep)
-        diff = rho[..., None] - table
-        diff[~keep] = 0  # a dropped bin adds an exact 0 to each sum of squares
-        residuals = np.linalg.norm(diff, axis=-2)
+        # Each bin's differences for shifts 0..a*b-1, real and imaginary parts side by side.
+        sq = ((rho[..., None] * coarse.conj())[..., None] - fine[:, None, :]).reshape(rho.shape + (-1,)).view(float)
+        sq *= sq
+        sq[~keep] = 0  # a dropped bin adds an exact 0 to each sum of squares
+        sums = sq.sum(axis=-2)[..., :2 * sensing.n]  # over bins, cut to the n shifts
+        residuals = np.sqrt(sums[..., ::2] + sums[..., 1::2])
     return _settle("compressive_ratio", residuals, np.argmin(residuals, axis=-1), keep, v.sensing,
                    ~keep.all(axis=-1))

@@ -33,7 +33,7 @@ from math import gcd
 import numpy as np
 
 from .errors import IdentifiabilityError, as_index, finite, real_array, real_rows
-from .spectral import BAND, dft_entries, live, scale_exponent
+from .spectral import BAND, dft_entries, entry_phases, live, scale_exponent
 
 __all__ = [
     "ShiftEstimate",
@@ -355,16 +355,16 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
                     f"bin {i} cannot disambiguate all {n} shifts: gcd({i}, {n}) != 1"
                 )
         # All rows in one pass; the bins are checked above, so dft_entries does not check them again.
-        k = np.asarray(i)
-        xi = dft_entries(x, k)
+        phases = entry_phases(i, n)  # built once for x and y
+        xi = dft_entries(x, phases)
         usable = live(np.abs(xi), _norm(x))
         if not usable.all():
-            dead = np.broadcast_to(k, usable.shape)[~usable][0]
+            dead = np.broadcast_to(i, usable.shape)[~usable][0]
             raise IdentifiabilityError(f"bin {dead} of the reference spectrum is numerically zero")
-        rho = dft_entries(y, k) / xi
+        rho = dft_entries(y, phases) / xi
         score = np.abs(rho)
         t = np.rint(-np.angle(rho) * n / (2 * np.pi)).astype(np.int64) % n
-    shift = t * np.reshape([pow(b, -1, n) for b in k.ravel().tolist()], k.shape) % n
+    shift = t * np.reshape([pow(b, -1, n) for b in np.ravel(i).tolist()], np.shape(i)) % n
     flags = map(((), ("model_misfit",)).__getitem__, np.ravel(np.abs(score - 1.0) > MISFIT_TOL).tolist())
     return _estimate("single_bin", n, shift, score, None, flags)
 

@@ -15,9 +15,10 @@ scale factors into its ``norm=`` argument instead of a separate pass.
 Only this module knows when a spectral magnitude counts as zero
 (:func:`live`), when a magnitude is too extreme to use unscaled
 (:func:`scale_exponent` and the band ``BAND`` it keeps), how a delay
-becomes a unit phase (:func:`unit_phases`) and how the phases of all n
+becomes a unit phase (:func:`unit_phases`), how the phases of all n
 delays split into two factors of O(sqrt(n)) phases each
-(:func:`phase_factors`).
+(:func:`phase_factors`) and which phases a transform entry is
+contracted against (:func:`entry_phases`).
 """
 
 from __future__ import annotations
@@ -173,13 +174,30 @@ def dft_entry(x, k):
         as_index(i, "bin index k", 0, arr.shape[-1])
     if not np.iscomplexobj(arr):
         arr = arr.astype(np.float64, copy=False)
-    return dft_entries(arr, k)
+    return dft_entries(arr, entry_phases(k, arr.shape[-1]))
 
 
-def dft_entries(x: np.ndarray, k: np.ndarray):
-    """``dft(x)[..., k]`` for float64 or complex ``x`` and checked integer bins ``k``.
+def entry_phases(k, n: int, factors=None) -> tuple[np.ndarray, ...]:
+    """The phases :func:`dft_entries` contracts a length-n signal against to take integer bins ``k``.
 
-    ``k`` broadcasts against the leading axes of ``x``: one bin per row
+    Up to ``_DIRECT_ENTRY_MAX`` they are the n unit phases of each bin,
+    as a one-item tuple; beyond it, the coarse factor of
+    :func:`phase_factors` and one real (..., 2, b) table of the fine
+    factor's cos and -sin values. Each array has its trailing axes after
+    those of ``k``. ``factors`` is ``phase_factors(k, n)`` when the
+    caller already holds it. Built once, the phases serve every signal
+    of length n.
+    """
+    if n <= _DIRECT_ENTRY_MAX:
+        return (unit_phases(np.asarray(k)[..., None], np.arange(n, dtype=np.int64), n),)
+    coarse, fine = phase_factors(k, n) if factors is None else factors
+    return coarse, np.stack((fine.real, fine.imag), axis=-2)
+
+
+def dft_entries(x: np.ndarray, phases: tuple[np.ndarray, ...]):
+    """``dft(x)[..., k]`` for float64 or complex ``x``, given ``phases = entry_phases(k, n)`` of checked bins ``k``.
+
+    The bins ``k`` broadcast against the leading axes of ``x``: one bin per row
     as in :func:`dft_entry`, or bins on an axis of their own in front, so
     that one pass evaluates every bin of a sensing set. Each (bin, row)
     entry is its own vector product and gets the bits of
@@ -187,13 +205,12 @@ def dft_entries(x: np.ndarray, k: np.ndarray):
     """
     n = x.shape[-1]
     if n <= _DIRECT_ENTRY_MAX:
-        return _row_dot(x, unit_phases(k[..., None], np.arange(n, dtype=np.int64), n)) / sqrt(n)
+        return _row_dot(x, phases[0]) / sqrt(n)
 
-    coarse, fine = phase_factors(k, n)  # each broadcasts a row's bin along its phases
-    a, b = coarse.shape[-1], fine.shape[-1]
+    coarse, trig = phases  # each broadcasts a row's bin along its phases
+    a, b = coarse.shape[-1], trig.shape[-1]
     if n % b:
         x = np.concatenate((x, np.zeros(x.shape[:-1] + (a * b - n,), dtype=x.dtype)), axis=-1)
-    trig = np.stack((fine.real, fine.imag), axis=-2)
     # einsum runs one single-threaded SIMD loop. A multithreaded BLAS
     # product over a signal this long can cost ~10x more (measured 8 ms
     # against 0.9 ms at n = 2^20 on 2 cores), mostly waking its threads.

@@ -21,9 +21,10 @@ from cycshift import (
     shift_by_ratio,
     shift_single_bin,
 )
+from cycshift import compressive, spectral
 from cycshift.compressive import _duplicate_groups
 from cycshift.oracle import argmax_identity_check, brute_force_shift, materialize
-from cycshift.spectral import ZERO_BIN_TOL
+from cycshift.spectral import ZERO_BIN_TOL, phase_factors, unit_phases
 
 
 def sensing_matrix(sensing):
@@ -636,6 +637,51 @@ def test_stacked_ratio_residuals_leave_each_rows_dropped_bins_out():
         rho = z.values[row, kept] / v.values[row, kept]
         phases = np.exp(-2j * np.pi * np.outer(k[kept], np.arange(n)) / n)
         assert_allclose(est.scores[row], np.linalg.norm(rho[:, None] - phases, axis=0), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 31, 100, 1000, 4096])
+def test_ratio_residuals_are_the_dense_direct_difference(n):
+    # The reference takes every shift's phases directly, n per bin. At 3,
+    # 5, 31 and 1000 the factored residuals run past shift n - 1 (a*b > n)
+    # and are cut. Cases alternate one pair and (3, m) stacks; every third
+    # drops bin 0 of each row; z is scaled by 10^-3..10^3.
+    rng = np.random.default_rng(n)
+    for case in range(24):
+        m = int(rng.integers(1, min(6, n) + 1))
+        sensing = SensingSet(n, tuple(sorted(rng.choice(n, size=m, replace=False).tolist())))
+        shape = (m,) if case % 2 else (3, m)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z = 10.0 ** rng.integers(-3, 4) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        if case % 3 == 0 and m > 1:
+            v[..., 0] = 0
+        est = shift_by_compressive_ratio(Measurement(z, sensing), Measurement(v, sensing))
+        keep = v != 0
+        rho = np.divide(z, v, out=np.zeros(shape, complex), where=keep)
+        phases = unit_phases(np.asarray(sensing.indices)[:, None], np.arange(n), n)
+        dense = np.linalg.norm(np.where(keep[..., None], rho[..., None] - phases, 0), axis=-2)
+        assert (np.abs(est.scores - dense).max(axis=-1) <= 1e-15 * dense.max(axis=-1)).all()
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_a_sensing_set_builds_its_phase_factors_once_on_first_use(n, monkeypatch):
+    # n = 64 measures by the direct evaluation, n = 4096 by the blocked one.
+    calls = []
+
+    def counted(k, n):
+        calls.append(n)
+        return phase_factors(k, n)
+
+    monkeypatch.setattr(compressive, "phase_factors", counted)
+    monkeypatch.setattr(spectral, "phase_factors", counted)
+    sensing, twin = SensingSet(n, (1, 3, 8)), SensingSet(n, (1, 3, 8))
+    assert vars(sensing) == {"n": n, "indices": (1, 3, 8)} and not calls
+    x = np.random.default_rng(n).standard_normal(n)
+    z, v = measure(np.roll(x, 5), sensing), measure(x, sensing)
+    assert shift_by_compressive_argmax(z, v).shift == shift_by_compressive_ratio(z, v).shift == 5
+    assert len(calls) == 1
+    # What the set keeps is no part of its value.
+    assert sensing == twin and hash(sensing) == hash(twin) and repr(sensing) == repr(twin)
+    assert len({sensing, twin}) == 1
 
 
 def test_ratio_settles_twins_on_its_kept_bins_alone():

@@ -8,7 +8,10 @@ unit, so two spectra and a few boolean masks stay under 2.25 of them.
 
 A stacked compressive argmax call holds its (B, n) scores and the two
 phase factors of ``spectral.phase_factors``, O(m * sqrt(n)) phases in
-all, never a (B, m, n) array of measured columns.
+all, never a (B, m, n) array of measured columns. A stacked compressive
+ratio call holds one (B, m, a*b) complex difference, a*b being n or a
+little more, and a few (B, n)-sized float arrays: no (m, n) phase table
+and no complex temporaries beside the difference.
 """
 
 import tracemalloc
@@ -22,6 +25,7 @@ from cycshift import (
     measure,
     shift_affine,
     shift_by_compressive_argmax,
+    shift_by_compressive_ratio,
     shift_by_crosscorr,
     shift_by_ratio,
 )
@@ -69,3 +73,13 @@ def test_compressive_argmax_stack_holds_no_column_per_bin():
     K = SensingSet(n, (1, 3, 5, 7))
     z, v = measure(np.roll(X, 7, axis=1), K), measure(X, K)
     assert traced_peak(shift_by_compressive_argmax, z, v) * N / (B * n) < 4
+
+
+def test_compressive_ratio_stack_holds_one_difference():
+    # 20 rows at n = 4096, m = 4: the difference is 2m units of 8Bn; its
+    # sums over bins, their pairs and the residuals add four more.
+    B, n, m = 20, 4096, 4
+    X = np.random.default_rng(2).standard_normal((B, n))
+    K = SensingSet(n, (1, 3, 5, 7))
+    z, v = measure(np.roll(X, 7, axis=1), K), measure(X, K)
+    assert traced_peak(shift_by_compressive_ratio, z, v) * N / (B * n) < 2 * m + 5
