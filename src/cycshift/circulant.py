@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import as_index, finite, real_array
-from .spectral import dft, live, scale_exponent
+from .errors import as_index, finite, peak, real_array, real_rows
+from .spectral import dft, live, to_band
 
 __all__ = ["Circulant", "make_shift", "ls_circulant_fit"]
 
@@ -58,21 +58,31 @@ class Circulant:
         conjugate-symmetric and the real inverse transform implies the
         other modes. The result is therefore real by construction. It is
         a view of the first n slots of the spectrum of x, which the
-        inverse transform overwrites once the product is formed. An x
-        holding complex values, NaN or an infinity raises ValueError
-        naming x, and so does a product that is not finite.
+        inverse transform overwrites once the product is formed.
+
+        The product is taken of the first column * 2**-a and x * 2**-b,
+        where 2**a and 2**b are the binary orders of their peaks outside
+        2**±BAND (:func:`~cycshift.spectral.to_band`), and is
+        scaled back by 2**(a + b), exactly, as in
+        :func:`ls_circulant_fit`. So it is right at any finite magnitude
+        whose answer is finite. An x holding complex values, NaN or an
+        infinity raises ValueError naming x, and so does a product that
+        is not finite.
         """
-        x = real_array(x, "x")
+        x, x_peak = real_rows(x, "x")
         if x.shape != (self.n,):
             raise ValueError(f"dimension mismatch: matrix is {self.n}, vector has shape {x.shape}")
+        (col, a), (x, b) = to_band(self.first_column, peak(self.first_column)), to_band(x, x_peak)
         # An overflowed product is refused below, without numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             # Unscaled forward transforms and the 1/n inverse: a circular convolution.
-            spec = np.fft.rfft(self.first_column)
+            spec = np.fft.rfft(col)
             xs = np.fft.rfft(x)
             spec *= xs
             # The inverse lands in the spent spectrum of x.
             out = np.fft.irfft(spec, self.n, out=xs.view(np.float64)[: self.n])
+            if a + b:
+                np.ldexp(out, a + b, out=out)
         if not finite(out):
             raise ValueError("Circulant.apply: the product is not finite")
         return out
@@ -123,19 +133,19 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
         in the Fourier domain where the spectra are already available.
 
     The fit runs on X * 2**-a and Y * 2**-b, where 2**a and 2**b are
-    the binary orders of the two peaks, and is scaled back by 2**(b - a)
-    and 2**b: a power-of-two scale is exact, so the spectral products
-    neither overflow nor underflow at any finite magnitude. Peaks within
-    2**±400 are not scaled (a = 0 or b = 0), since the products are safe
-    there. A fit whose column or residual exceeds the float64 range
-    raises ValueError, as do complex values, NaN or an infinity in X or
-    Y.
+    the binary orders of the two peaks outside 2**±BAND
+    (:func:`~cycshift.spectral.to_band`; a = 0 or b = 0 inside
+    it), and is scaled back by 2**(b - a) and 2**b: a power-of-two scale
+    is exact, so the spectral products neither overflow nor underflow at
+    any finite magnitude. A fit whose column or residual exceeds the
+    float64 range raises ValueError, as do complex values, NaN or an
+    infinity in X or Y.
     """
     X, Y = (a[:, None] if a.ndim == 1 else a for a in (real_array(X, "X"), real_array(Y, "Y")))
     if X.ndim != 2 or X.shape != Y.shape or X.size == 0:
         raise ValueError(f"X and Y must be real matrices of identical shape, got {X.shape} vs {Y.shape}")
-    a, b = scale_exponent(X), scale_exponent(Y)
-    col, residual = _fit(np.ldexp(X, -a) if a else X, np.ldexp(Y, -b) if b else Y)
+    (X, a), (Y, b) = to_band(X, peak(X)), to_band(Y, peak(Y))
+    col, residual = _fit(X, Y)
     # C maps X * 2**-a to Y * 2**-b exactly when 2**(b - a) * C maps X to Y.
     with np.errstate(over="ignore"):
         col, residual = np.ldexp(col, b - a), float(np.ldexp(residual, b))
@@ -145,7 +155,7 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
 
 
 def _fit(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:
-    """First column and residual of the fit, for X and Y whose peaks lie in [2**-401, 2**400) or are 0."""
+    """First column and residual of the fit, for X and Y whose peaks lie in [2**-BAND, 2**BAND) or are 0."""
     n = X.shape[0]
     Xs, Ys = np.fft.rfft(X, axis=0, norm="ortho"), np.fft.rfft(Y, axis=0, norm="ortho")
     energy = np.vecdot(Xs, Xs).real  # vecdot conjugates its first argument

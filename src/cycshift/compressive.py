@@ -26,8 +26,8 @@ from math import gcd
 import numpy as np
 
 from .errors import IdentifiabilityError, as_index, as_tuple, real_array, require_finite
-from .retrieval import ShiftEstimate, _estimate, _lift, _lower, _norm
-from .spectral import BAND, dft_entries, entry_phases, live, phase_factors, unit_phases
+from .retrieval import ShiftEstimate, _estimate, _lower, _norm
+from .spectral import BAND, dft_entries, entry_phases, live, phase_factors, to_band, unit_phases
 
 __all__ = [
     "SensingSet",
@@ -274,10 +274,10 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     n = 4096, g = 2, yet the estimate is certain only modulo 2, not 2048;
     :func:`shift_by_compressive_ratio` divides by v_i and keeps such a bin.
     An overflowed |v_i| raises ValueError
-    naming the overflow. Measurements too small for their product are
-    handled as in
-    :func:`~cycshift.retrieval.shift_by_crosscorr`: scaled up by a power
-    of two, with ValueError if the scores then underflow.
+    naming the overflow. A row of z or v peaking below 2**-BAND in
+    modulus is scaled before any product, as in
+    :func:`~cycshift.retrieval.shift_by_crosscorr`: up by a power of
+    two, with ValueError if the scores then underflow.
 
     (B, m) stacks z and v score row b of z against row b of v in one
     call, and give the stacked estimate described at
@@ -285,11 +285,7 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     row; row b equals the estimate of that pair alone, bit for bit. The
     call reads the two (m, ~sqrt(n)) phase factors its sensing set keeps
     (:func:`~cycshift.spectral.phase_factors`), holds no (m, n) phase
-    table, and returns (B, n) scores. Only a row of z or v peaking below
-    2**(1 - BAND) in modulus can have parts small enough to need scaling
-    (``cycshift.spectral.BAND``), so the rows are scanned for it only
-    then, as :func:`~cycshift.retrieval.shift_by_crosscorr` scans its
-    spectra.
+    table, and returns (B, n) scores.
     """
     sensing = _common_sensing(z, v)
     coarse, fine = sensing._arrays[0]
@@ -297,15 +293,16 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     # as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         live_bins = live(np.abs(v.values))
-        zc, vc = np.conj(z.values), np.array(v.values)  # copies, lifted in place
-        # _lift scales only parts below 2**-401, which no row peaking at 2**(1 - BAND) in modulus has.
-        up = _lift(zc) + _lift(vc) if (np.abs((z.values, v.values)).max(axis=-1) < 2.0 ** (1 - BAND)).any() else 0
+        zv = np.array((np.conj(z.values), v.values))  # scaled as one array, row by row
+        # Only upward (a peak above 1 reads as 1): an overflowing row stays as it is.
+        peaks = np.minimum(np.abs(zv).max(axis=-1), 1.0)
+        zv, e = to_band(zv, peaks) if (peaks < 2.0 ** -BAND).any() else (zv, 0)
         # Shift i*b + j scores Re sum_k w_k * coarse[k, i] * fine[k, j]:
         # one (a, m) @ (m, b) product per row, cut to the n shifts.
-        scores = ((zc * vc)[..., None, :] * coarse.T) @ fine
+        scores = ((zv[0] * zv[1])[..., None, :] * coarse.T) @ fine
         scores = scores.reshape(scores.shape[:-2] + (-1,))[..., :sensing.n].real
-    if np.any(up):
-        _lower("compressive_argmax", scores, up)
+    if np.any(e):
+        _lower("compressive_argmax", scores, e.sum(axis=0))
     return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), live_bins, sensing)
 
 

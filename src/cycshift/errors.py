@@ -93,8 +93,9 @@ def real_rows(values, what: str) -> tuple[np.ndarray, np.ndarray]:
     """
     arr = real_numbers(values, what).astype(np.float64, copy=False)
     peaks = peak(arr, -1 if arr.ndim else None)
-    # A peak is >= 0 or NaN, so the largest tests them all; one signal's peak is a float already.
-    require_finite(peaks.max() if peaks.ndim else peaks, what)
+    # A peak is >= 0 or NaN, so the largest tests them all (a stack of no rows has none);
+    # one signal's peak is a float already.
+    require_finite(peaks.max(initial=0.0) if peaks.ndim else peaks, what)
     return arr, peaks
 
 

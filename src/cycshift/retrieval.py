@@ -32,8 +32,8 @@ from math import gcd
 
 import numpy as np
 
-from .errors import IdentifiabilityError, as_index, finite, real_array, real_rows
-from .spectral import BAND, dft_entries, entry_phases, live, scale_exponent
+from .errors import IdentifiabilityError, as_index, finite, peak, real_array, real_rows
+from .spectral import BAND, dft_entries, entry_phases, live, to_band
 
 __all__ = [
     "ShiftEstimate",
@@ -123,15 +123,14 @@ def _norm(v: np.ndarray):
     # einsum's single-threaded loop; np.linalg.norm goes through BLAS,
     # whose thread start-up dominates on long signals. Beyond ~1e154 the
     # sum of squares overflows and below ~1e-154 it underflows (as it is
-    # for a zero row), so such a row is then divided by its peak once.
+    # for a zero row), so such a row is then scaled into the band first.
     rows = v.reshape(-1, v.shape[-1])
     sq = np.einsum("ij,ij->i", rows, rows)
     norm = np.sqrt(sq)
     odd = (sq < np.finfo(np.float64).tiny) | (sq == np.inf)
     if odd.any():
-        peak = np.abs(rows[odd]).max(axis=-1, keepdims=True)
-        u = rows[odd] / np.where(peak > 0, peak, 1.0)
-        norm[odd] = peak[:, 0] * np.sqrt(np.einsum("ij,ij->i", u, u))
+        u, e = to_band(rows[odd], peak(rows[odd], -1))
+        norm[odd] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", u, u)), e)
     return norm if v.ndim > 1 else norm.item()
 
 
@@ -192,29 +191,15 @@ def _peak(method: str, scores: np.ndarray) -> ShiftEstimate:
     return _estimate(method, scores.shape[-1], np.argmax(scores, axis=-1), scores=scores)
 
 
-def _lift(spec: np.ndarray) -> np.ndarray:
-    """Scale each row of a complex array whose parts peak below 2**-401 up to near 1, in place.
-
-    Returns the power of two applied to each row (0 where none was). The
-    scale is exact and only ever upward, so an overflowed row stays as
-    it is.
-    """
-    r = spec.view(np.float64)
-    up = -np.minimum(scale_exponent(r, -1), 0)
-    if up.any():
-        np.ldexp(r, up[..., None], out=r)
-    return up
-
-
-def _lower(method: str, scores: np.ndarray, up) -> None:
-    """Scale scores formed from lifted factors back down by 2**-up, in place, row by row.
+def _lower(method: str, scores: np.ndarray, e) -> None:
+    """Scale scores formed from inputs scaled up by 2**-e back down by 2**e, in place, row by row.
 
     Raises ValueError naming the underflow if that rounding moves the
     argmax of a row: the scores of such inputs are too small for float64
     to tell the shifts apart.
     """
     s = np.argmax(scores, axis=-1)
-    np.ldexp(scores, -up[..., None], out=scores)
+    np.ldexp(scores, e[..., None], out=scores)
     if (np.argmax(scores, axis=-1) != s).any():
         raise ValueError(f"{method}: the scores underflow (the inputs are too small)")
 
@@ -231,30 +216,31 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
     inverse lands in the spent spectrum of y, so the call holds two
     spectrum-sized buffers.
 
-    A spectrum too small for the product to stay a normal float is
-    scaled up by a power of two before it, and the scores are scaled
-    back; if they then underflow so far that their argmax moves, the
-    call raises ValueError naming the underflow. Only an input row
-    peaking below 2**-400 can give such a spectrum (see
-    ``cycshift.spectral.BAND``), so the spectra are scanned for it only
-    then; the zero test reads the input peaks too.
+    An input row peaking below 2**-BAND is scaled up by a power of two
+    before the transforms (:func:`~cycshift.spectral.to_band`), and the
+    scores are scaled back; if they then underflow so far that their
+    argmax moves, the call raises ValueError naming the underflow. The
+    row peaks come from the finiteness check's own read, which also
+    gives the zero test.
     """
     x, y, px, py = _pair(x, y)
     if not (px.all() and py.all()):
         raise IdentifiabilityError("cross-correlation needs nonzero signals")
     n = x.shape[-1]
+    if lift := (np.minimum(px, py) < 2.0 ** -BAND).any():
+        # Only upward (a peak above 1 reads as 1): an overflowing row stays as it is.
+        (x, ex), (y, ey) = to_band(x, np.minimum(px, 1.0)), to_band(y, np.minimum(py, 1.0))
     # An overflowed product shows as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         # Unscaled forward transforms and the 1/n inverse give the inner products.
         spec = np.fft.rfft(x)
         np.conjugate(spec, out=spec)
         ys = np.fft.rfft(y)
-        up = _lift(spec) + _lift(ys) if (np.minimum(px, py) < 2.0 ** -BAND).any() else None
         spec *= ys
         # The inverse lands in the spent spectrum of y.
         scores = np.fft.irfft(spec, n, out=ys.view(np.float64)[..., :n])
-    if up is not None:
-        _lower("crosscorr", scores, up)
+    if lift:
+        _lower("crosscorr", scores, ex + ey)
     return _peak("crosscorr", scores)
 
 

@@ -13,8 +13,9 @@ only a product of transforms may call ``numpy.fft`` directly and fold the
 scale factors into its ``norm=`` argument instead of a separate pass.
 
 Only this module knows when a spectral magnitude counts as zero
-(:func:`live`), when a magnitude is too extreme to use unscaled
-(:func:`scale_exponent` and the band ``BAND`` it keeps), how a delay
+(:func:`live`), when an input row is too extreme to take unscaled into
+a transform or product and by which power of two it is scaled instead
+(:func:`to_band` and the band ``BAND`` it keeps), how a delay
 becomes a unit phase (:func:`unit_phases`), how the phases of all n
 delays split into two factors of O(sqrt(n)) phases each
 (:func:`phase_factors`) and which phases a transform entry is
@@ -27,7 +28,7 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .errors import as_index, finite, peak
+from .errors import as_index, finite
 
 __all__ = ["dft", "idft", "fourier_column", "dft_entry"]
 
@@ -35,12 +36,7 @@ __all__ = ["dft", "idft", "fourier_column", "dft_entry"]
 # a single transform entry) counts as zero.
 ZERO_BIN_TOL = 1e-12
 
-# Peaks inside 2**±BAND need no scaling (scale_exponent gives them 0).
-# A real signal row peaking at p has, by Parseval, a bin of modulus at
-# least p among bins 0..n//2 of its unscaled transform (the n bins carry
-# n * sum(x**2) >= n * p**2, and a bin's mirror has its modulus), so a real
-# or imaginary part of at least p / sqrt(2). Only a row peaking below
-# 2**-BAND can therefore have a half-spectrum below the band.
+# A row peaking outside 2**±BAND is scaled before any product (to_band).
 BAND = 400
 
 # Up to this length dft_entry evaluates all n phases directly; beyond it
@@ -64,19 +60,25 @@ def live(values, scale=None):
     return values > ZERO_BIN_TOL * scale
 
 
-def scale_exponent(a: np.ndarray, axis=None):
-    """Binary exponent e of the peak |a| (peak = f * 2**e, 0.5 <= f < 1), or 0 inside 2**±BAND.
+def to_band(a: np.ndarray, peaks):
+    """``a`` with each row scaled into the band by a power of two, and the exponents e that scaled it.
 
-    The peak is taken over ``axis`` of a real array (the whole array by
-    default). ``ldexp(a, -e)`` peaks in [0.5, 1), or is ``a`` itself when
-    e is 0; a power-of-two scale is exact. A zero or non-finite peak
-    gives 0.
+    ``peaks`` holds the largest |value| of each row of ``a`` (one for
+    the whole of ``a`` scales it as one row), read before any transform
+    or product. A row peaking outside [2**-BAND, 2**BAND) at
+    f * 2**e (0.5 <= f < 1) becomes ``ldexp(row, -e)``, which peaks in
+    [0.5, 1); any other row, and a zero or non-finite peak, keeps e = 0
+    and is left as it is (``a`` itself is returned when no row is
+    scaled). A complex ``a`` is scaled part by part. A power-of-two
+    scale is exact while the values stay normal floats, so a result
+    formed from the scaled rows scales back exactly to the result of
+    ``a``.
     """
-    e = np.frexp(peak(a, axis))[1]
-    # Within 2^±BAND, squares and pairwise products of entries from
+    # Inside the band, squares and pairwise products of entries from
     # ZERO_BIN_TOL of the peak up, summed over fewer than 2^62 terms, stay
     # normal floats, between 2^-1022 and 2^1023: no scaling is needed.
-    return np.where(abs(e) > BAND, e, 0)
+    e = np.where((peaks < 2.0 ** -BAND) | (peaks >= 2.0 ** BAND), np.frexp(peaks)[1], 0)
+    return (np.ldexp(a.view(np.float64), -e[..., None]).view(a.dtype) if e.any() else a), e
 
 
 def unit_phases(k, s, n: int) -> np.ndarray:

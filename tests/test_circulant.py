@@ -57,6 +57,8 @@ def test_apply_matches_materialized(n):
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         Circulant(np.ones(4)).apply(np.ones(5))
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        Circulant(np.ones(2)).apply(np.empty((0, 2)))
 
 
 def test_eigenvalues_identity():
@@ -235,6 +237,19 @@ def test_apply_refuses_a_product_that_overflows():
     assert np.isfinite(Circulant(HUGE / 3e300).apply(HUGE / 3e300)).all()
     with pytest.raises(ValueError, match="Circulant.apply"):
         Circulant(HUGE).apply(HUGE)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_apply_scales_extreme_factors_by_powers_of_two():
+    # Unscaled, the spectra of this pair multiply to ~4e310 and overflow,
+    # though every entry of the product is 1e307.
+    impulse = np.zeros(4096)
+    impulse[3] = 1e300
+    assert_allclose(Circulant(impulse).apply(np.full(4096, 1e7)), np.roll(np.full(4096, 1e307), 3), rtol=1e-12)
+    x = np.random.default_rng(11).standard_normal(64)
+    impulse = np.zeros(64)
+    impulse[3] = 2.0 ** -600
+    assert_allclose(Circulant(impulse).apply(np.ldexp(x, 600)), np.roll(x, 3), rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -76,6 +76,8 @@ def test_crosscorr_errors():
         shift_by_crosscorr([1, 2], [1, 2, 3])
     with pytest.raises(IdentifiabilityError):
         shift_by_crosscorr([0.0, 0.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^signals are empty$"):
+        shift_by_crosscorr(np.empty((0, 5)), np.empty((0, 5)))
 
 
 # ---------------------------------------------------------------------------

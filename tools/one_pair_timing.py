@@ -4,6 +4,9 @@ Run from anywhere as ``python tools/one_pair_timing.py``. It times, at
 n = 64, one call at a time of:
 
 * ``shift_by_crosscorr``, ``shift_by_ratio``;
+* ``shift_by_crosscorr`` on the same pair scaled by 2^-450, below the
+  band ``cycshift.spectral.BAND``, so both rows are scaled up before the
+  transforms and the scores scaled back (``crosscorr_tiny``);
 * ``shift_single_bin`` with an automatic bin and with bin 1, and with
   an automatic bin on one (20, 64) stack, the shape of a bench cell;
 * ``measure`` and ``check_sensing_conditions`` with K = (1, 3);
@@ -55,8 +58,8 @@ from pathlib import Path
 WORKING_SRC = Path(__file__).resolve().parent.parent / "src"
 N = 64
 N_COMPRESSIVE = 4096
-CALLS = ("crosscorr", "ratio", "single_bin_auto", "single_bin_1", "single_bin_auto_20x64", "measure_1_3",
-         "check_sensing_64", "brute_force_shift", "measure_4096_4_bins", "compressive_argmax_4096",
+CALLS = ("crosscorr", "crosscorr_tiny", "ratio", "single_bin_auto", "single_bin_1", "single_bin_auto_20x64",
+         "measure_1_3", "check_sensing_64", "brute_force_shift", "measure_4096_4_bins", "compressive_argmax_4096",
          "compressive_ratio_4096", "compressive_argmax_4096_fresh", "compressive_ratio_4096_fresh")
 CELL_ROWS = 20
 BLOCKS = 10
@@ -82,6 +85,7 @@ def _worker(calls: int) -> dict:
     rng = np.random.default_rng(17)
     x = rng.standard_normal(N)
     y = np.roll(x, 5)
+    tiny_x, tiny_y = np.ldexp(x, -450), np.ldexp(y, -450)
     sensing = SensingSet(N, (1, 3))
     long_x = rng.standard_normal(N_COMPRESSIVE)
     bins = SensingSet(N_COMPRESSIVE, (8, 100, 1001, 2048))
@@ -96,6 +100,7 @@ def _worker(calls: int) -> dict:
     cell_y = np.roll(cell_x, 5, axis=-1)
     bodies = {
         "crosscorr": lambda: shift_by_crosscorr(x, y),
+        "crosscorr_tiny": lambda: shift_by_crosscorr(tiny_x, tiny_y),
         "ratio": lambda: shift_by_ratio(x, y),
         "single_bin_auto": lambda: shift_single_bin(x, y),
         "single_bin_1": lambda: shift_single_bin(x, y, 1),
