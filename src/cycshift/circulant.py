@@ -47,8 +47,15 @@ class Circulant:
         For a real circulant the vector is conjugate-symmetric: entry 0
         is real, entry n-k is the conjugate of entry k, and entry n/2 is
         real when n is even.
+
+        A first column peaking outside 2**±BAND is transformed as
+        column * 2**-e (:func:`~cycshift.spectral.to_band`) and the
+        eigenvalues are scaled back by 2**e, exactly, as in
+        :meth:`apply`; eigenvalues beyond the float64 range raise
+        ValueError naming the call.
         """
-        return np.sqrt(self.n) * dft(self.first_column)
+        col, e = to_band(self.first_column, peak(self.first_column))
+        return _scaled_back(np.sqrt(self.n) * dft(col), e, "Circulant.eigenvalues: the spectrum")
 
     def apply(self, x) -> np.ndarray:
         """Multiply by a real vector via the Fourier diagonalization.
@@ -73,19 +80,15 @@ class Circulant:
         if x.shape != (self.n,):
             raise ValueError(f"dimension mismatch: matrix is {self.n}, vector has shape {x.shape}")
         (col, a), (x, b) = to_band(self.first_column, peak(self.first_column)), to_band(x, x_peak)
-        # An overflowed product is refused below, without numpy's warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Unscaled forward transforms and the 1/n inverse: a circular convolution.
-            spec = np.fft.rfft(col)
-            xs = np.fft.rfft(x)
-            spec *= xs
-            # The inverse lands in the spent spectrum of x.
-            out = np.fft.irfft(spec, self.n, out=xs.view(np.float64)[: self.n])
-            if a + b:
-                np.ldexp(out, a + b, out=out)
-        if not finite(out):
-            raise ValueError("Circulant.apply: the product is not finite")
-        return out
+        # Unscaled forward transforms and the 1/n inverse: a circular
+        # convolution. Both factors peak inside the band, so it cannot
+        # overflow before it is scaled back.
+        spec = np.fft.rfft(col)
+        xs = np.fft.rfft(x)
+        spec *= xs
+        # The inverse lands in the spent spectrum of x.
+        out = np.fft.irfft(spec, self.n, out=xs.view(np.float64)[: self.n])
+        return _scaled_back(out, a + b, "Circulant.apply: the product")
 
 
 def make_shift(n: int, s: int) -> Circulant:
@@ -147,11 +150,22 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
     (X, a), (Y, b) = to_band(X, peak(X)), to_band(Y, peak(Y))
     col, residual = _fit(X, Y)
     # C maps X * 2**-a to Y * 2**-b exactly when 2**(b - a) * C maps X to Y.
-    with np.errstate(over="ignore"):
-        col, residual = np.ldexp(col, b - a), float(np.ldexp(residual, b))
-    if not (finite(col) and finite(residual)):
-        raise ValueError("ls_circulant_fit: the fit is not finite")
-    return Circulant(col), residual
+    col = _scaled_back(col, b - a, "ls_circulant_fit: the fit")
+    return Circulant(col), float(_scaled_back(np.array(residual), b, "ls_circulant_fit: the fit"))
+
+
+def _scaled_back(out: np.ndarray, e, what: str) -> np.ndarray:
+    """``out`` (float or complex) times 2**e, in place; ValueError naming ``what`` if it is not finite.
+
+    ``e`` broadcasts against ``out``'s real values (its float64 view).
+    """
+    if np.any(e):
+        # An overflowed value is refused below, without numpy's warnings.
+        with np.errstate(over="ignore"):
+            np.ldexp(out.view(np.float64), e, out=out.view(np.float64))
+    if not finite(out):
+        raise ValueError(f"{what} is not finite")
+    return out
 
 
 def _fit(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:

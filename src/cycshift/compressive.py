@@ -52,9 +52,11 @@ class SensingSet:
     measurement or estimate and kept for the next: their two phase
     factors from :func:`~cycshift.spectral.phase_factors`, which both
     estimators read, and the phases :func:`measure` contracts a signal
-    against (:func:`~cycshift.spectral.entry_phases`, built from those
-    factors). Building a set builds neither; equality and hashing read
-    ``n`` and ``indices`` alone.
+    against (:func:`~cycshift.spectral.entry_phases`). Beyond
+    n = 512 those are the same two factors, bins on a leading axis, the
+    fine one read as (cos, -sin) pairs by one BLAS product per (bin,
+    row); up to it, each bin's n unit phases. Building a set builds
+    neither; equality and hashing read ``n`` and ``indices`` alone.
     """
 
     n: int

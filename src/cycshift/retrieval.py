@@ -195,12 +195,13 @@ def _lower(method: str, scores: np.ndarray, e) -> None:
     """Scale scores formed from inputs scaled up by 2**-e back down by 2**e, in place, row by row.
 
     Raises ValueError naming the underflow if that rounding moves the
-    argmax of a row: the scores of such inputs are too small for float64
-    to tell the shifts apart.
+    argmax of a row, or leaves all zero a row whose scores were not: the
+    scores of such inputs are too small for float64 to tell the shifts
+    apart.
     """
-    s = np.argmax(scores, axis=-1)
+    s, nonzero = np.argmax(scores, axis=-1), scores.any(axis=-1)
     np.ldexp(scores, e[..., None], out=scores)
-    if (np.argmax(scores, axis=-1) != s).any():
+    if (np.argmax(scores, axis=-1) != s).any() or (nonzero > scores.any(axis=-1)).any():
         raise ValueError(f"{method}: the scores underflow (the inputs are too small)")
 
 
@@ -219,9 +220,9 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
     An input row peaking below 2**-BAND is scaled up by a power of two
     before the transforms (:func:`~cycshift.spectral.to_band`), and the
     scores are scaled back; if they then underflow so far that their
-    argmax moves, the call raises ValueError naming the underflow. The
-    row peaks come from the finiteness check's own read, which also
-    gives the zero test.
+    argmax moves or they all vanish, the call raises ValueError naming
+    the underflow. The row peaks come from the finiteness check's own
+    read, which also gives the zero test.
     """
     x, y, px, py = _pair(x, y)
     if not (px.all() and py.all()):

@@ -19,7 +19,9 @@ a transform or product and by which power of two it is scaled instead
 becomes a unit phase (:func:`unit_phases`), how the phases of all n
 delays split into two factors of O(sqrt(n)) phases each
 (:func:`phase_factors`) and which phases a transform entry is
-contracted against (:func:`entry_phases`).
+contracted against (:func:`entry_phases`): on long signals, those two
+factors themselves, the fine one read as (cos, -sin) pairs by one BLAS
+product per entry (:func:`dft_entries`).
 """
 
 from __future__ import annotations
@@ -39,8 +41,14 @@ ZERO_BIN_TOL = 1e-12
 # A row peaking outside 2**±BAND is scaled before any product (to_band).
 BAND = 400
 
-# Up to this length dft_entry evaluates all n phases directly; beyond it
-# the blocked evaluation's O(sqrt(n)) trigonometric calls are cheaper.
+# Up to this length dft_entry evaluates all n phases directly; beyond it,
+# blocked, from O(sqrt(n)) trigonometric calls. Timed against the
+# per-bin product on a 2-vCPU host (n = 256..1024), there is no single
+# crossover: dft_entry, which builds its phases per call, is cheaper
+# blocked from n = 384-512 (37 against 45 us at 512, 35 against 69 at
+# 1024); a 4-bin measure on a set that holds its phases stays 4-10 us
+# cheaper direct up to 1024, and one that builds them is cheaper
+# blocked from 256 on.
 _DIRECT_ENTRY_MAX = 512
 
 
@@ -155,14 +163,16 @@ def dft_entry(x, k):
     contracted as its own vector product, so a row of a stack gets the
     bits it gets alone.
 
-    Long inputs are cut into blocks of b = ceil(sqrt(n)) samples, so
+    Long inputs are cut into a blocks of b = ceil(sqrt(n)) samples, so
     the phases cost O(sqrt(n)) trigonometric evaluations: the two
-    factors of :func:`phase_factors`. Each block is contracted against
-    one shared real (2, b) table of the fine factor's cos and -sin
-    values, which gives the real and imaginary parts of its partial sum
-    without casting real input to complex; the coarse factor then
-    combines the blocks. All phase arguments are reduced mod n before
-    evaluation, so no accuracy is lost to large trig arguments.
+    factors of :func:`phase_factors`. The blocks are contracted against
+    the fine factor itself, whose float64 view holds each phase as a
+    (cos, -sin) pair: one (a, b) @ (b, 2) BLAS product per row gives the
+    real and imaginary parts of every block's partial sum without
+    casting real input to complex, and the coarse factor then combines
+    the blocks. A complex signal is taken as its real and imaginary
+    parts, each a real signal. All phase arguments are reduced mod n
+    before evaluation, so no accuracy is lost to large trig arguments.
 
     Returns a complex scalar for 1-D input, a complex vector for 2-D.
     """
@@ -174,50 +184,53 @@ def dft_entry(x, k):
         raise ValueError(f"expected one bin or one per row, got shape {k.shape}")
     for i in k.ravel().tolist():
         as_index(i, "bin index k", 0, arr.shape[-1])
-    if not np.iscomplexobj(arr):
-        arr = arr.astype(np.float64, copy=False)
-    return dft_entries(arr, entry_phases(k, arr.shape[-1]))
+    if np.iscomplexobj(arr):  # the real and the imaginary part, each a real signal
+        return dft_entry(arr.real, k) + 1j * dft_entry(arr.imag, k)
+    return dft_entries(arr.astype(np.float64, copy=False), entry_phases(k, arr.shape[-1]))
 
 
 def entry_phases(k, n: int, factors=None) -> tuple[np.ndarray, ...]:
     """The phases :func:`dft_entries` contracts a length-n signal against to take integer bins ``k``.
 
     Up to ``_DIRECT_ENTRY_MAX`` they are the n unit phases of each bin,
-    as a one-item tuple; beyond it, the coarse factor of
-    :func:`phase_factors` and one real (..., 2, b) table of the fine
-    factor's cos and -sin values. Each array has its trailing axes after
-    those of ``k``. ``factors`` is ``phase_factors(k, n)`` when the
-    caller already holds it. Built once, the phases serve every signal
-    of length n.
+    as a one-item tuple; beyond it, the coarse and fine factors of
+    :func:`phase_factors` themselves. Each array has its trailing axis
+    after those of ``k``. ``factors`` is ``phase_factors(k, n)`` when
+    the caller already holds it. Built once, the phases serve every
+    signal of length n.
     """
     if n <= _DIRECT_ENTRY_MAX:
         return (unit_phases(np.asarray(k)[..., None], np.arange(n, dtype=np.int64), n),)
-    coarse, fine = phase_factors(k, n) if factors is None else factors
-    return coarse, np.stack((fine.real, fine.imag), axis=-2)
+    return tuple(phase_factors(k, n) if factors is None else factors)
 
 
 def dft_entries(x: np.ndarray, phases: tuple[np.ndarray, ...]):
-    """``dft(x)[..., k]`` for float64 or complex ``x``, given ``phases = entry_phases(k, n)`` of checked bins ``k``.
+    """``dft(x)[..., k]`` for float64 ``x``, given ``phases = entry_phases(k, n)`` of checked bins ``k``.
 
     The bins ``k`` broadcast against the leading axes of ``x``: one bin per row
     as in :func:`dft_entry`, or bins on an axis of their own in front, so
     that one pass evaluates every bin of a sensing set. Each (bin, row)
-    entry is its own vector product and gets the bits of
+    entry is its own product and gets the bits of
     ``dft_entry(row, bin)``.
     """
     n = x.shape[-1]
     if n <= _DIRECT_ENTRY_MAX:
         return _row_dot(x, phases[0]) / sqrt(n)
 
-    coarse, trig = phases  # each broadcasts a row's bin along its phases
-    a, b = coarse.shape[-1], trig.shape[-1]
+    coarse, fine = phases  # each broadcasts a row's bin along its phases
+    a, b = coarse.shape[-1], fine.shape[-1]
     if n % b:
         x = np.concatenate((x, np.zeros(x.shape[:-1] + (a * b - n,), dtype=x.dtype)), axis=-1)
-    # einsum runs one single-threaded SIMD loop. A multithreaded BLAS
-    # product over a signal this long can cost ~10x more (measured 8 ms
-    # against 0.9 ms at n = 2^20 on 2 cores), mostly waking its threads.
-    partial = np.einsum("...mb,...kb->...mk", x.reshape(x.shape[:-1] + (a, b)), trig)
-    return _row_dot(partial[..., 0] + 1j * partial[..., 1], coarse) / sqrt(n)
+    # The fine factor's float64 view holds each phase as a (cos, -sin)
+    # pair: one (a, b) @ (b, 2) BLAS product per (bin, row) gives the real
+    # and imaginary parts of every block's partial sum, read back as
+    # complex. At n = 2^20 on 2 cores it takes dft_entry 0.86-0.88 ms,
+    # against 1.0-1.2 ms for the single-threaded einsum it replaced; there
+    # OpenBLAS runs it on both cores, and its worker thread then spins
+    # for ~0.13 s of CPU time (up to n = 2^18 the product runs on one).
+    pairs = fine.view(np.float64).reshape(fine.shape + (2,))
+    partial = (x.reshape(x.shape[:-1] + (a, b)) @ pairs).view(np.complex128)[..., 0]
+    return _row_dot(partial, coarse) / sqrt(n)
 
 
 def phase_factors(k, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -240,6 +240,17 @@ def test_apply_refuses_a_product_that_overflows():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigenvalues_scale_by_powers_of_two_or_refuse_an_overflow():
+    x = np.random.default_rng(12).standard_normal(8)
+    unit = Circulant(x).eigenvalues()
+    for e in (600, -600):  # outside the band, scaled into it and back
+        assert Circulant(np.ldexp(x, e)).eigenvalues().tobytes() == (unit * 2.0**e).tobytes()
+    top = 1e308 * np.array([1, -0.5, 0.8, 0.9, 0.2, 0.3, -0.7, 0.1])  # eigenvalue 0 is ~2.1e308
+    with pytest.raises(ValueError, match="Circulant.eigenvalues"):
+        Circulant(top).eigenvalues()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_apply_scales_extreme_factors_by_powers_of_two():
     # Unscaled, the spectra of this pair multiply to ~4e310 and overflow,
     # though every entry of the product is 1e307.

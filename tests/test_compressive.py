@@ -109,6 +109,28 @@ def test_measure_has_the_bits_of_one_dft_entry_per_bin(n):
     assert (measure(X, K).values[1::2] == 0).sum(axis=-1).min() >= 2  # bins 1 and n - 1 are dead
 
 
+@pytest.mark.parametrize("rows", [1, 3, 20])
+@pytest.mark.parametrize("n", [513, 1000, 4096, 1 << 16])
+def test_each_row_and_bin_of_a_blocked_measurement_has_the_bits_of_its_own_product(n, rows):
+    # On the blocked path every (bin, row) entry is its own product against
+    # the fine factor: a row of a stack gets the bits it gets alone, and a
+    # bin's column the bits dft_entry gives the stack, dead entries zeroed.
+    rng = np.random.default_rng([n, rows])
+    d = 3 if n % 3 == 0 else 4
+    X = rng.standard_normal((rows, n))
+    X[::2] = np.tile(rng.standard_normal(d), n // d)  # live only on multiples of n / d
+    K = SensingSet(n, tuple(sorted({0, 1, n // d, n // 2, n - 1, *rng.integers(n, size=3).tolist()})))
+    vals = measure(X, K).values
+    for b in range(rows):
+        assert vals[b].tobytes() == measure(X[b], K).values.tobytes()
+    norm = np.hypot.reduce(X, axis=-1)
+    for j, k in enumerate(K.indices):
+        column = dft_entry(X, k)
+        column[np.abs(column) <= ZERO_BIN_TOL * norm] = 0
+        assert vals[:, j].tobytes() == column.tobytes()
+    assert (vals[::2, 1] == 0).all()  # bin 1 is dead on the periodic rows
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_measure_rejects_non_finite_signal(bad):
     K = SensingSet(8, (1, 3))

@@ -86,6 +86,7 @@ def test_every_call_returns_finite_values_or_raises_value_error(n, seed, shift, 
         "shift_single_bin": lambda: shift_single_bin(x, y),
         "shift_affine": lambda: shift_affine(x, y),
         "Circulant.apply": lambda: Circulant(x).apply(y),
+        "Circulant.eigenvalues": lambda: Circulant(x).eigenvalues(),
         "ls_circulant_fit": lambda: ls_circulant_fit(np.stack((x, np.roll(x, 1)), 1),
                                                      np.stack((y, np.roll(y, 1)), 1)),
         "check_sensing_conditions": lambda: check_sensing_conditions(x, sensing),

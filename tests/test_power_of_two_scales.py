@@ -5,7 +5,8 @@ transform or product, and the result is scaled back; both scales are
 exact while the values stay normal floats. So x * 2**ex and y * 2**ey
 give the unit-scale shift and flags, and the scores (or the product)
 of the unit-scale call times 2**(ex + ey), to the last bit, whether
-each input lies inside the band (ex = 0, -399) or below it.
+each input lies inside the band (ex = 0, -399) or below it. Scores
+that scale back to nothing at all are refused, aligned pair or not.
 """
 
 import itertools
@@ -51,3 +52,14 @@ def test_power_of_two_scales_give_the_unit_scale_result_bit_for_bit(call, ex, ey
     scores, answer = call(np.ldexp(X, ex), np.ldexp(Y, ey))
     assert answer == unit_answer
     assert scores.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [_crosscorr, _compressive_argmax], ids=["crosscorr", "compressive_argmax"])
+@pytest.mark.parametrize("delay", [0, 3])
+def test_scores_that_all_underflow_are_refused_whatever_the_argmax(call, delay):
+    # At 2**-600 each, a pair's scores scale back to 2**-1200 and vanish.
+    # Aligned, the argmax of the zeros stays at 0; the call refuses anyway.
+    x = np.ldexp(X, -600)
+    with pytest.raises(ValueError, match="the scores underflow"):
+        call(x, np.roll(x, delay))

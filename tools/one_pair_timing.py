@@ -20,7 +20,11 @@ and at n = 4096, on one row, the compressive path:
   the two measurements of a pair delayed by 5;
 * each estimator as perfbench's compressive-fresh workload calls it: a
   freshly built ``SensingSet`` with the same bins, ``measure`` of both
-  sides of the pair, then the estimate (the ``_fresh`` rows).
+  sides of the pair, then the estimate (the ``_fresh`` rows);
+
+and at n = 2^20, on one row, ``shift_single_bin`` with bin 1
+(``single_bin_1_2p20``), whose two entries take the blocked evaluation
+of ``cycshift.spectral.dft_entries``.
 
 The rows above the ``_fresh`` ones reuse one ``SensingSet``, which keeps
 the phases its bins determine after its first use, so they time the
@@ -58,9 +62,11 @@ from pathlib import Path
 WORKING_SRC = Path(__file__).resolve().parent.parent / "src"
 N = 64
 N_COMPRESSIVE = 4096
+N_LONG = 1 << 20
 CALLS = ("crosscorr", "crosscorr_tiny", "ratio", "single_bin_auto", "single_bin_1", "single_bin_auto_20x64",
          "measure_1_3", "check_sensing_64", "brute_force_shift", "measure_4096_4_bins", "compressive_argmax_4096",
-         "compressive_ratio_4096", "compressive_argmax_4096_fresh", "compressive_ratio_4096_fresh")
+         "compressive_ratio_4096", "compressive_argmax_4096_fresh", "compressive_ratio_4096_fresh",
+         "single_bin_1_2p20")
 CELL_ROWS = 20
 BLOCKS = 10
 
@@ -98,6 +104,8 @@ def _worker(calls: int) -> dict:
 
     cell_x = rng.standard_normal((CELL_ROWS, N))
     cell_y = np.roll(cell_x, 5, axis=-1)
+    very_long_x = rng.standard_normal(N_LONG)
+    very_long_y = np.roll(very_long_x, 5)
     bodies = {
         "crosscorr": lambda: shift_by_crosscorr(x, y),
         "crosscorr_tiny": lambda: shift_by_crosscorr(tiny_x, tiny_y),
@@ -113,6 +121,7 @@ def _worker(calls: int) -> dict:
         "compressive_ratio_4096": lambda: shift_by_compressive_ratio(z, v),
         "compressive_argmax_4096_fresh": lambda: fresh(shift_by_compressive_argmax),
         "compressive_ratio_4096_fresh": lambda: fresh(shift_by_compressive_ratio),
+        "single_bin_1_2p20": lambda: shift_single_bin(very_long_x, very_long_y, 1),
     }
     block = max(1, calls // BLOCKS)
     for body in bodies.values():
@@ -164,8 +173,8 @@ def main(argv=None) -> None:
         for side in order:
             runs[side].append(_run_side(sides[side], args.calls))
     report = {
-        "what": f"one-pair calls and one ({CELL_ROWS}, {N}) stack at n = {N}, and compressive calls at "
-                f"n = {N_COMPRESSIVE}: per process, the fastest of {BLOCKS} blocks of "
+        "what": f"one-pair calls and one ({CELL_ROWS}, {N}) stack at n = {N}, compressive calls at "
+                f"n = {N_COMPRESSIVE} and a single-bin call at n = {N_LONG}: per process, the fastest of {BLOCKS} blocks of "
                 f"{max(1, args.calls // BLOCKS)} calls, in microseconds per call; "
                 f"{args.rounds} processes per tree" + (", alternating" if len(sides) > 1 else ""),
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
