@@ -29,8 +29,34 @@ from .retrieval import (
     shift_single_bin,
 )
 from .spectral import dft, dft_entry, fourier_column, idft
+from . import compressive, retrieval
 
 __version__ = "0.1.0"
+
+# Method name -> (module, estimator name, whether it takes measurements).
+# The estimator is looked up on its module at each call, never stored,
+# so whoever rebinds the module attribute (a tracer, a test stub) is seen.
+# The table lives in the package itself, which every command loads, so
+# `cycshift retrieve` imports neither cycshift.bench nor csv.
+METHOD_TABLE = {
+    "crosscorr": (retrieval, "shift_by_crosscorr", False),
+    "ratio": (retrieval, "shift_by_ratio", False),
+    "single_bin": (retrieval, "shift_single_bin", False),
+    "compressive_argmax": (compressive, "shift_by_compressive_argmax", True),
+    "compressive_ratio": (compressive, "shift_by_compressive_ratio", True),
+}
+METHODS = tuple(METHOD_TABLE)
+
+
+def estimate(method: str, x, y, *args):
+    """Run ``method``'s estimator on reference x and shifted y (signals or measurements).
+
+    Measurement estimators take (z, v), the measurements of y and x.
+    """
+    module, name, measured = METHOD_TABLE[method]
+    fn = getattr(module, name)
+    return fn(y, x, *args) if measured else fn(x, y, *args)
+
 
 __all__ = [
     "__version__",

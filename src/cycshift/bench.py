@@ -30,7 +30,8 @@ from functools import partial
 
 import numpy as np
 
-from . import compressive, retrieval
+# The method table and estimate, re-exported from the package that holds them.
+from . import METHOD_TABLE, METHODS, compressive, estimate
 from .errors import IdentifiabilityError, as_index, as_tuple, real_numbers
 from .fileio import comma_list, flag, parse_snr, scalar
 
@@ -38,17 +39,6 @@ __all__ = ["METHODS", "METHOD_TABLE", "estimate", "ExperimentConfig",
            "config_from_mapping", "parse_snr", "noise_sigma",
            "run_bench", "rows_to_csv", "rows_to_json"]
 
-# Method name -> (module, estimator name, whether it takes measurements).
-# The estimator is looked up on its module at each call, never stored,
-# so whoever rebinds the module attribute (a tracer, a test stub) is seen.
-METHOD_TABLE = {
-    "crosscorr": (retrieval, "shift_by_crosscorr", False),
-    "ratio": (retrieval, "shift_by_ratio", False),
-    "single_bin": (retrieval, "shift_single_bin", False),
-    "compressive_argmax": (compressive, "shift_by_compressive_argmax", True),
-    "compressive_ratio": (compressive, "shift_by_compressive_ratio", True),
-}
-METHODS = tuple(METHOD_TABLE)
 CSV_COLUMNS = ("snr_db", "method", "n", "m", "trials", "success_rate", "mean_elapsed_us")
 # Trials are drawn and scored in blocks of about this many samples, so a
 # sweep holds a few block-sized stacks at a time whatever its size. Only
@@ -138,16 +128,6 @@ def noise_sigma(x: np.ndarray, snr_db: float):
     # vecdot takes the same dot product per row as np.dot on one row.
     sigma = np.sqrt(np.vecdot(x, x) / (x.shape[-1] * snr))
     return sigma if sigma.ndim else float(sigma)
-
-
-def estimate(method: str, x, y, *args):
-    """Run ``method``'s estimator on reference x and shifted y (signals or measurements).
-
-    Measurement estimators take (z, v), the measurements of y and x.
-    """
-    module, name, measured = METHOD_TABLE[method]
-    fn = getattr(module, name)
-    return fn(y, x, *args) if measured else fn(x, y, *args)
 
 
 def run_bench(config: ExperimentConfig) -> list[dict]:

@@ -26,16 +26,20 @@ class Circulant:
     :func:`cycshift.oracle.materialize` for an explicit version).
     Instances are immutable and safe to share between threads. A first
     column holding complex values, NaN or an infinity raises ValueError.
+    The peak |value| of the column, read by that finiteness check, is
+    kept for :meth:`apply` and :meth:`eigenvalues`.
     """
 
     first_column: np.ndarray
 
     def __post_init__(self):
-        col = np.array(real_array(self.first_column, "first_column"))
+        col, top = real_rows(self.first_column, "first_column")
         if col.ndim != 1 or col.size == 0:
             raise ValueError("first_column must be a nonempty 1-D real vector")
+        col = np.array(col)
         col.flags.writeable = False
         object.__setattr__(self, "first_column", col)
+        object.__setattr__(self, "_peak", top)
 
     @property
     def n(self) -> int:
@@ -54,7 +58,7 @@ class Circulant:
         :meth:`apply`; eigenvalues beyond the float64 range raise
         ValueError naming the call.
         """
-        col, e = to_band(self.first_column, peak(self.first_column))
+        col, e = to_band(self.first_column, self._peak)
         return _scaled_back(np.sqrt(self.n) * dft(col), e, "Circulant.eigenvalues: the spectrum")
 
     def apply(self, x) -> np.ndarray:
@@ -79,7 +83,7 @@ class Circulant:
         x, x_peak = real_rows(x, "x")
         if x.shape != (self.n,):
             raise ValueError(f"dimension mismatch: matrix is {self.n}, vector has shape {x.shape}")
-        (col, a), (x, b) = to_band(self.first_column, peak(self.first_column)), to_band(x, x_peak)
+        (col, a), (x, b) = to_band(self.first_column, self._peak), to_band(x, x_peak)
         # Unscaled forward transforms and the 1/n inverse: a circular
         # convolution. Both factors peak inside the band, so it cannot
         # overflow before it is scaled back.

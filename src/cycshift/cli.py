@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import __version__, bench, compressive
+from . import METHOD_TABLE, METHODS, __version__, compressive, estimate
 from .errors import IdentifiabilityError, as_index
 from .fileio import comma_list, load_any, load_signal, read_config, save_signal, scalar
 
@@ -66,7 +66,7 @@ def _cmd_retrieve(args) -> int:
         raise ValueError("x and y files must both be signals or both be measurements")
     if not measured and x.size != y.size:
         raise ValueError(f"length mismatch: {args.x} has {x.size}, {args.y} has {y.size}")
-    takes_measurements = bench.METHOD_TABLE[args.method][2]
+    takes_measurements = METHOD_TABLE[args.method][2]
     if measured and not takes_measurements:
         raise ValueError(f"measurement files require a compressive method, not {args.method!r}")
     if args.sensing is not None and not takes_measurements:
@@ -82,7 +82,7 @@ def _cmd_retrieve(args) -> int:
     extra = (i,) if args.method == "single_bin" else ()
 
     t0 = time.perf_counter()
-    est = bench.estimate(args.method, x, y, *extra)
+    est = estimate(args.method, x, y, *extra)
     elapsed_us = int(round((time.perf_counter() - t0) * 1e6))
 
     print(json.dumps({
@@ -97,6 +97,9 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # Imported here, as for selftest: retrieve's start-up stays free of the sweep and csv.
+    from . import bench
+
     if not args.config and None in (args.n, args.trials, args.snr_db_grid):
         raise ValueError("bench needs --config, or all of --n, --trials and --snr-db")
     # Set flags, each stored under its config key, override the file (seed 0 without one).
@@ -150,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ret = sub.add_parser("retrieve", help="estimate the cyclic shift between two files")
     p_ret.add_argument("x", help="reference file (signal, or measurement with # K= header)")
     p_ret.add_argument("y", help="shifted file (same kind as x)")
-    p_ret.add_argument("--method", choices=bench.METHODS, default="crosscorr")
+    p_ret.add_argument("--method", choices=METHODS, default="crosscorr")
     p_ret.add_argument("--bin", default=None,
                        help="spectral bin for single_bin (must be coprime with n)")
     p_ret.add_argument("--sensing", default=None,

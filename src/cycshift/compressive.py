@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import IdentifiabilityError, as_index, as_tuple, real_array, require_finite
+from .errors import IdentifiabilityError, as_index, as_tuple, finite, real_array, real_floats, require_finite
 from .retrieval import ShiftEstimate, _estimate, _lower, _norm
 from .spectral import BAND, dft_entries, entry_phases, live, phase_factors, to_band, unit_phases
 
@@ -49,7 +49,8 @@ class SensingSet:
     0..n-1.
 
     The set holds the arrays its bins determine, built on its first
-    measurement or estimate and kept for the next: their two phase
+    measurement or estimate and kept for the next: the bins themselves,
+    whose gcd with n the estimators' class rule takes, their two phase
     factors from :func:`~cycshift.spectral.phase_factors`, which both
     estimators read, and the phases :func:`measure` contracts a signal
     against (:func:`~cycshift.spectral.entry_phases`). Beyond
@@ -78,10 +79,11 @@ class SensingSet:
         return len(self.indices)
 
     @cached_property
-    def _arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]:
-        factors = phase_factors(self.indices, self.n)
+    def _arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, ...], np.ndarray]:
+        bins = np.array(self.indices)
+        factors = phase_factors(bins, self.n)
         # measure's phases put the bins on an axis of their own, in front of a stack's rows.
-        return factors, entry_phases(np.array(self.indices)[:, None], self.n, [f[:, None] for f in factors])
+        return factors, entry_phases(bins[:, None], self.n, [f[:, None] for f in factors]), bins
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +91,10 @@ class Measurement:
     """Compressed spectrum: complex values at the sensing indices, all finite.
 
     ``values`` holds m values, or a (B, m) stack of them, one
-    measurement per row. Iterating a stack gives its rows, each as its
-    own one-row measurement.
+    measurement per row. Given values are copied, made read-only and
+    checked; :func:`measure` hands over values it has just computed and
+    checked, which are taken as they are. Iterating a stack gives its
+    rows, each as its own one-row measurement on a view of the row.
     """
 
     values: np.ndarray
@@ -106,10 +110,18 @@ class Measurement:
         vals.flags.writeable = False
         object.__setattr__(self, "values", require_finite(vals, "measurement"))
 
+    @classmethod
+    def _taken(cls, values: np.ndarray, sensing: SensingSet) -> Measurement:
+        """The measurement of checked complex128 ``values``, taken over as they are: no copy, no second read."""
+        values.flags.writeable = False
+        meas = object.__new__(cls)
+        meas.__dict__.update(values=values, sensing=sensing)
+        return meas
+
     def __iter__(self):
         if self.values.ndim != 2:
             raise TypeError("a one-row measurement has no rows to iterate")
-        return (Measurement(row, self.sensing) for row in self.values)
+        return (Measurement._taken(row, self.sensing) for row in self.values)
 
 
 def measure(x, sensing: SensingSet) -> Measurement:
@@ -127,16 +139,25 @@ def measure(x, sensing: SensingSet) -> Measurement:
     Raises ValueError on complex, NaN or infinite samples, and on finite
     ones whose norm overflows.
     """
-    x = real_array(x, "x")
+    x = real_floats(x, "x")
     if x.ndim not in (1, 2) or x.shape[-1] != sensing.n or not x.size:
+        real_array(x, "x")  # a NaN or an infinity is named before the shape
         raise ValueError(f"x: signal shape {x.shape} does not match ambient dimension {sensing.n}")
     # An overflowed entry or norm is refused by live, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
+        # A finite sum of squares holds no NaN or infinity: only a norm that
+        # is not finite sends the samples to the finiteness read, to name one.
+        if not finite(norm := _norm(x)):
+            real_array(x, "x")
         # One pass takes every bin, bins on a leading axis; each (bin, row)
         # entry is contracted on its own, with the bits of dft_entry(row, bin).
         vals = dft_entries(x, sensing._arrays[1])  # (m, 1) or (m, B)
-        vals[~live(np.abs(vals), _norm(x))] = 0
-    return Measurement(vals.T.reshape(x.shape[:-1] + (sensing.m,)), sensing)
+        mags = np.abs(vals)
+        vals[~live(mags, norm)] = 0
+    # A finite norm can still give an overflowed entry: it is live and kept,
+    # while a NaN one is dead and zeroed, and fmax passes over NaN.
+    require_finite(np.fmax.reduce(mags, axis=None, initial=0.0), "measurement")
+    return Measurement._taken(np.ascontiguousarray(vals.T).reshape(x.shape[:-1] + (sensing.m,)), sensing)
 
 
 def embed(values, sensing: SensingSet) -> np.ndarray:
@@ -249,7 +270,7 @@ def _settle(method: str, scores: np.ndarray, best, live_bins: np.ndarray, sensin
     on its own, and flagged ``"dropped_bins"`` where ``dropped`` holds.
     """
     n = sensing.n
-    g = np.gcd(np.gcd.reduce(np.where(live_bins, sensing.indices, 0), axis=-1), n)
+    g = np.gcd.reduce(np.where(live_bins, sensing._arrays[2], n), axis=-1, initial=n)  # a dead bin reads as n
     flags = [_FLAGS[c] for c in np.ravel((g > 1) + 2 * dropped).tolist()]
     return _estimate(method, n, best % (n // g), scores=scores, flags=flags)
 
@@ -294,16 +315,17 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     # An overflowed |v_i| is refused by live; an overflowed product shows
     # as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        live_bins = live(np.abs(v.values))
         zv = np.array((np.conj(z.values), v.values))  # scaled as one array, row by row
+        mags = np.abs(zv)
+        live_bins = live(mags[1])
         # Only upward (a peak above 1 reads as 1): an overflowing row stays as it is.
-        peaks = np.minimum(np.abs(zv).max(axis=-1), 1.0)
-        zv, e = to_band(zv, peaks) if (peaks < 2.0 ** -BAND).any() else (zv, 0)
+        peaks = np.minimum(mags.max(axis=-1), 1.0)
+        zv, e = to_band(zv, peaks) if (lift := (peaks < 2.0 ** -BAND).any()) else (zv, 0)
         # Shift i*b + j scores Re sum_k w_k * coarse[k, i] * fine[k, j]:
         # one (a, m) @ (m, b) product per row, cut to the n shifts.
         scores = ((zv[0] * zv[1])[..., None, :] * coarse.T) @ fine
         scores = scores.reshape(scores.shape[:-2] + (-1,))[..., :sensing.n].real
-    if np.any(e):
+    if lift:
         _lower("compressive_argmax", scores, e.sum(axis=0))
     return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), live_bins, sensing)
 

@@ -28,7 +28,7 @@ works row by row, and one builder turns the rows' results into a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf, sqrt
 
 import numpy as np
 
@@ -47,6 +47,9 @@ __all__ = [
 
 # shift_single_bin flags "model_misfit" when abs(|rho| - 1) exceeds this.
 MISFIT_TOL = 1e-6
+
+# A sum of squares below the smallest normal float has lost bits to underflow.
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,36 +101,43 @@ class AffineShiftModel:
     flags: tuple[str, ...] = ()
 
 
-def _pair(x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """x and y as float64 signals, or as (B, n) stacks of them, and the peak |value| of each row of each.
+def _pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y, read once, if they are two signals or two (B, n) stacks of them.
 
-    The peaks come from the finiteness check's own read of each input
-    (:func:`~cycshift.errors.real_rows`).
+    Each estimator reads its inputs as it needs them:
+    :func:`~cycshift.errors.real_array`, or
+    :func:`~cycshift.errors.real_rows` where the peak of each row,
+    which the finiteness check reads anyway, is used.
     """
-    (x, px), (y, py) = real_rows(x, "x"), real_rows(y, "y")
     if x.ndim not in (1, 2) or y.ndim not in (1, 2):
         raise ValueError("signals must be one-dimensional, or a (B, n) stack of them")
     if x.size == 0:
         raise ValueError("signals are empty")
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return x, y, px, py
+    return x, y
 
 
 def _norm(v: np.ndarray):
     """Euclidean norm along the last axis: a float, or one per row of a stack.
 
     Each row takes its own path, so a row of a stack gets the bits it
-    gets alone.
+    gets alone (up to n = 8192: beyond numpy's 8192-element buffer,
+    einsum sums the rows of a stack in another order). The norm is
+    finite only if every value is: a NaN or an infinity makes the sum of
+    squares NaN or infinite.
     """
     # einsum's single-threaded loop; np.linalg.norm goes through BLAS,
     # whose thread start-up dominates on long signals. Beyond ~1e154 the
     # sum of squares overflows and below ~1e-154 it underflows (as it is
     # for a zero row), so such a row is then scaled into the band first.
+    # One signal whose sum is normal takes the (1, n) row's bits without the row bookkeeping.
+    if v.ndim == 1 and (sq := float(np.einsum("i,i->", v, v))) >= _TINY and sq < inf:
+        return sqrt(sq)
     rows = v.reshape(-1, v.shape[-1])
     sq = np.einsum("ij,ij->i", rows, rows)
     norm = np.sqrt(sq)
-    odd = (sq < np.finfo(np.float64).tiny) | (sq == np.inf)
+    odd = (sq < _TINY) | (sq == inf)
     if odd.any():
         u, e = to_band(rows[odd], peak(rows[odd], -1))
         norm[odd] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", u, u)), e)
@@ -179,10 +189,11 @@ def _estimate(method: str, n: int, shift: np.ndarray, score=None, scores=None, f
     ``score`` defaults to each row's ``scores`` at its shift, and
     ``flags`` (one tuple per row) to none.
     """
-    score = scores.reshape(-1, n)[np.arange(shift.size), shift.ravel()] if score is None else score
     flags = ((),) * shift.size if flags is None else tuple(flags)
     if shift.ndim == 0:
-        return ShiftEstimate(method, n, shift.item(), score.item(), scores, flags[0])
+        score = scores[shift] if score is None else score
+        return ShiftEstimate(method, n, shift.item(), float(score), scores, flags[0])
+    score = scores[np.arange(shift.size), shift] if score is None else score
     return ShiftEstimate(method, n, shift, score, scores, flags)
 
 
@@ -224,7 +235,8 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
     the underflow. The row peaks come from the finiteness check's own
     read, which also gives the zero test.
     """
-    x, y, px, py = _pair(x, y)
+    (x, px), (y, py) = real_rows(x, "x"), real_rows(y, "y")
+    _pair(x, y)
     if not (px.all() and py.all()):
         raise IdentifiabilityError("cross-correlation needs nonzero signals")
     n = x.shape[-1]
@@ -257,7 +269,7 @@ def shift_by_ratio(x, y) -> ShiftEstimate:
     0..n//2 are divided and the real inverse transform implies the
     rest.
     """
-    d, usable = _ratio_impulse(*_pair(x, y)[:2])
+    d, usable = _ratio_impulse(*_pair(real_array(x, "x"), real_array(y, "y")))
     if not usable.any(axis=-1).all():
         raise IdentifiabilityError("reference signal has no usable spectral bin (all zero)")
     return _peak("ratio", d)
@@ -328,7 +340,7 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
     A bin whose ratio overflows gives a score that is not finite, which
     raises ValueError naming the overflow.
     """
-    x, y = _pair(x, y)[:2]
+    x, y = _pair(real_array(x, "x"), real_array(y, "y"))
     n = x.shape[-1]
     # An overflowed magnitude is refused by live, and an overflowed phase
     # by the estimate's score, without numpy's warnings.
@@ -380,7 +392,8 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
         The fitted model and the reconstruction residual
         ||y - alpha * delay(x, s) - beta||_2.
     """
-    x, y, x_peak, y_peak = _pair(x, y)
+    (x, x_peak), (y, y_peak) = real_rows(x, "x"), real_rows(y, "y")
+    _pair(x, y)
     if x.ndim != 1:
         raise ValueError("shift_affine takes one pair of one-dimensional signals")
     n = x.size

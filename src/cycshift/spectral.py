@@ -21,7 +21,8 @@ delays split into two factors of O(sqrt(n)) phases each
 (:func:`phase_factors`) and which phases a transform entry is
 contracted against (:func:`entry_phases`): on long signals, those two
 factors themselves, the fine one read as (cos, -sin) pairs by one BLAS
-product per entry (:func:`dft_entries`).
+product per entry, or per chunk of at most 2**18 samples beyond that
+length (:func:`dft_entries`).
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ BAND = 400
 # cheaper direct up to 1024, and one that builds them is cheaper
 # blocked from 256 on.
 _DIRECT_ENTRY_MAX = 512
+
+# The blocked product of dft_entries takes at most this many samples per
+# BLAS call. On a 2-vCPU host with OpenBLAS, a (1024, 1024) @ (1024, 2)
+# product (n = 2^20) runs on both cores, and its worker thread then spins
+# for 115-135 ms of CPU time; (256, 1024) products leave 0.1 ms and take
+# less time in all, while (512, 1024) ones still spin.
+_PRODUCT_SAMPLES = 1 << 18
 
 
 def live(values, scale=None):
@@ -167,12 +175,14 @@ def dft_entry(x, k):
     the phases cost O(sqrt(n)) trigonometric evaluations: the two
     factors of :func:`phase_factors`. The blocks are contracted against
     the fine factor itself, whose float64 view holds each phase as a
-    (cos, -sin) pair: one (a, b) @ (b, 2) BLAS product per row gives the
-    real and imaginary parts of every block's partial sum without
-    casting real input to complex, and the coarse factor then combines
-    the blocks. A complex signal is taken as its real and imaginary
-    parts, each a real signal. All phase arguments are reduced mod n
-    before evaluation, so no accuracy is lost to large trig arguments.
+    (cos, -sin) pair: one (a, b) @ (b, 2) BLAS product per row (beyond
+    n = 2**18, one per chunk of rows of at most 2**18 samples, which
+    keeps OpenBLAS on one thread) gives the real and imaginary parts of
+    every block's partial sum without casting real input to complex,
+    and the coarse factor then combines the blocks. A complex signal is
+    taken as its real and imaginary parts, each a real signal. All
+    phase arguments are reduced mod n before evaluation, so no accuracy
+    is lost to large trig arguments.
 
     Returns a complex scalar for 1-D input, a complex vector for 2-D.
     """
@@ -193,15 +203,17 @@ def entry_phases(k, n: int, factors=None) -> tuple[np.ndarray, ...]:
     """The phases :func:`dft_entries` contracts a length-n signal against to take integer bins ``k``.
 
     Up to ``_DIRECT_ENTRY_MAX`` they are the n unit phases of each bin,
-    as a one-item tuple; beyond it, the coarse and fine factors of
-    :func:`phase_factors` themselves. Each array has its trailing axis
-    after those of ``k``. ``factors`` is ``phase_factors(k, n)`` when
-    the caller already holds it. Built once, the phases serve every
-    signal of length n.
+    as a one-item tuple; beyond it, the coarse factor of
+    :func:`phase_factors` itself and the fine one read through its
+    float64 view, each phase as a (cos, -sin) pair on a last axis of
+    two. Each array has its phase axis after those of ``k``.
+    ``factors`` is ``phase_factors(k, n)`` when the caller already holds
+    it. Built once, the phases serve every signal of length n.
     """
     if n <= _DIRECT_ENTRY_MAX:
         return (unit_phases(np.asarray(k)[..., None], np.arange(n, dtype=np.int64), n),)
-    return tuple(phase_factors(k, n) if factors is None else factors)
+    coarse, fine = phase_factors(k, n) if factors is None else factors
+    return coarse, fine.view(np.float64).reshape(fine.shape + (2,))
 
 
 def dft_entries(x: np.ndarray, phases: tuple[np.ndarray, ...]):
@@ -217,20 +229,19 @@ def dft_entries(x: np.ndarray, phases: tuple[np.ndarray, ...]):
     if n <= _DIRECT_ENTRY_MAX:
         return _row_dot(x, phases[0]) / sqrt(n)
 
-    coarse, fine = phases  # each broadcasts a row's bin along its phases
-    a, b = coarse.shape[-1], fine.shape[-1]
+    coarse, pairs = phases  # each broadcasts a row's bin along its phases
+    a, b = coarse.shape[-1], pairs.shape[-2]
     if n % b:
         x = np.concatenate((x, np.zeros(x.shape[:-1] + (a * b - n,), dtype=x.dtype)), axis=-1)
-    # The fine factor's float64 view holds each phase as a (cos, -sin)
-    # pair: one (a, b) @ (b, 2) BLAS product per (bin, row) gives the real
-    # and imaginary parts of every block's partial sum, read back as
-    # complex. At n = 2^20 on 2 cores it takes dft_entry 0.86-0.88 ms,
-    # against 1.0-1.2 ms for the single-threaded einsum it replaced; there
-    # OpenBLAS runs it on both cores, and its worker thread then spins
-    # for ~0.13 s of CPU time (up to n = 2^18 the product runs on one).
-    pairs = fine.view(np.float64).reshape(fine.shape + (2,))
-    partial = (x.reshape(x.shape[:-1] + (a, b)) @ pairs).view(np.complex128)[..., 0]
-    return _row_dot(partial, coarse) / sqrt(n)
+    # With the fine factor as (cos, -sin) pairs, one (a, b) @ (b, 2) BLAS
+    # product per (bin, row) gives the real and imaginary parts of every
+    # block's partial sum, read back as complex. Beyond _PRODUCT_SAMPLES
+    # (n > 2^18) the blocks go in row chunks, one product each, whose sums
+    # differ from one product's in the last bits.
+    blocks, rows = x.reshape(x.shape[:-1] + (a, b)), _PRODUCT_SAMPLES // b
+    partial = blocks @ pairs if a <= rows else np.concatenate(
+        [blocks[..., i:i + rows, :] @ pairs for i in range(0, a, rows)], axis=-2)
+    return _row_dot(partial.view(np.complex128)[..., 0], coarse) / sqrt(n)
 
 
 def phase_factors(k, n: int) -> tuple[np.ndarray, np.ndarray]:

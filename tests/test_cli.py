@@ -569,6 +569,18 @@ def test_importing_the_cli_leaves_the_oracles_unloaded():
     assert out == "False\n"
 
 
+def test_retrieve_leaves_the_bench_module_and_csv_unloaded(tmp_path):
+    # The method table lives in the package itself: a retrieve run imports
+    # neither the sweep nor the csv writer it needs.
+    _, x_path, y_path = make_pair(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(fileio.__file__).resolve().parent.parent)}
+    probe = ("import sys, cycshift.cli; code = cycshift.cli.main(sys.argv[1:]); "
+             "print(code, 'cycshift.bench' in sys.modules, 'csv' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, "retrieve", str(x_path), str(y_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False False"
+
+
 def test_selftest_negative_control_corrupted_dft(capsys, monkeypatch):
     # A forward transform with the wrong kernel sign must fail the suite.
     dft = spectral.dft

@@ -146,6 +146,34 @@ def test_measure_rejects_non_finite_signal(bad):
             estimator(measure(x, K), measure(np.arange(1.0, 9.0), K))
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_measure_refuses_and_returns_by_magnitude_alone_and_as_a_stack_row(stacked):
+    # measure reads finiteness off the sum of squares its zero test takes:
+    # a NaN or an infinity must still be named, a sum of squares that
+    # overflows must not refuse finite samples, and a finite norm whose
+    # entry overflows must refuse the measurement.
+    K = SensingSet(4096, (0, 1, 3))
+    others = np.random.default_rng(11).standard_normal((3, 4096))
+
+    def values(x):
+        if not stacked:
+            return measure(x, K).values
+        others[1] = x
+        return measure(others, K).values[1]
+
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.ones(4096)
+        x[17] = bad
+        with pytest.raises(ValueError, match=r"^x contains NaN or infinite values$"):
+            values(x)
+    with pytest.raises(ValueError, match=r"^measurement contains NaN or infinite values$"):
+        values(np.full(4096, 1e306))  # norm 6.4e307, entry 0 sums past the float64 range
+    for fill, entry in ((1e200, 6.4e201), (1e-300, 6.4e-299)):  # squares overflow, underflow
+        got = values(np.full(4096, fill))
+        assert_allclose(got[0], entry, rtol=1e-15)
+        assert (got[1:] == 0).all()
+
+
 def test_measure_dimension_mismatch():
     with pytest.raises(ValueError):
         measure(np.ones(7), SensingSet(8, (1,)))
