@@ -54,8 +54,7 @@ def estimate(method: str, x, y, *args):
     Measurement estimators take (z, v), the measurements of y and x.
     """
     module, name, measured = METHOD_TABLE[method]
-    fn = getattr(module, name)
-    return fn(y, x, *args) if measured else fn(x, y, *args)
+    return getattr(module, name)(*((y, x) if measured else (x, y)), *args)
 
 
 __all__ = [

@@ -36,10 +36,8 @@ class Circulant:
         col, top = real_rows(self.first_column, "first_column")
         if col.ndim != 1 or col.size == 0:
             raise ValueError("first_column must be a nonempty 1-D real vector")
-        col = np.array(col)
-        col.flags.writeable = False
-        object.__setattr__(self, "first_column", col)
-        object.__setattr__(self, "_peak", top)
+        self.__dict__.update(first_column=np.array(col), _peak=top)  # past the frozen __setattr__
+        self.first_column.flags.writeable = False
 
     @property
     def n(self) -> int:

@@ -49,8 +49,7 @@ class SensingSet:
     0..n-1.
 
     The set holds the arrays its bins determine, built on its first
-    measurement or estimate and kept for the next: the bins themselves,
-    whose gcd with n the estimators' class rule takes, their two phase
+    measurement or estimate and kept for the next: their two phase
     factors from :func:`~cycshift.spectral.phase_factors`, which both
     estimators read, and the phases :func:`measure` contracts a signal
     against (:func:`~cycshift.spectral.entry_phases`). Beyond
@@ -79,11 +78,10 @@ class SensingSet:
         return len(self.indices)
 
     @cached_property
-    def _arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, ...], np.ndarray]:
-        bins = np.array(self.indices)
-        factors = phase_factors(bins, self.n)
+    def _arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]:
+        factors = phase_factors(self.indices, self.n)
         # measure's phases put the bins on an axis of their own, in front of a stack's rows.
-        return factors, entry_phases(bins[:, None], self.n, [f[:, None] for f in factors]), bins
+        return factors, entry_phases(np.array(self.indices)[:, None], self.n, [f[:, None] for f in factors])
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,14 +233,8 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     n = sensing.n
     qualifying = tuple(k for k, vk in zip(sensing.indices, v) if gcd(k, n) == 1 and vk != 0)
     dup = tuple(g for g in _duplicate_groups(v, sensing.indices, n) if len(g) > 1)
-    return SensingReport(
-        n=n,
-        indices=sensing.indices,
-        qualifying_bins=qualifying,
-        guarantee_holds=bool(qualifying),
-        ambiguous=bool(dup),
-        duplicate_shift_groups=dup,
-    )
+    return SensingReport(n=n, indices=sensing.indices, qualifying_bins=qualifying, guarantee_holds=bool(qualifying),
+                         ambiguous=bool(dup), duplicate_shift_groups=dup)
 
 
 def _common_sensing(z: Measurement, v: Measurement) -> SensingSet:
@@ -270,7 +262,7 @@ def _settle(method: str, scores: np.ndarray, best, live_bins: np.ndarray, sensin
     on its own, and flagged ``"dropped_bins"`` where ``dropped`` holds.
     """
     n = sensing.n
-    g = np.gcd.reduce(np.where(live_bins, sensing._arrays[2], n), axis=-1, initial=n)  # a dead bin reads as n
+    g = np.gcd(np.gcd.reduce(np.where(live_bins, sensing.indices, 0), axis=-1), n)
     flags = [_FLAGS[c] for c in np.ravel((g > 1) + 2 * dropped).tolist()]
     return _estimate(method, n, best % (n // g), scores=scores, flags=flags)
 
@@ -315,11 +307,10 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     # An overflowed |v_i| is refused by live; an overflowed product shows
     # as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
+        live_bins = live(np.abs(v.values))
         zv = np.array((np.conj(z.values), v.values))  # scaled as one array, row by row
-        mags = np.abs(zv)
-        live_bins = live(mags[1])
         # Only upward (a peak above 1 reads as 1): an overflowing row stays as it is.
-        peaks = np.minimum(mags.max(axis=-1), 1.0)
+        peaks = np.minimum(np.abs(zv).max(axis=-1), 1.0)
         zv, e = to_band(zv, peaks) if (lift := (peaks < 2.0 ** -BAND).any()) else (zv, 0)
         # Shift i*b + j scores Re sum_k w_k * coarse[k, i] * fine[k, j]:
         # one (a, m) @ (m, b) product per row, cut to the n shifts.

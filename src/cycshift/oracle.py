@@ -37,11 +37,8 @@ def naive_dft(x) -> np.ndarray:
 
 def materialize(C: circulant.Circulant) -> np.ndarray:
     """Dense n-by-n matrix of a circulant: column j is the first column rolled down j."""
-    n = C.n
-    out = np.empty((n, n))
-    for j in range(n):
-        out[:, j] = np.roll(C.first_column, j)
-    return out
+    t = np.arange(C.n)
+    return C.first_column[(t[:, None] - t[None, :]) % C.n]  # entry (i, j) is column[(i - j) mod n]
 
 
 def brute_force_shift(x, y) -> retrieval.ShiftEstimate:
@@ -52,8 +49,7 @@ def brute_force_shift(x, y) -> retrieval.ShiftEstimate:
     anywhere. Ties resolve to the smallest shift, matching the fast
     estimators.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.size == 0:
         raise ValueError("signals must be nonempty 1-D vectors")
     if x.shape != y.shape:
@@ -75,12 +71,7 @@ def brute_force_circulant_fit(X, Y) -> tuple[np.ndarray, float]:
     minimum-norm solution on rank deficiency. Returns (c, residual)
     with residual = ||Y - circ(c) X||_F evaluated from the dense fit.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    X, Y = (a[:, None] if a.ndim == 1 else a for a in (np.asarray(X, dtype=float), np.asarray(Y, dtype=float)))
     if X.ndim != 2 or X.shape != Y.shape or X.size == 0:
         raise ValueError(f"X and Y must be real matrices of identical shape, got {X.shape} vs {Y.shape}")
     n = X.shape[0]
