@@ -179,16 +179,25 @@ def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, .
     values * exp(-2j*pi*k*t/n). Two columns coincide, and their shifts
     cannot be told apart from these measurements, when their largest
     difference is not live against the largest |value|.
+
+    When s leads, every shift below it is already grouped, so s is
+    compared with the shifts from it on alone: about m*n**2/2
+    differences in all, written into slices of three buffers allocated
+    once per scan, so no temporary's size depends on s.
     """
     cols = values[:, None] * unit_phases(np.asarray(indices)[:, None], np.arange(n), n)
     peak = np.abs(values).max()
+    diff, mags, far = np.empty_like(cols), np.empty(cols.shape), np.empty(n)
     groups = []
-    assigned = np.zeros(n, dtype=bool)
+    free = np.ones(n, dtype=bool)
     for s in range(n):
-        if assigned[s]:
+        if not free[s]:
             continue
-        members = np.flatnonzero(~live(np.abs(cols - cols[:, s:s + 1]).max(axis=0), peak) & ~assigned)
-        assigned[members] = True
+        # far[:s] keeps earlier leaders' values, but covers grouped shifts alone.
+        np.subtract(cols[:, s:], cols[:, s:s + 1], out=diff[:, s:])
+        np.abs(diff[:, s:], out=mags[:, s:]).max(axis=0, out=far[s:])
+        members = np.flatnonzero(free & ~live(far, peak))
+        free[members] = False
         groups.append(tuple(members.tolist()))
     return tuple(groups)
 
@@ -222,7 +231,10 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     of the measured-shift matrix pairwise distinct against the largest
     measured value. Its groups are the compressive estimators' gcd
     classes, except where a live bin is too weak to move the columns of
-    nearby shifts apart: the scan merges those. Purely diagnostic:
+    nearby shifts apart: the scan merges those. The scan compares each
+    group's leader, the lowest shift not yet grouped, only with the
+    shifts from it on: about m*n**2/2 column differences, in buffers
+    allocated once per scan. Purely diagnostic:
     raises only on malformed input (wrong length, complex, NaN or
     infinite samples) and on samples whose norm overflows. Takes one
     signal; a (B, n) stack raises ValueError naming x.

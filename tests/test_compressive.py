@@ -300,6 +300,56 @@ def test_duplicate_groups_are_the_residues_mod_n_over_the_live_gcd(n, seed, log_
     assert _duplicate_groups(v, K.indices, n) == closed_form_groups(v, K.indices, n)
 
 
+def all_columns_groups(values, indices, n):
+    """Reference scan: each leader against all n columns, in fresh temporaries."""
+    cols = values[:, None] * unit_phases(np.asarray(indices)[:, None], np.arange(n), n)
+    peak = np.abs(values).max()
+    groups = []
+    assigned = np.zeros(n, dtype=bool)
+    for s in range(n):
+        if assigned[s]:
+            continue
+        members = np.flatnonzero(~spectral.live(np.abs(cols - cols[:, s:s + 1]).max(axis=0), peak) & ~assigned)
+        assigned[members] = True
+        groups.append(tuple(members.tolist()))
+    return tuple(groups)
+
+
+def scan_case(kind, seed):
+    """Seeded measured values and bins for n in 2..256, m in 1..6, at a scale in 10**[-12, 12]."""
+    rng = np.random.default_rng([seed, 24])
+    n = int(rng.integers(2, 257))
+    K = tuple(sorted(rng.choice(n, size=min(int(rng.integers(1, 7)), n), replace=False).tolist()))
+    log_c = rng.uniform(-12.0, 12.0)
+    if kind == "periodic":  # measured from a short-period signal: most bins are exact zeros
+        return measure(short_period_signal(n, seed, log_c), SensingSet(n, K)).values, K, n
+    v = rng.standard_normal(len(K)) + 1j * rng.standard_normal(len(K))
+    if kind == "weak":  # live bins too weak to move nearby columns apart
+        v[rng.random(len(K)) < 0.3] *= 1e-11
+    return 10.0 ** log_c * v, K, n
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "periodic", "weak"])
+def test_the_scan_from_each_leader_on_groups_as_the_all_columns_scan(kind):
+    # A leader's lower shifts are all grouped already, so comparing it with
+    # the shifts from it on alone must give the same groups, bit for bit.
+    for seed in range(100):
+        v, K, n = scan_case(kind, seed)
+        assert _duplicate_groups(v, K, n) == all_columns_groups(v, K, n), (kind, seed, n, K)
+
+
+@pytest.mark.parametrize("K", [(1,), (2, 6, 10, 14), (8, 100, 1001, 2048)])
+def test_the_scan_from_each_leader_on_groups_as_the_all_columns_scan_at_n_4096(K):
+    v = measure(np.random.default_rng(len(K)).standard_normal(4096), SensingSet(4096, K)).values
+    assert _duplicate_groups(v, K, 4096) == all_columns_groups(v, K, 4096)
+
+
+def test_an_all_zero_measurement_puts_every_shift_in_one_group():
+    v = np.zeros(4)
+    groups = _duplicate_groups(v, (8, 100, 1001, 2048), 4096)
+    assert groups == all_columns_groups(v, (8, 100, 1001, 2048), 4096) == (tuple(range(4096)),)
+
+
 def test_a_weak_live_bin_is_where_the_scan_and_the_closed_form_differ_by_design():
     # Bin 2 is live at 5e-11 of the peak, but between nearby even shifts
     # it moves its column by less than 1e-12 of the peak, so the scan

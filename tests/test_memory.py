@@ -12,6 +12,12 @@ all, never a (B, m, n) array of measured columns. A stacked compressive
 ratio call holds one (B, m, a*b) complex difference, a*b being n or a
 little more, and a few (B, n)-sized float arrays: no (m, n) phase table
 and no complex temporaries beside the difference.
+
+The duplicate-group scan of ``check_sensing_conditions`` holds its
+(m, n) measured-shift columns, the phase table that built them, and
+buffers for one leader's differences, their magnitudes and the
+per-shift maximum, allocated once per scan: a few (m, n) arrays, never
+one per leader nor an (n, n) table.
 """
 
 import tracemalloc
@@ -22,6 +28,7 @@ import pytest
 from cycshift import (
     Circulant,
     SensingSet,
+    check_sensing_conditions,
     measure,
     shift_affine,
     shift_by_compressive_argmax,
@@ -83,3 +90,14 @@ def test_compressive_ratio_stack_holds_one_difference():
     K = SensingSet(n, (1, 3, 5, 7))
     z, v = measure(np.roll(X, 7, axis=1), K), measure(X, K)
     assert traced_peak(shift_by_compressive_ratio, z, v) * N / (B * n) < 2 * m + 5
+
+
+def test_check_scan_holds_its_buffers_once_per_scan():
+    # In units of m*n complex values (4.45 here): the columns and the
+    # phase table that built them, the difference and magnitude buffers,
+    # and the n groups found. Buffers kept per leader, or an (n, n)
+    # table, would break the bound.
+    n, K = 4096, (8, 100, 1001, 2048)
+    x = np.random.default_rng(3).standard_normal(n)
+    S = SensingSet(n, K)
+    assert traced_peak(check_sensing_conditions, x, S) * 8 * N / (16 * len(K) * n) < 5

@@ -268,7 +268,9 @@ def _users(tree: ast.Module, name: str) -> set[str]:
 
 def test_only_check_sensing_conditions_scans_for_duplicate_groups():
     # The estimators settle on the gcd class of their winning shift; the
-    # O(m*n^2) scan over all n shifts serves the diagnostic alone.
+    # O(m*n^2) scan, which compares each leader with the shifts from it
+    # on (about m*n^2/2 differences, in buffers allocated once per scan),
+    # serves the diagnostic alone.
     users = {p.name: _users(_tree(p), "_duplicate_groups") for p in MODULES}
     assert {name: fns for name, fns in users.items() if fns} == {
         "compressive.py": {"check_sensing_conditions"}}
