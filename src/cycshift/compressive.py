@@ -181,24 +181,47 @@ def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, .
     difference is not live against the largest |value|.
 
     When s leads, every shift below it is already grouped, so s is
-    compared with the shifts from it on alone: about m*n**2/2
-    differences in all, written into slices of three buffers allocated
-    once per scan, so no temporary's size depends on s.
+    compared with the free shifts from it on alone. As |Re d| <= |d|, t
+    can join s only where the real parts of one row differ by an amount
+    that is not live against the same peak; the scan takes the row that
+    leaves shift 0 the fewest such shifts. It runs in blocks. A block's
+    leaders are the next free shifts: at most 2**15 // n of them (at
+    least one), and at most twice as many as led in the block before
+    (one at first). One (leaders, n - s) float difference on that row
+    finds their candidate pairs. Where each leader is its own only
+    candidate, each leads a group of one. Otherwise the pairs are cut
+    to the leaders whose candidates fit in n // m pairs (at least one
+    leader's), and only those are compared on every row, as complex
+    differences, which decides each pair as the largest difference over
+    rows does. Groups form in leader order: a leader still free takes
+    its confirmed partners still free, in ascending order. The cost is
+    about n**2/2 real differences on one row plus m complex ones per
+    candidate pair, in a few array calls per block rather than per
+    leader.
     """
     cols = values[:, None] * unit_phases(np.asarray(indices)[:, None], np.arange(n), n)
     peak = np.abs(values).max()
-    diff, mags, far = np.empty_like(cols), np.empty(cols.shape), np.empty(n)
-    groups = []
-    free = np.ones(n, dtype=bool)
-    for s in range(n):
-        if not free[s]:
-            continue
-        # far[:s] keeps earlier leaders' values, but covers grouped shifts alone.
-        np.subtract(cols[:, s:], cols[:, s:s + 1], out=diff[:, s:])
-        np.abs(diff[:, s:], out=mags[:, s:]).max(axis=0, out=far[s:])
-        members = np.flatnonzero(free & ~live(far, peak))
-        free[members] = False
-        groups.append(tuple(members.tolist()))
+    row = cols.real[np.argmin(np.count_nonzero(~live(np.abs(cols.real - cols.real[:, :1]), peak), axis=1))].copy()
+    groups, free, size, s = [], np.ones(n, dtype=bool), 1, 0
+    while (lead := s + np.flatnonzero(free[s:])[:size]).size:
+        s, led = lead[0], len(groups)
+        near = free[s:] & ~live(np.abs(d := row[lead, None] - row[s:], out=d), peak)
+        if (pairs := np.flatnonzero(near)).size == lead.size:  # each leader matches itself alone
+            groups += [(u,) for u in lead.tolist()]
+            free[lead] = False
+        else:
+            if pairs.size > n // len(cols):  # keep the leaders whose pairs fit in n // m, at least one
+                pairs = np.flatnonzero(near[:max(1, pairs[n // len(cols)] // (n - s))])
+            li, t = pairs // (n - s), pairs % (n - s) + s
+            same = ~live(np.abs(cols.take(t, axis=1) - cols.take(lead[li], axis=1)).max(axis=0), peak)
+            # Every candidate was free at the block's start: only this block's groups take shifts.
+            ts, ends, taken = t[same].tolist(), np.cumsum(np.bincount(li[same])).tolist(), set()
+            for u, a, b in zip(lead.tolist(), [0, *ends], ends):
+                if u not in taken:
+                    groups.append(g := tuple(v for v in ts[a:b] if v not in taken))
+                    taken.update(g)
+            free[list(taken)] = False
+        size = min(max(1, 2**15 // n), 2 * (len(groups) - led))
     return tuple(groups)
 
 
@@ -233,8 +256,10 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     classes, except where a live bin is too weak to move the columns of
     nearby shifts apart: the scan merges those. The scan compares each
     group's leader, the lowest shift not yet grouped, only with the
-    shifts from it on: about m*n**2/2 column differences, in buffers
-    allocated once per scan. Purely diagnostic:
+    free shifts from it on, leaders taken in blocks. One row's real
+    parts, which differ by no more than the columns do, rule out most
+    pairs: about n**2/2 real differences in all, plus m complex ones
+    for each pair they leave. Purely diagnostic:
     raises only on malformed input (wrong length, complex, NaN or
     infinite samples) and on samples whose norm overflows. Takes one
     signal; a (B, n) stack raises ValueError naming x.

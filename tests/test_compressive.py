@@ -293,7 +293,7 @@ def closed_form_groups(values, indices, n):
 @settings(max_examples=200, deadline=None)
 def test_duplicate_groups_are_the_residues_mod_n_over_the_live_gcd(n, seed, log_c, bins):
     # Groundwork for the closed-form class rule: on measure's output of a
-    # short-period signal, the O(m*n^2) scan finds exactly these classes.
+    # short-period signal, the O(n^2) scan finds exactly these classes.
     x = short_period_signal(n, seed, log_c)
     K = SensingSet(n, tuple(sorted({k % n for k in bins})))
     v = measure(x, K).values
@@ -315,10 +315,10 @@ def all_columns_groups(values, indices, n):
     return tuple(groups)
 
 
-def scan_case(kind, seed):
-    """Seeded measured values and bins for n in 2..256, m in 1..6, at a scale in 10**[-12, 12]."""
+def scan_case(kind, seed, low=2, high=256):
+    """Seeded measured values and bins for n in low..high, m in 1..6, at a scale in 10**[-12, 12]."""
     rng = np.random.default_rng([seed, 24])
-    n = int(rng.integers(2, 257))
+    n = int(rng.integers(low, high + 1))
     K = tuple(sorted(rng.choice(n, size=min(int(rng.integers(1, 7)), n), replace=False).tolist()))
     log_c = rng.uniform(-12.0, 12.0)
     if kind == "periodic":  # measured from a short-period signal: most bins are exact zeros
@@ -329,19 +329,57 @@ def scan_case(kind, seed):
     return 10.0 ** log_c * v, K, n
 
 
+def rescaled(v, peak):
+    """``v`` scaled so that its largest modulus is ``peak``; an all-zero ``v`` as it is."""
+    top = np.abs(v).max()
+    return v / top * peak if top else v
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "periodic", "weak"])
 def test_the_scan_from_each_leader_on_groups_as_the_all_columns_scan(kind):
     # A leader's lower shifts are all grouped already, so comparing it with
-    # the shifts from it on alone must give the same groups, bit for bit.
-    for seed in range(100):
-        v, K, n = scan_case(kind, seed)
-        assert _duplicate_groups(v, K, n) == all_columns_groups(v, K, n), (kind, seed, n, K)
+    # the shifts from it on alone, and only where one row's real parts
+    # leave it a candidate, must give the same groups, bit for bit. A
+    # block holds at most 2**15 // n leaders, all of n when n <= 181;
+    # n in 257..1024 meets that cap. Rescaled to a peak of 1e-310 the
+    # tolerance is subnormal; at 1e307 the differences near the float64 range.
+    cases = [(seed, *scan_case(kind, seed)) for seed in range(100)]
+    cases += [(seed, *scan_case(kind, seed, 257, 1024)) for seed in range(100, 112)]
+    for seed, v, K, n in cases:
+        peaks = (None, 1e-310, 1e307) if seed % 4 == 0 or n > 256 else (None,)
+        for peak in peaks:
+            w = v if peak is None else rescaled(v, peak)
+            assert _duplicate_groups(w, K, n) == all_columns_groups(w, K, n), (kind, seed, n, K, peak)
 
 
-@pytest.mark.parametrize("K", [(1,), (2, 6, 10, 14), (8, 100, 1001, 2048)])
+@pytest.mark.parametrize("K", [(1,), (2, 6, 10, 14), (8, 100, 1001, 2048),
+                               (2048,), (4,), (1024, 2048), (2, 2048)])
 def test_the_scan_from_each_leader_on_groups_as_the_all_columns_scan_at_n_4096(K):
+    # The last four sets share a large factor with n, so leaders have
+    # partners; (2048,) and (1024, 2048) leave a few leaders with huge
+    # groups, and the scan's blocks shrink to the leaders that lead.
     v = measure(np.random.default_rng(len(K)).standard_normal(4096), SensingSet(4096, K)).values
     assert _duplicate_groups(v, K, 4096) == all_columns_groups(v, K, 4096)
+
+
+def test_the_scan_groups_a_weak_live_bin_as_the_all_columns_scan_at_n_4096():
+    # Bin 2, live at 5e-11 of the peak, leaves each leader dozens of
+    # candidates on its row's real parts; most of them join other groups.
+    v = Measurement([5e-11, 1.0], SensingSet(4096, (2, 2048))).values
+    assert _duplicate_groups(v, (2, 2048), 4096) == all_columns_groups(v, (2, 2048), 4096)
+
+
+@pytest.mark.parametrize("n,weak", [(128, 2e-11), (512, 5e-11)])
+def test_the_scan_groups_as_the_all_columns_scan_where_blocks_are_cut(n, weak):
+    # Bin n/2 gives each shift's real part one of two values, and the weak
+    # bin 1 moves nearby real parts apart by about its tolerance alone: a
+    # block of many leaders holds more than n candidate pairs, and the scan
+    # cuts it to the leaders whose pairs fit in n // m, though every shift
+    # is a group of its own.
+    v, K = np.array([weak * 1j, 1.0]), (1, n // 2)
+    groups = _duplicate_groups(v, K, n)
+    assert groups == all_columns_groups(v, K, n)
+    assert len(groups) == n
 
 
 def test_an_all_zero_measurement_puts_every_shift_in_one_group():

@@ -15,9 +15,14 @@ and no complex temporaries beside the difference.
 
 The duplicate-group scan of ``check_sensing_conditions`` holds its
 (m, n) measured-shift columns, the phase table that built them, and
-buffers for one leader's differences, their magnitudes and the
-per-shift maximum, allocated once per scan: a few (m, n) arrays, never
-one per leader nor an (n, n) table.
+one row's real parts. Each block of leaders adds one float difference
+of at most 2**15 samples on that row, and the complex differences of
+its candidate pairs on all m rows, n values a row at most (or one
+leader's pairs): a few (m, n) arrays, never one per leader nor an
+(n, n) table. That holds where groups are huge and each leader has
+many candidates too: sets whose bins share a large factor with n, a
+live bin too weak to move nearby columns apart, and an all-zero
+measurement.
 """
 
 import tracemalloc
@@ -93,11 +98,36 @@ def test_compressive_ratio_stack_holds_one_difference():
 
 
 def test_check_scan_holds_its_buffers_once_per_scan():
-    # In units of m*n complex values (4.45 here): the columns and the
-    # phase table that built them, the difference and magnitude buffers,
-    # and the n groups found. Buffers kept per leader, or an (n, n)
-    # table, would break the bound.
+    # In units of m*n complex values (3.3 here): the columns and the
+    # phase table that built them, one block's float difference, and the
+    # n groups found. Buffers kept per leader, or an (n, n) table, would
+    # break the bound.
     n, K = 4096, (8, 100, 1001, 2048)
     x = np.random.default_rng(3).standard_normal(n)
     S = SensingSet(n, K)
     assert traced_peak(check_sensing_conditions, x, S) * 8 * N / (16 * len(K) * n) < 5
+
+
+# Sets at n = 4096 whose groups are huge or whose leaders have many
+# candidate pairs: bins sharing a large factor with n, a Gaussian signal
+# on K = (2, 2048), a live bin 2 at ~5e-11 of the peak (its nearby even
+# shifts merge), and an all-zero signal.
+_T = np.arange(4096)
+DEGENERATE = {
+    "2048": (np.random.default_rng(1).standard_normal(4096), (2048,)),
+    "4": (np.random.default_rng(1).standard_normal(4096), (4,)),
+    "1024,2048": (np.random.default_rng(2).standard_normal(4096), (1024, 2048)),
+    "512,1024,2048,3072": (np.random.default_rng(2).standard_normal(4096), (512, 1024, 2048, 3072)),
+    "2,2048": (np.random.default_rng(2).standard_normal(4096), (2, 2048)),
+    "weak": (1e-10 * np.cos(4 * np.pi * _T / 4096) + (-1.0) ** _T, (2, 2048)),
+    "zero": (np.zeros(4096), (8, 100, 1001, 2048)),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE))
+def test_check_scan_stays_within_the_m_4_bound_on_degenerate_sets(name):
+    # The same bound as the m = 4 set above, 5 units of 4*n complex values
+    # (1,280 KB), whatever m: blocks shrink to the leaders that lead, and
+    # a block's candidate pairs are cut to n // m.
+    x, K = DEGENERATE[name]
+    assert traced_peak(check_sensing_conditions, x, SensingSet(4096, K)) * 8 * N < 5 * 16 * 4 * 4096

@@ -21,6 +21,10 @@ and at n = 4096, on one row, the compressive path:
 * each estimator as perfbench's compressive-fresh workload calls it: a
   freshly built ``SensingSet`` with the same bins, ``measure`` of both
   sides of the pair, then the estimate (the ``_fresh`` rows);
+* ``check_sensing_conditions`` with the same bins
+  (``check_sensing_4096_4_bins``), whose duplicate-group scan makes
+  about n^2/2 comparisons, so its blocks make ``CHECK_SHARE`` times
+  fewer calls than the others' (at least one);
 
 and at n = 2^20, on one row, ``shift_single_bin`` with bin 1
 (``single_bin_1_2p20``), whose two entries take the blocked evaluation
@@ -66,9 +70,10 @@ N_LONG = 1 << 20
 CALLS = ("crosscorr", "crosscorr_tiny", "ratio", "single_bin_auto", "single_bin_1", "single_bin_auto_20x64",
          "measure_1_3", "check_sensing_64", "brute_force_shift", "measure_4096_4_bins", "compressive_argmax_4096",
          "compressive_ratio_4096", "compressive_argmax_4096_fresh", "compressive_ratio_4096_fresh",
-         "single_bin_1_2p20")
+         "check_sensing_4096_4_bins", "single_bin_1_2p20")
 CELL_ROWS = 20
 BLOCKS = 10
+CHECK_SHARE = 25  # a 4096-point check costs ~100 one-row estimates
 
 
 def _src_dir(path: str) -> Path:
@@ -121,21 +126,24 @@ def _worker(calls: int) -> dict:
         "compressive_ratio_4096": lambda: shift_by_compressive_ratio(z, v),
         "compressive_argmax_4096_fresh": lambda: fresh(shift_by_compressive_argmax),
         "compressive_ratio_4096_fresh": lambda: fresh(shift_by_compressive_ratio),
+        "check_sensing_4096_4_bins": lambda: check_sensing_conditions(long_x, bins),
         "single_bin_1_2p20": lambda: shift_single_bin(very_long_x, very_long_y, 1),
     }
     block = max(1, calls // BLOCKS)
-    for body in bodies.values():
-        for _ in range(min(block, 50)):
+    blocks = {name: max(1, block // CHECK_SHARE) if name == "check_sensing_4096_4_bins" else block
+              for name in CALLS}
+    for name, body in bodies.items():
+        for _ in range(min(blocks[name], 50)):
             body()
     best = dict.fromkeys(CALLS, float("inf"))
     # The kinds take turns block by block, so each sees the same drift of the host.
     for _ in range(BLOCKS):
         for name in CALLS:
-            body = bodies[name]
+            body, calls_here = bodies[name], blocks[name]
             t0 = time.perf_counter_ns()
-            for _ in range(block):
+            for _ in range(calls_here):
                 body()
-            best[name] = min(best[name], (time.perf_counter_ns() - t0) / block / 1e3)
+            best[name] = min(best[name], (time.perf_counter_ns() - t0) / calls_here / 1e3)
     return best
 
 
@@ -175,7 +183,8 @@ def main(argv=None) -> None:
     report = {
         "what": f"one-pair calls and one ({CELL_ROWS}, {N}) stack at n = {N}, compressive calls at "
                 f"n = {N_COMPRESSIVE} and a single-bin call at n = {N_LONG}: per process, the fastest of {BLOCKS} blocks of "
-                f"{max(1, args.calls // BLOCKS)} calls, in microseconds per call; "
+                f"{max(1, args.calls // BLOCKS)} calls ({max(1, args.calls // BLOCKS // CHECK_SHARE)} for the "
+                f"4096-point check), in microseconds per call; "
                 f"{args.rounds} processes per tree" + (", alternating" if len(sides) > 1 else ""),
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "cpu_count": os.cpu_count(), "platform": platform.platform()},
