@@ -12,15 +12,22 @@ transform entries directly. The dense forms live in :mod:`cycshift.oracle`.
 :func:`measure` and both estimators also take (B, n) signal and (B, m)
 measurement stacks, one pair per row, as the full-signal estimators of
 :mod:`cycshift.retrieval` do; row b of a stacked result equals the
-result for row b alone, bit for bit. As there, a one-pair call is the
-one-row stack: the estimators settle each row on its own and hand the
-rows to the one estimate builder of :mod:`cycshift.retrieval`.
+result for row b alone, bit for bit. The estimators settle each row on
+its own and hand the rows to the one estimate builder of
+:mod:`cycshift.retrieval`. Unlike there, a one-pair call is not quite
+the one-row stack: one measurement (a 1-D signal, or 1-D
+``Measurement.values``) reads its m values as Python numbers for the
+m-element steps, where a stack's are arrays: :func:`measure`'s zero and
+overflow rules, and each estimator's live bins and their gcd, argmax's
+lift test and ratio's keep mask. Transforms, products and scores run
+the stack's array code on both paths, and both give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd
 
 import numpy as np
@@ -80,8 +87,9 @@ class SensingSet:
     @cached_property
     def _arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]:
         factors = phase_factors(self.indices, self.n)
-        # measure's phases put the bins on an axis of their own, in front of a stack's rows.
-        return factors, entry_phases(np.array(self.indices)[:, None], self.n, [f[:, None] for f in factors])
+        # measure's phases put the bins on an axis of their own, in front of a stack's rows;
+        # the bins go as one-item rows, made an array only up to n = 512, where they are read.
+        return factors, entry_phases(tuple(zip(self.indices)), self.n, [f[:, None] for f in factors])
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +159,16 @@ def measure(x, sensing: SensingSet) -> Measurement:
         # entry is contracted on its own, with the bits of dft_entry(row, bin).
         vals = dft_entries(x, sensing._arrays[1])  # (m, 1) or (m, B)
         mags = np.abs(vals)
-        vals[~live(mags, norm)] = 0
     # A finite norm can still give an overflowed entry: it is live and kept,
-    # while a NaN one is dead and zeroed, and fmax passes over NaN.
-    require_finite(np.fmax.reduce(mags, axis=None, initial=0.0), "measurement")
+    # while a NaN one is dead and zeroed.
+    if x.ndim == 1:  # one signal: its m magnitudes tested as Python numbers, a dead one read as 0
+        vals, mags = vals.ravel(), [a if live(a, norm) else 0.0 for a in mags.ravel().tolist()]
+        require_finite(max(mags), "measurement")
+        if not all(mags):
+            vals[[not a for a in mags]] = 0
+        return Measurement._taken(vals, sensing)
+    vals[~live(mags, norm)] = 0
+    require_finite(np.fmax.reduce(mags, axis=None, initial=0.0), "measurement")  # fmax passes over NaN
     return Measurement._taken(np.ascontiguousarray(vals.T).reshape(x.shape[:-1] + (sensing.m,)), sensing)
 
 
@@ -269,7 +283,8 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
         raise ValueError(f"x must be one signal, got a stack of shape {v.shape[:1] + (sensing.n,)}")
     n = sensing.n
     qualifying = tuple(k for k, vk in zip(sensing.indices, v) if gcd(k, n) == 1 and vk != 0)
-    dup = tuple(g for g in _duplicate_groups(v, sensing.indices, n) if len(g) > 1)
+    with np.errstate(over="ignore"):  # columns near the float64 range differ by an infinity, which is live
+        dup = tuple(g for g in _duplicate_groups(v, sensing.indices, n) if len(g) > 1)
     return SensingReport(n=n, indices=sensing.indices, qualifying_bins=qualifying, guarantee_holds=bool(qualifying),
                          ambiguous=bool(dup), duplicate_shift_groups=dup)
 
@@ -288,18 +303,16 @@ def _common_sensing(z: Measurement, v: Measurement) -> SensingSet:
 _FLAGS = ((), ("ambiguous",), ("dropped_bins",), ("ambiguous", "dropped_bins"))
 
 
-def _settle(method: str, scores: np.ndarray, best, live_bins: np.ndarray, sensing: SensingSet,
-            dropped=False) -> ShiftEstimate:
+def _settle(method: str, scores: np.ndarray, best, g, n: int, dropped=False) -> ShiftEstimate:
     """The estimate at the smallest shift in ``best``'s class, flagged ``"ambiguous"`` if it has others.
 
-    A delay by s turns sensed bin k by exp(-2j*pi*k*s/n), so the bins
-    marked in ``live_bins`` cannot tell apart shifts that differ by a
-    multiple of n / g, g = gcd(n, those bins), and tell apart all
-    others; g = n when no bin is live. Each row of a stack is settled
-    on its own, and flagged ``"dropped_bins"`` where ``dropped`` holds.
+    A delay by s turns sensed bin k by exp(-2j*pi*k*s/n), so the live
+    bins cannot tell apart shifts that differ by a multiple of n / g,
+    g = gcd(n, those bins), and tell apart all others; g = n when no bin
+    is live. ``g`` holds one gcd per row of a stack (one for one pair):
+    each row is settled on its own, and flagged ``"dropped_bins"`` where
+    ``dropped`` holds.
     """
-    n = sensing.n
-    g = np.gcd(np.gcd.reduce(np.where(live_bins, sensing.indices, 0), axis=-1), n)
     flags = [_FLAGS[c] for c in np.ravel((g > 1) + 2 * dropped).tolist()]
     return _estimate(method, n, best % (n // g), scores=scores, flags=flags)
 
@@ -344,18 +357,29 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     # An overflowed |v_i| is refused by live; an overflowed product shows
     # as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        live_bins = live(np.abs(v.values))
-        zv = np.array((np.conj(z.values), v.values))  # scaled as one array, row by row
-        # Only upward (a peak above 1 reads as 1): an overflowing row stays as it is.
-        peaks = np.minimum(np.abs(zv).max(axis=-1), 1.0)
-        zv, e = to_band(zv, peaks) if (lift := (peaks < 2.0 ** -BAND).any()) else (zv, 0)
+        if v.values.ndim == 1:  # one pair: its live bins, their gcd and the two peaks in Python numbers
+            peak = max(mags := np.abs(v.values).tolist())
+            live_bins = [live(a, peak) for a in mags]
+            g = gcd(sensing.n, *compress(sensing.indices, live_bins))
+            lift = min(peak, max(np.abs(z.values).tolist())) < 2.0 ** -BAND
+        else:
+            live_bins, lift = live(np.abs(v.values)), True
+            g = np.gcd(np.gcd.reduce(np.where(live_bins, sensing.indices, 0), axis=-1), sensing.n)
+        if lift:  # a stack, or one pair peaking below the band
+            zv = np.array((np.conj(z.values), v.values))  # scaled as one array, row by row
+            # Only upward (a peak above 1 reads as 1): an overflowing row stays as it is.
+            peaks = np.minimum(np.abs(zv).max(axis=-1), 1.0)
+            zv, e = to_band(zv, peaks) if (lift := (peaks < 2.0 ** -BAND).any()) else (zv, 0)
+            w = zv[0] * zv[1]
+        else:
+            w = np.conj(z.values) * v.values
         # Shift i*b + j scores Re sum_k w_k * coarse[k, i] * fine[k, j]:
         # one (a, m) @ (m, b) product per row, cut to the n shifts.
-        scores = ((zv[0] * zv[1])[..., None, :] * coarse.T) @ fine
+        scores = (w[..., None, :] * coarse.T) @ fine
         scores = scores.reshape(scores.shape[:-2] + (-1,))[..., :sensing.n].real
     if lift:
         _lower("compressive_argmax", scores, e.sum(axis=0))
-    return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), live_bins, sensing)
+    return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), g, sensing.n)
 
 
 def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
@@ -387,17 +411,29 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
     """
     sensing = _common_sensing(z, v)
     coarse, fine = sensing._arrays[0]
-    keep = live(np.abs(v.values))  # holds at each row's peak unless the row is all zero
-    if not keep.any(axis=-1).all():
+    if v.values.ndim == 1:  # one pair: its live bins and their gcd in Python numbers
+        peak = max(mags := np.abs(v.values).tolist())
+        keep = [live(a, peak) for a in mags]
+        g, usable = gcd(sensing.n, *compress(sensing.indices, keep)), any(keep)
+        masked = dropped = not all(keep)
+    else:
+        keep = live(np.abs(v.values))  # holds at each row's peak unless the row is all zero
+        g = np.gcd(np.gcd.reduce(np.where(keep, sensing.indices, 0), axis=-1), sensing.n)
+        usable, dropped, masked = keep.any(axis=-1).all(), ~keep.all(axis=-1), True
+    if not usable:
         raise IdentifiabilityError("every reference measurement bin is zero")
     # An overflowed ratio shows as a residual that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = np.divide(z.values, v.values, out=np.zeros(z.values.shape, complex), where=keep)
+        # One pair with every bin live divides plainly and has nothing to zero.
+        if masked:
+            rho = np.divide(z.values, v.values, out=np.zeros(z.values.shape, complex), where=keep)
+        else:
+            rho = z.values / v.values
         # Each bin's differences for shifts 0..a*b-1, real and imaginary parts side by side.
         sq = ((rho[..., None] * coarse.conj())[..., None] - fine[:, None, :]).reshape(rho.shape + (-1,)).view(float)
         sq *= sq
-        sq[~keep] = 0  # a dropped bin adds an exact 0 to each sum of squares
+        if masked:
+            sq[~np.asarray(keep)] = 0  # a dropped bin adds an exact 0 to each sum of squares
         sums = sq.sum(axis=-2)[..., :2 * sensing.n]  # over bins, cut to the n shifts
         residuals = np.sqrt(sums[..., ::2] + sums[..., 1::2])
-    return _settle("compressive_ratio", residuals, np.argmin(residuals, axis=-1), keep, v.sensing,
-                   ~keep.all(axis=-1))
+    return _settle("compressive_ratio", residuals, np.argmin(residuals, axis=-1), g, sensing.n, dropped)

@@ -20,9 +20,12 @@ The crosscorr, ratio and single-bin estimators also take a (B, n) stack
 of reference signals and a stack of shifted ones, and score row b of y
 against row b of x in one call, with the transforms run along the last
 axis. Row b of a stacked estimate equals the estimate of that pair
-alone, bit for bit. A one-pair call is the one-row stack: every step
-works row by row, and one builder turns the rows' results into a
-:class:`ShiftEstimate`, unwrapping one pair's into plain numbers.
+alone, bit for bit. A one-pair call here is the one-row stack: every
+step works row by row, and one builder turns the rows' results into a
+:class:`ShiftEstimate`, unwrapping one pair's into plain numbers. The
+compressive estimators of :mod:`cycshift.compressive` use that builder
+too, but read one measurement's m values as Python numbers where a
+stack's are arrays; both give the same bits.
 """
 
 from __future__ import annotations
@@ -399,7 +402,7 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     n = x.size
     if n < 3:
         raise IdentifiabilityError(f"affine shift fit needs n >= 3 for three unknowns, got {n}")
-    with np.errstate(over="ignore"):  # an overflowed sum is refused by live
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum (or inf - inf) is refused by live
         total = float(x.sum())
     if not live(abs(total), n * float(x_peak)):
         raise IdentifiabilityError("sum(x) is numerically zero: the offset term is unidentifiable")

@@ -543,6 +543,18 @@ def test_check_sensing_ambiguous_set(tmp_path, capsys):
     assert [0, 2, 4, 6] in report["duplicate_shift_groups"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_sensing_near_the_float64_range_exits_0_with_no_warning(tmp_path, capsys):
+    # The measured columns of the two shifts differ by more than float64
+    # holds; the report still reads them apart, and nothing else is printed.
+    x_path = tmp_path / "x.csv"
+    save_signal(x_path, np.array([0.8e308, -0.8e308]))
+    code, out, err = run_cli(capsys, "check-sensing", str(x_path), "--sensing", "1")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["qualifying_bins"] == [1] and report["duplicate_shift_groups"] == []
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

@@ -98,3 +98,19 @@ def test_every_call_returns_finite_values_or_raises_value_error(n, seed, shift, 
     if v is not None and z is not None:
         _finite_or_refused("shift_by_compressive_argmax", lambda: shift_by_compressive_argmax(z, v))
         _finite_or_refused("shift_by_compressive_ratio", lambda: shift_by_compressive_ratio(z, v))
+
+
+def test_a_check_near_the_float64_range_reports_its_groups_without_a_warning():
+    # Bin 1 measures 1.13e308, so the columns of shifts 0 and 1 differ by
+    # 2.26e308: an infinite difference, which the scan reads as live.
+    report = check_sensing_conditions([0.8e308, -0.8e308], SensingSet(2, (1,)))
+    assert (report.qualifying_bins, report.guarantee_holds) == ((1,), True)
+    assert (report.ambiguous, report.duplicate_shift_groups) == (False, ())
+
+
+def test_affine_on_a_near_range_ramp_refuses_the_overflow_by_name():
+    # The sum of the ramp adds +inf to -inf, which numpy calls invalid, not
+    # an overflow; the named refusal comes first all the same.
+    ramp = np.linspace(-0.8e308, 0.8e308, 8)
+    with pytest.raises(ValueError, match="the inputs overflow"):
+        shift_affine(ramp, np.roll(ramp, 3))

@@ -10,6 +10,11 @@ n = 64, one call at a time of:
 * ``shift_single_bin`` with an automatic bin and with bin 1, and with
   an automatic bin on one (20, 64) stack, the shape of a bench cell;
 * ``measure`` and ``check_sensing_conditions`` with K = (1, 3);
+* ``measure`` of one (20, 64) stack with K = (1, 3), and
+  ``shift_by_compressive_argmax`` and ``shift_by_compressive_ratio`` on
+  the two stacked measurements of its pairs delayed by 5: the stack
+  path a bench cell runs (the ``_20x64`` rows), where one measurement
+  (the rows at n = 4096) reads its m values as Python numbers;
 * ``oracle.brute_force_shift``, the O(n^2) reference;
 
 and at n = 4096, on one row, the compressive path:
@@ -68,7 +73,8 @@ N = 64
 N_COMPRESSIVE = 4096
 N_LONG = 1 << 20
 CALLS = ("crosscorr", "crosscorr_tiny", "ratio", "single_bin_auto", "single_bin_1", "single_bin_auto_20x64",
-         "measure_1_3", "check_sensing_64", "brute_force_shift", "measure_4096_4_bins", "compressive_argmax_4096",
+         "measure_1_3", "check_sensing_64", "measure_20x64", "compressive_argmax_20x64",
+         "compressive_ratio_20x64", "brute_force_shift", "measure_4096_4_bins", "compressive_argmax_4096",
          "compressive_ratio_4096", "compressive_argmax_4096_fresh", "compressive_ratio_4096_fresh",
          "check_sensing_4096_4_bins", "single_bin_1_2p20")
 CELL_ROWS = 20
@@ -109,6 +115,7 @@ def _worker(calls: int) -> dict:
 
     cell_x = rng.standard_normal((CELL_ROWS, N))
     cell_y = np.roll(cell_x, 5, axis=-1)
+    cell_z, cell_v = measure(cell_y, sensing), measure(cell_x, sensing)
     very_long_x = rng.standard_normal(N_LONG)
     very_long_y = np.roll(very_long_x, 5)
     bodies = {
@@ -120,6 +127,9 @@ def _worker(calls: int) -> dict:
         "single_bin_auto_20x64": lambda: shift_single_bin(cell_x, cell_y),
         "measure_1_3": lambda: measure(x, sensing),
         "check_sensing_64": lambda: check_sensing_conditions(x, sensing),
+        "measure_20x64": lambda: measure(cell_x, sensing),
+        "compressive_argmax_20x64": lambda: shift_by_compressive_argmax(cell_z, cell_v),
+        "compressive_ratio_20x64": lambda: shift_by_compressive_ratio(cell_z, cell_v),
         "brute_force_shift": lambda: oracle.brute_force_shift(x, y),
         "measure_4096_4_bins": lambda: measure(long_x, bins),
         "compressive_argmax_4096": lambda: shift_by_compressive_argmax(z, v),
@@ -181,7 +191,7 @@ def main(argv=None) -> None:
         for side in order:
             runs[side].append(_run_side(sides[side], args.calls))
     report = {
-        "what": f"one-pair calls and one ({CELL_ROWS}, {N}) stack at n = {N}, compressive calls at "
+        "what": f"one-pair calls and ({CELL_ROWS}, {N}) stacks at n = {N}, compressive calls at "
                 f"n = {N_COMPRESSIVE} and a single-bin call at n = {N_LONG}: per process, the fastest of {BLOCKS} blocks of "
                 f"{max(1, args.calls // BLOCKS)} calls ({max(1, args.calls // BLOCKS // CHECK_SHARE)} for the "
                 f"4096-point check), in microseconds per call; "
