@@ -30,7 +30,7 @@ import numpy as np
 
 # The method table and estimate, re-exported from the package that holds them.
 from . import METHOD_TABLE, METHODS, compressive, estimate
-from .errors import IdentifiabilityError, as_index, as_tuple, real_numbers
+from .errors import IdentifiabilityError, as_index, as_tuple, real_floats
 from .fileio import comma_list, flag, parse_snr, scalar
 
 __all__ = ["METHODS", "METHOD_TABLE", "estimate", "ExperimentConfig",
@@ -68,7 +68,7 @@ class ExperimentConfig:
         as_index(self.n, "n", 2)
         as_index(self.trials, "trials", 1)
         as_index(self.seed, "seed", 0)
-        grid = real_numbers(as_tuple(self.snr_db_grid, "snr_db_grid"), "snr_db_grid")
+        grid = real_floats(as_tuple(self.snr_db_grid, "snr_db_grid"), "snr_db_grid")
         if not grid.size:
             raise ValueError("snr_db_grid is empty")
         # NaN and -inf fail this test; +inf is the noiseless sentinel.

@@ -12,15 +12,23 @@ transform entries directly. The dense forms live in :mod:`cycshift.oracle`.
 :func:`measure` and both estimators also take (B, n) signal and (B, m)
 measurement stacks, one pair per row, as the full-signal estimators of
 :mod:`cycshift.retrieval` do; row b of a stacked result equals the
-result for row b alone, bit for bit. The estimators settle each row on
+result for row b alone, bit for bit. One exception: beyond n = 8192 the
+signal norm that sets :func:`measure`'s zero threshold can differ from
+the row's own in its last bits (numpy sums a stack through an
+8192-element buffer), so only an entry within rounding of that
+threshold could be judged otherwise. The estimators settle each row on
 its own and hand the rows to the one estimate builder of
 :mod:`cycshift.retrieval`. Unlike there, a one-pair call is not quite
 the one-row stack: one measurement (a 1-D signal, or 1-D
 ``Measurement.values``) reads its m values as Python numbers for the
 m-element steps, where a stack's are arrays: :func:`measure`'s zero and
-overflow rules, and each estimator's live bins and their gcd, argmax's
-lift test and ratio's keep mask. Transforms, products and scores run
-the stack's array code on both paths, and both give the same bits.
+overflow rules, and, for both estimators, ``_class_rule``, the one
+reader of the paper's gcd condition, which gives the reference's live
+bins, their gcd and its peak. Beyond it each estimator keeps the one
+shape branch its own numbers need: argmax's lift test, which reads z's
+peak as a Python number too, and ratio's keep mask. Transforms,
+products and scores run the stack's array code on both paths, and both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -291,12 +299,32 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
 
 def _common_sensing(z: Measurement, v: Measurement) -> SensingSet:
     if not isinstance(z, Measurement) or not isinstance(v, Measurement):
-        raise TypeError("expected Measurement inputs")
+        raise TypeError(f"z and v must be Measurements, got {type(z).__name__} and {type(v).__name__}")
     if z.sensing != v.sensing:
         raise ValueError("measurements use different sensing sets")
     if z.values.shape != v.values.shape:
         raise ValueError(f"measurement shapes differ: {z.values.shape} vs {v.values.shape}")
     return z.sensing
+
+
+def _class_rule(v: Measurement):
+    """The paper's gcd condition on reference ``v``: its live bins, g = gcd(n, those bins) and its peak.
+
+    Shifts s and s' give equal measurements on bins K iff
+    k * (s - s') = 0 mod n for every k in K, so the bins live against
+    the largest |v| tell apart exactly the shifts that differ by other
+    than a multiple of n / g; g = n when no bin is live. One measurement
+    is read as Python numbers: a list of m liveness flags, g as an int
+    and the peak as a float. A (B, m) stack gives the (B, m) mask, one g
+    per row, each row judged against its own peak, and None.
+    """
+    n, indices = v.sensing.n, v.sensing.indices
+    if v.values.ndim == 1:
+        peak = max(mags := np.abs(v.values).tolist())
+        keep = [live(a, peak) for a in mags]
+        return keep, gcd(n, *compress(indices, keep)), peak
+    keep = live(np.abs(v.values))  # holds at each row's peak unless the row is all zero
+    return keep, np.gcd(np.gcd.reduce(np.where(keep, indices, 0), axis=-1), n), None
 
 
 # The flags of a settled estimate, indexed by ambiguous + 2 * dropped_bins.
@@ -357,14 +385,8 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     # An overflowed |v_i| is refused by live; an overflowed product shows
     # as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        if v.values.ndim == 1:  # one pair: its live bins, their gcd and the two peaks in Python numbers
-            peak = max(mags := np.abs(v.values).tolist())
-            live_bins = [live(a, peak) for a in mags]
-            g = gcd(sensing.n, *compress(sensing.indices, live_bins))
-            lift = min(peak, max(np.abs(z.values).tolist())) < 2.0 ** -BAND
-        else:
-            live_bins, lift = live(np.abs(v.values)), True
-            g = np.gcd(np.gcd.reduce(np.where(live_bins, sensing.indices, 0), axis=-1), sensing.n)
+        _, g, peak = _class_rule(v)
+        lift = peak is None or min(peak, max(np.abs(z.values).tolist())) < 2.0 ** -BAND
         if lift:  # a stack, or one pair peaking below the band
             zv = np.array((np.conj(z.values), v.values))  # scaled as one array, row by row
             # Only upward (a peak above 1 reads as 1): an overflowing row stays as it is.
@@ -411,14 +433,11 @@ def shift_by_compressive_ratio(z: Measurement, v: Measurement) -> ShiftEstimate:
     """
     sensing = _common_sensing(z, v)
     coarse, fine = sensing._arrays[0]
-    if v.values.ndim == 1:  # one pair: its live bins and their gcd in Python numbers
-        peak = max(mags := np.abs(v.values).tolist())
-        keep = [live(a, peak) for a in mags]
-        g, usable = gcd(sensing.n, *compress(sensing.indices, keep)), any(keep)
+    keep, g, _ = _class_rule(v)
+    if v.values.ndim == 1:  # one pair: its bins' liveness is a list of Python bools
+        usable = any(keep)
         masked = dropped = not all(keep)
     else:
-        keep = live(np.abs(v.values))  # holds at each row's peak unless the row is all zero
-        g = np.gcd(np.gcd.reduce(np.where(keep, sensing.indices, 0), axis=-1), sensing.n)
         usable, dropped, masked = keep.any(axis=-1).all(), ~keep.all(axis=-1), True
     if not usable:
         raise IdentifiabilityError("every reference measurement bin is zero")

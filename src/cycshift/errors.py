@@ -2,14 +2,16 @@
 
 :func:`real_array` turns an array argument into float64 values
 (:func:`real_rows` also hands back the peak of each row, and
-:func:`real_floats` leaves the finiteness test to a sum its caller
-takes anyway),
+:func:`real_floats` leaves the finiteness test to its caller: to a sum
+the caller takes anyway, or to bench's SNR grid, where +inf is the
+noiseless sentinel),
 :func:`as_index` turns an index argument into an int in range,
-:func:`as_tuple` takes the items of a sequence argument and
-:func:`finite` tells whether values hold no NaN or infinity;
-:func:`real_rows` reads that off the peaks it hands back, so an input
-whose peaks are wanted is read once. No other module restates these
-rules. Each error names the argument at fault.
+:func:`as_tuple` takes the items of a sequence argument,
+:func:`finite` tells whether values hold no NaN or infinity and
+:func:`peak` reads the largest magnitude of a real array;
+:func:`real_rows` reads finiteness off the peaks it hands back, so an
+input whose peaks are wanted is read once. No other module restates
+these rules. Each error names the argument at fault.
 """
 
 import operator
@@ -34,12 +36,8 @@ def peak(a: np.ndarray, axis=None):
     The one read of an array's magnitudes: max and min propagate NaN and
     reach any infinity, so the peak is not finite exactly when ``a``
     holds a NaN or an infinity, and no temporary the size of ``a`` is
-    made. Complex values count part by part, read as one float view (a
-    complex array that is not contiguous is copied for it). An empty
-    span peaks at 0.
+    made. ``a`` is a real float array; an empty span peaks at 0.
     """
-    if a.dtype.kind == "c":  # real and imaginary parts side by side, each row still one row
-        a = np.ascontiguousarray(a).view(a.real.dtype)
     hi, lo = a.max(axis, initial=0.0), -a.min(axis, initial=0.0)
     # A NaN reaches both or neither, so the plain max suffices for one peak (and is faster).
     return np.maximum(hi, lo) if hi.ndim else max(hi, lo)
@@ -75,20 +73,6 @@ def _asarray(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be rectangular, got a ragged nested sequence") from None
 
 
-def real_numbers(values, what: str) -> np.ndarray:
-    """``values`` as an array of booleans, integers or real floats, or ValueError naming ``what``.
-
-    Every other dtype is refused, not cast: a complex one would lose its
-    imaginary part, and strings, None and other objects are not numbers
-    (only :mod:`cycshift.fileio` turns text into values), and neither
-    is a ragged nested sequence. NaN and infinities pass.
-    """
-    arr = _asarray(values, what)
-    if arr.dtype.kind not in "biuf":
-        raise ValueError(f"{what} must be real, got {arr.dtype} values")
-    return arr
-
-
 def real_rows(values, what: str) -> tuple[np.ndarray, np.ndarray]:
     """:func:`real_array` of ``values`` and the :func:`peak` of each row, from one read.
 
@@ -105,21 +89,29 @@ def real_rows(values, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def real_floats(values, what: str) -> np.ndarray:
-    """:func:`real_numbers` of ``values`` as float64, their finiteness not yet read.
+    """``values`` as a float64 array, their finiteness not yet read, or ValueError naming ``what``.
 
-    For a caller that sums the squares of the values anyway: a finite
-    sum holds no NaN or infinity, so only a sum that is not finite needs
-    :func:`real_array` to read the values and name the fault. A float64
-    array is returned as it is, not copied.
+    Only boolean, integer and real floating values pass; every other
+    dtype is refused, not cast: a complex one would lose its imaginary
+    part, and strings, None and other objects are not numbers (only
+    :mod:`cycshift.fileio` turns text into values), and neither is a
+    ragged nested sequence. NaN and infinities pass: a caller that sums
+    the squares of the values anyway reads them from that sum, as a
+    finite sum holds no NaN or infinity, and only a sum that is not
+    finite needs :func:`real_array` to read the values and name the
+    fault. A float64 array is returned as it is, not copied.
     """
-    return real_numbers(values, what).astype(np.float64, copy=False)
+    arr = _asarray(values, what)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real, got {arr.dtype} values")
+    return arr.astype(np.float64, copy=False)
 
 
 def real_array(values, what: str) -> np.ndarray:
     """``values`` as a float64 array, or ValueError naming ``what``.
 
     Only boolean, integer and real floating values pass
-    (:func:`real_numbers`); NaN and infinities are refused too. A
+    (:func:`real_floats`); NaN and infinities are refused too. A
     float64 array is returned as it is, not copied.
     """
     return require_finite(real_floats(values, what), what)

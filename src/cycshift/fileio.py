@@ -26,7 +26,7 @@ def save_signal(path, values) -> None:
     """Write a signal file. Raises ValueError on complex, NaN or infinite values."""
     values = real_array(values, "values")
     if values.ndim != 1 or values.size == 0:
-        raise ValueError("signal must be a nonempty 1-D vector")
+        raise ValueError(f"values must be one nonempty signal, got shape {values.shape}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# n={values.size}\n")
         for v in values:

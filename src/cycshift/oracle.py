@@ -51,7 +51,7 @@ def brute_force_shift(x, y) -> retrieval.ShiftEstimate:
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.size == 0:
-        raise ValueError("signals must be nonempty 1-D vectors")
+        raise ValueError(f"x and y must be nonempty 1-D vectors, got shapes {x.shape} and {y.shape}")
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     n = x.size

@@ -20,7 +20,11 @@ The crosscorr, ratio and single-bin estimators also take a (B, n) stack
 of reference signals and a stack of shifted ones, and score row b of y
 against row b of x in one call, with the transforms run along the last
 axis. Row b of a stacked estimate equals the estimate of that pair
-alone, bit for bit. A one-pair call here is the one-row stack: every
+alone, bit for bit, with one exception: beyond n = 8192 the norm that
+sets :func:`shift_single_bin`'s zero threshold can differ from the
+row's own in its last bits (numpy sums a stack through an 8192-element
+buffer), so only a bin within rounding of that threshold could be
+judged otherwise. A one-pair call here is the one-row stack: every
 step works row by row, and one builder turns the rows' results into a
 :class:`ShiftEstimate`, unwrapping one pair's into plain numbers. The
 compressive estimators of :mod:`cycshift.compressive` use that builder
@@ -113,7 +117,7 @@ def _pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which the finiteness check reads anyway, is used.
     """
     if x.ndim not in (1, 2) or y.ndim not in (1, 2):
-        raise ValueError("signals must be one-dimensional, or a (B, n) stack of them")
+        raise ValueError(f"x and y must be signals or (B, n) stacks of them, got shapes {x.shape} and {y.shape}")
     if x.size == 0:
         raise ValueError("signals are empty")
     if x.shape != y.shape:
@@ -294,7 +298,7 @@ def select_bin(xspec) -> int:
     """
     xs = np.asarray(xspec)
     if xs.ndim != 1 or xs.size < 2:
-        raise ValueError("spectrum must be 1-D with length >= 2")
+        raise ValueError(f"xspec must be one spectrum of length >= 2, got shape {xs.shape}")
     return int(_strongest_bin(np.abs(xs), xs.size))
 
 
@@ -398,7 +402,7 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
     (x, x_peak), (y, y_peak) = real_rows(x, "x"), real_rows(y, "y")
     _pair(x, y)
     if x.ndim != 1:
-        raise ValueError("shift_affine takes one pair of one-dimensional signals")
+        raise ValueError(f"x must be one signal, got a stack of shape {x.shape}")
     n = x.size
     if n < 3:
         raise IdentifiabilityError(f"affine shift fit needs n >= 3 for three unknowns, got {n}")

@@ -191,7 +191,7 @@ def dft_entry(x, k):
         raise ValueError("x must be a nonempty 1-D vector or 2-D stack of vectors")
     k = np.asarray(k)
     if k.shape not in ((), arr.shape[:-1]):
-        raise ValueError(f"expected one bin or one per row, got shape {k.shape}")
+        raise ValueError(f"k: expected one bin or one per row, got shape {k.shape}")
     for i in k.ravel().tolist():
         as_index(i, "bin index k", 0, arr.shape[-1])
     if np.iscomplexobj(arr):  # the real and the imaginary part, each a real signal

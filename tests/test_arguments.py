@@ -6,7 +6,8 @@ objects), NaN and infinities; every index argument refuses a float, even
 a whole one, and a string; every sequence argument refuses a number,
 None and a string; both refuse a ragged nested sequence. Each refusal is
 a ValueError whose message names the argument. Python ints and numpy
-integers pass.
+integers pass. A shape an entry point does not take, a stack where one
+signal is wanted among them, is refused by name too.
 """
 
 import os
@@ -26,6 +27,7 @@ from cycshift import (
     ls_circulant_fit,
     make_shift,
     measure,
+    select_bin,
     shift_affine,
     shift_by_crosscorr,
     shift_by_ratio,
@@ -33,6 +35,7 @@ from cycshift import (
 )
 from cycshift.bench import ExperimentConfig
 from cycshift.fileio import save_measurement, save_signal
+from cycshift.oracle import brute_force_shift
 
 X = np.random.default_rng(0).standard_normal(8)
 MAT = np.random.default_rng(1).standard_normal((8, 3))
@@ -188,11 +191,34 @@ ONE_ROW_SITES = {
     "check_sensing_conditions": (lambda: check_sensing_conditions(STACK, K), "x"),
     "embed": (lambda: embed(measure(STACK, K).values, K), "values"),
     "save_measurement": (lambda: save_measurement(os.devnull, measure(STACK, K)), "meas"),
+    "shift_affine": (lambda: shift_affine(STACK, STACK), "x"),
+    "select_bin": (lambda: select_bin(np.fft.fft(STACK)), "xspec"),
+    "Circulant": (lambda: Circulant(STACK), "first_column"),
+    "save_signal": (lambda: save_signal(os.devnull, STACK), "values"),
+    "brute_force_shift": (lambda: brute_force_shift(STACK, STACK), "x"),
 }
 
 
 @pytest.mark.parametrize("site", ONE_ROW_SITES)
 def test_one_row_entry_points_refuse_a_stack_by_name(site):
     call, name = ONE_ROW_SITES[site]
+    with pytest.raises(ValueError, match=_names(name)):
+        call()
+
+
+# Shape that fits no entry point -> (call with it, the argument's name).
+SHAPE_SITES = {
+    "3-D pair": (lambda: shift_by_crosscorr(STACK[None], STACK[None]), "x"),
+    "one-element spectrum": (lambda: select_bin(np.ones(1)), "xspec"),
+    "3-D dft_entry": (lambda: dft_entry(STACK[None], 1), "x"),
+    "empty dft_entry": (lambda: dft_entry(np.ones(0), 0), "x"),
+    "a bin per row of one signal": (lambda: dft_entry(X, [1, 3]), "k"),
+    "too few bins for a stack": (lambda: dft_entry(STACK, [1, 3, 5]), "k"),
+}
+
+
+@pytest.mark.parametrize("site", SHAPE_SITES)
+def test_shapes_no_entry_point_takes_are_refused_by_name(site):
+    call, name = SHAPE_SITES[site]
     with pytest.raises(ValueError, match=_names(name)):
         call()

@@ -129,6 +129,16 @@ def test_run_bench_refuses_nan_and_minus_inf_snr(snr):
                                    methods=("crosscorr",)))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: small_config(snr_db_grid=()), "^snr_db_grid is empty$"),
+    (lambda: small_config(fmt="xml"), "^format must be csv or json, got 'xml'$"),
+    (lambda: config_from_mapping({"n": 8, "trials": 2, "seed": 0}), "^config needs snr_db_grid "),
+], ids=["empty-snr-grid", "unknown-format", "no-snr-grid"])
+def test_config_refuses_a_missing_or_unknown_field_by_name(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_config_refuses_a_negative_seed_by_name():
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         small_config(seed=-1)

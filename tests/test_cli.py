@@ -314,6 +314,19 @@ def test_retrieve_small_measurements_are_not_ambiguous(tmp_path, capsys):
         assert json.loads(out)["shift"] == 3
 
 
+@pytest.mark.parametrize("y_n, flags, error", [
+    (9, ["--method", "ratio"], "length mismatch: {x} has 8, {y} has 9"),
+    (8, ["--method", "compressive_argmax"], "compressive methods need --sensing (e.g. --sensing 1,3)"),
+], ids=["lengths-differ", "no-sensing"])
+def test_retrieve_refusals_on_signal_files_name_the_file_or_flag(tmp_path, capsys, y_n, flags, error):
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    save_signal(x_path, np.arange(1.0, 9.0))
+    save_signal(y_path, np.arange(1.0, y_n + 1.0))
+    code, out, err = run_cli(capsys, "retrieve", str(x_path), str(y_path), *flags)
+    assert (code, out) == (1, "")
+    assert err == f"cycshift: error: {error.format(x=x_path, y=y_path)}\n"
+
+
 def test_retrieve_mixed_kinds_exits_1(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     save_signal(sig, np.arange(1.0, 9.0))

@@ -841,6 +841,16 @@ def test_a_stack_with_an_all_zero_reference_row_refuses_the_ratio():
     assert shift_by_compressive_argmax(z, v).flags[1] == ("ambiguous",)
 
 
+@pytest.mark.parametrize("estimator", [shift_by_compressive_argmax, shift_by_compressive_ratio])
+def test_compressive_estimators_take_measurements_only(estimator):
+    v = measure(np.random.default_rng(5).standard_normal(8), SensingSet(8, (1, 3)))
+    for z in (v.values, None):
+        with pytest.raises(TypeError, match=r"^z and v must be Measurements, got \w+ and Measurement$"):
+            estimator(z, v)
+        with pytest.raises(TypeError, match=r"^z and v must be Measurements, got Measurement and \w+$"):
+            estimator(v, z)
+
+
 def test_measurement_stacks_must_match_and_may_be_in_any_memory_order():
     sensing = SensingSet(8, (1, 3))
     x = np.random.default_rng(4).standard_normal((3, 8))
@@ -899,6 +909,13 @@ def test_identity_single_measurement_term():
         direct = (np.conj(z.values[0]) * v.values[0] * np.exp(-2j * np.pi * k * s / n)).real
         assert lhs == pytest.approx(direct, abs=1e-10)
         assert rhs == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("shift", [-1, 8])
+def test_identity_rejects_a_shift_out_of_range(shift):
+    v = measure(np.random.default_rng(18).standard_normal(8), SensingSet(8, (1, 3)))
+    with pytest.raises(ValueError, match=rf"^shift {shift} out of range 0\.\.7"):
+        argmax_identity_check(v, v, shift)
 
 
 def test_identity_rejects_large_n():

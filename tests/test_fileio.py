@@ -82,6 +82,7 @@ def test_measurement_requires_headers(tmp_path):
     b"# n=8\n# K=\n",
     b"# n=8\n# K=9\n1.0,2.0\n",
     b"# n=8\n# K=1\n1.0;2.0\n",
+    b"# K=1,3\n1.0,2.0\n3.0,4.0\n",  # K without n
     b"1.0\n\xff\n",
 ])
 def test_every_parse_error_names_the_file(tmp_path, text):

@@ -217,6 +217,25 @@ def test_a_unit_row_beside_a_tiny_row_gets_its_one_row_norm_measurement_and_esti
             assert stacked.score[b].tobytes() == np.float64(alone.score).tobytes()
 
 
+def test_rows_of_a_stack_beyond_8192_samples_get_their_one_row_measurement_and_estimate():
+    # Beyond n = 8192 einsum sums a stack's rows through its 8192-element
+    # buffer, in another order than one row alone, so _norm can give a row
+    # other last bits. The norm only sets the zero rule's threshold: the
+    # values, shifts and scores keep each row's own bits.
+    n, sensing = 16384, SensingSet(16384, (1, 3, 4096, 8191))
+    x = np.random.default_rng(16384).standard_normal((3, n))
+    y = np.roll(x, 5, axis=1)
+    norms, measured = retrieval._norm(x), measure(x, sensing).values
+    for i in (3, None):
+        stacked = shift_single_bin(x, y, i)
+        for b in range(3):
+            assert norms[b] == pytest.approx(retrieval._norm(x[b]), rel=1e-15)
+            assert measured[b].tobytes() == measure(x[b], sensing).values.tobytes()
+            alone = shift_single_bin(x[b], y[b], i)
+            assert (stacked.shift[b], stacked.flags[b]) == (alone.shift, alone.flags) == (5, ())
+            assert stacked.score[b].tobytes() == np.float64(alone.score).tobytes()
+
+
 @pytest.mark.parametrize("c", [1.0, 2.0 ** -540])
 def test_a_truly_zero_correlation_is_not_an_underflow(c):
     est = shift_by_crosscorr([c, -c], [c, c])

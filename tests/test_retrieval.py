@@ -301,6 +301,13 @@ def test_affine_zero_sum_fails():
         shift_affine(x, np.roll(x, 1))
 
 
+def test_affine_without_a_usable_coprime_bin_fails():
+    # The spectrum of (2, 1, 2, 1) lives in bins 0 and 2, neither coprime with 4.
+    x = np.array([2.0, 1.0, 2.0, 1.0])
+    with pytest.raises(IdentifiabilityError, match="^no usable coprime bin"):
+        shift_affine(x, np.roll(x, 1))
+
+
 def test_coprime_mask_matches_gcd():
     for n in [*range(1, 130), 1 << 10, 2 * 3 * 5 * 7 * 11, 997 * 3, 65536 + 1]:
         for size in (n // 2 + 1, n):

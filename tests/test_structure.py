@@ -7,7 +7,8 @@ the only one that turns input text into values; ``errors`` is the only
 one that turns an array argument into float64 values or an index
 argument into an int in range, and the only one that tests finiteness.
 The O(n^2) duplicate-group scan serves ``check_sensing_conditions``
-alone; the compressive estimators settle their shift without it.
+alone; the compressive estimators settle their shift without it, on
+the paper's gcd condition, which ``compressive._class_rule`` alone reads.
 ``run_bench`` measures each block of trials in one call per side, and
 only ``_stack_hits`` scores trials one by one, after a stacked call
 refused.
@@ -142,10 +143,10 @@ def _tiny_floats(tree: ast.Module) -> set[float]:
 
 
 def test_tolerances_below_one_millionth_live_only_in_spectral():
-    # A zero test elsewhere goes through spectral.live; the oracles and
-    # the self-test compare against references with their own margins.
+    # A zero test elsewhere goes through spectral.live; the oracles
+    # compare against references with their own margins.
     tiny = {p.name: _tiny_floats(_tree(p)) for p in MODULES}
-    for owner in ("spectral.py", "oracle.py", "selftest.py"):
+    for owner in ("spectral.py", "oracle.py"):
         tiny.pop(owner)
     assert {name: found for name, found in tiny.items() if found} == {}
 
@@ -233,12 +234,18 @@ def _imports(tree: ast.Module) -> list[str]:
 
 
 def test_selftest_runs_only_the_oracle_table():
-    # The field checks are the rows of oracle.PAIRS, not a second copy of them.
-    tree = _tree(PACKAGE / "selftest.py")
-    assert _imports(tree) == [".oracle:PAIRS"]
-    defined = [node for node in ast.walk(tree)
+    # The field checks are the rows of oracle.PAIRS, not a second copy of
+    # them: the command imports the table alone, inside itself, and
+    # defines no check of its own.
+    tree = _tree(PACKAGE / "cli.py")
+    command = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_cmd_selftest")
+    assert [name for name in _imports(tree) if name.startswith(".oracle:")] == [".oracle:PAIRS"]
+    assert _imports(command) == [".oracle:PAIRS"]
+    defined = [node for node in ast.walk(command)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda))]
-    assert [getattr(node, "name", "<lambda>") for node in defined] == ["run_selftest"]
+    assert defined == [command]
+    assert "check" in _names(command)
 
 
 def test_every_oracle_reference_serves_a_row():
@@ -274,6 +281,16 @@ def test_only_check_sensing_conditions_scans_for_duplicate_groups():
     users = {p.name: _users(_tree(p), "_duplicate_groups") for p in MODULES}
     assert {name: fns for name, fns in users.items() if fns} == {
         "compressive.py": {"check_sensing_conditions"}}
+
+
+def test_only_the_class_rule_and_the_diagnostic_take_a_gcd():
+    # The paper's gcd condition has one reader for both estimators,
+    # _class_rule; check_sensing_conditions takes its own gcd for the
+    # qualifying bins (gcd(k, n) = 1).
+    tree = _tree(PACKAGE / "compressive.py")
+    takers = {getattr(node, "name", "<module>") for node in tree.body
+              if any(isinstance(call, ast.Call) and "gcd" in _names(call.func) for call in ast.walk(node))}
+    assert takers == {"_class_rule", "check_sensing_conditions"}
 
 
 def test_bench_measures_whole_blocks_never_rows():
