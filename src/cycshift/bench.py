@@ -8,7 +8,10 @@ the sentinel value ``inf`` gives the noiseless row.
 Determinism: every trial draws from its own generator seeded by
 (master seed, trial index), so results do not depend on the order the
 (snr, method) cells run in and trials of the same index share signal,
-shift and raw noise across cells. Each trial is drawn once, and every
+shift and raw noise across cells. The generator is seeded with the
+uint32 words numpy's ``SeedSequence`` reads from that pair, so its
+stream is ``np.random.default_rng([seed, trial])``'s; the words are
+built once per block of trials. Each trial is drawn once, and every
 estimator scores all trials of a cell in one stacked call; the
 compressive ones score the (trials, m) measurements that one
 :func:`~cycshift.compressive.measure` call per block and side gives.
@@ -79,10 +82,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-        if any(METHOD_TABLE[m][2] for m in self.methods):
-            if self.sensing is None:
-                raise ValueError("compressive methods need a sensing index list")
+        if self.sensing is not None:
             compressive.SensingSet(self.n, self.sensing)  # raises if invalid
+        elif any(METHOD_TABLE[m][2] for m in self.methods):
+            raise ValueError("compressive methods need a sensing index list")
 
 
 def config_from_mapping(raw) -> ExperimentConfig:
@@ -130,11 +133,9 @@ def noise_sigma(x: np.ndarray, snr_db: float):
 
 def run_bench(config: ExperimentConfig) -> list[dict]:
     """Run the sweep and return one row dict per (snr, method) cell."""
-    sensing_set = (
-        compressive.SensingSet(config.n, config.sensing) if config.sensing else None
-    )
     n, grid, methods = config.n, config.snr_db_grid, config.methods
     measured_any = any(METHOD_TABLE[m][2] for m in methods)
+    sensing_set = compressive.SensingSet(n, config.sensing) if measured_any else None
     m = sensing_set.m if measured_any else 1
     hits = [[0] * len(methods) for _ in grid]
     elapsed = [[0.0] * len(methods) for _ in grid]
@@ -170,18 +171,36 @@ def _draw(seed: int, trials, n: int, noisy: bool):
     """Signals, planted shifts and raw noise (or None) of ``trials``, one row each.
 
     Each trial draws from its own generator, in this order, so a trial
-    gets the same values whatever block or cell it is drawn for.
+    gets the same values whatever block or cell it is drawn for. Its
+    generator is seeded with the uint32 words that numpy's
+    ``SeedSequence`` reads from ``[seed, trial]``: the little-endian
+    32-bit words of the seed (at least one), then those of the trial.
+    numpy takes a uint32 array as it is, so its stream equals
+    ``np.random.default_rng([seed, trial])``'s, without converting two
+    Python ints per trial.
     """
     x = np.empty((len(trials), n))
     shifts = np.empty(len(trials), dtype=np.int64)
     noise = np.empty((len(trials), n)) if noisy else None
-    for row, trial in enumerate(trials):
-        rng = np.random.default_rng([seed, trial])
-        x[row] = rng.standard_normal(n)
+    head = _words(seed, "seed")
+    if max(trials, default=0) >> 32:  # a trial of two words or more
+        words = [np.array(head + _words(trial, "trial"), dtype=np.uint32) for trial in trials]
+    else:
+        words = np.empty((len(trials), len(head) + 1), dtype=np.uint32)
+        words[:, :-1], words[:, -1] = head, trials
+    for row, entropy in enumerate(words):
+        rng = np.random.default_rng(entropy)
+        rng.standard_normal(out=x[row])
         shifts[row] = rng.integers(n)
         if noisy:
-            noise[row] = rng.standard_normal(n)
+            rng.standard_normal(out=noise[row])
     return x, shifts, noise
+
+
+def _words(value, what: str) -> list[int]:
+    """The little-endian 32-bit words of the nonnegative integer ``what``, at least one."""
+    value = as_index(value, what, 0)
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _hit(method: str, x, y, s) -> bool:

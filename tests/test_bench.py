@@ -158,6 +158,28 @@ def test_config_validation():
     small_config(sensing=None, methods=("crosscorr", "ratio")).validate()
 
 
+@pytest.mark.parametrize("sensing, message", [
+    ((100,), r"^sensing indices\[0\] must be in 0\.\.63, got 100$"),
+    ((3, 1), r"^sensing indices must be strictly increasing, got \(3, 1\)$"),
+])
+def test_config_refuses_a_bad_sensing_set_that_no_method_needs(sensing, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(n=64, trials=4, seed=1, snr_db_grid=(float("inf"),),
+                         methods=("crosscorr",), sensing=sensing)
+
+
+def test_full_signal_cells_build_no_sensing_set(monkeypatch):
+    cfg = small_config(snr_db_grid=(float("inf"), -5.0), methods=("crosscorr", "single_bin"),
+                       measure_time=False)
+    rows = run_bench(dataclasses.replace(cfg, sensing=None))
+
+    def refuse(*args):
+        raise AssertionError("a full-signal cell built a sensing set")
+
+    monkeypatch.setattr(compressive, "SensingSet", refuse)
+    assert run_bench(cfg) == rows
+
+
 def test_config_from_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -262,6 +284,23 @@ def test_trial_blocks_change_no_result(monkeypatch):
     one_block = run_bench(cfg)
     monkeypatch.setattr(bench, "_BLOCK_SAMPLES", 3 * cfg.n)  # blocks of 3, 3 and 1 trials
     assert run_bench(cfg) == one_block
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, np.uint64(2**63 + 5)])
+@pytest.mark.parametrize("trials", [range(3), range(2**32 - 2, 2**32 + 1)])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_draws_are_those_of_a_generator_per_seed_and_trial(seed, trials, noisy):
+    # _draw seeds each trial with the uint32 words numpy reads from [seed, trial]:
+    # an int is its 32-bit words, a list joins its items' words, a uint32 array is taken as it is.
+    n = 16
+    x, shifts, noise = bench._draw(seed, trials, n, noisy)
+    assert (noise is not None) == noisy
+    for row, trial in enumerate(trials):
+        rng = np.random.default_rng([seed, trial])
+        assert np.array_equal(x[row], rng.standard_normal(n))
+        assert shifts[row] == rng.integers(n)
+        if noisy:
+            assert np.array_equal(noise[row], rng.standard_normal(n))
 
 
 def test_every_traced_function_resolves():

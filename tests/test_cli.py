@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -485,6 +486,13 @@ def test_bench_negative_seed_exits_1_naming_seed(capsys):
     assert err == "cycshift: error: seed must be >= 0, got -1\n"
 
 
+def test_bench_bad_sensing_exits_1_even_when_no_method_needs_it(capsys):
+    code, out, err = run_cli(capsys, "bench", "--n", "64", "--trials", "4", "--seed", "1",
+                             "--snr-db", "inf", "--methods", "crosscorr", "--sensing", "100")
+    assert (code, out) == (1, "")
+    assert err == "cycshift: error: sensing indices[0] must be in 0..63, got 100\n"
+
+
 @pytest.mark.parametrize("grid", ["-inf", "inf,-inf", "0,nan"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_bench_refuses_nan_and_minus_inf_snr(tmp_path, capsys, grid, source):
@@ -566,6 +574,64 @@ def test_check_sensing_near_the_float64_range_exits_0_with_no_warning(tmp_path, 
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["qualifying_bins"] == [1] and report["duplicate_shift_groups"] == []
+
+
+def _near_range_shapes():
+    one, two, among_subnormals = np.zeros(8), np.zeros(8), 5e-324 * np.arange(1, 9)
+    one[0] = two[:2] = 1.7e308
+    among_subnormals[0] = 1e308
+    return {
+        "alternating_8": 0.8e308 * (-1.0) ** np.arange(8),
+        "alternating_16": 0.8e308 * (-1.0) ** np.arange(16),
+        "ramp": np.linspace(-0.8e308, 0.8e308, 8),
+        "one_sample": one,
+        "two_samples": two,
+        "among_subnormals": among_subnormals,
+    }
+
+
+NEAR_RANGE_RUNS = ("crosscorr", "ratio", "single_bin", "compressive_argmax", "compressive_ratio",
+                   "check-sensing")
+# The exit code of each run above, per shape, as the program gives it
+# now. The ramp's check-sensing answers because measure reads bin 1,
+# whose sums overflow to NaN though its entry is finite, as a dead bin.
+NEAR_RANGE_CODES = {
+    "alternating_8": (1, 1, 1, 1, 1, 1),
+    "alternating_16": (1, 1, 1, 1, 1, 1),
+    "ramp": (1, 1, 1, 1, 1, 0),
+    "one_sample": (1, 0, 0, 1, 0, 0),
+    "two_samples": (1, 1, 1, 1, 1, 1),
+    "among_subnormals": (1, 0, 0, 1, 0, 0),
+}
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} in the JSON")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("run", range(len(NEAR_RANGE_RUNS)), ids=NEAR_RANGE_RUNS)
+@pytest.mark.parametrize("shape", sorted(NEAR_RANGE_CODES))
+def test_near_range_files_answer_finitely_or_refuse_by_name(tmp_path, capsys, shape, run):
+    x = _near_range_shapes()[shape]
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    save_signal(x_path, x)
+    save_signal(y_path, np.roll(x, 3))
+    name = NEAR_RANGE_RUNS[run]
+    if name == "check-sensing":
+        argv = ["check-sensing", str(x_path), "--sensing", "1,3"]
+    else:
+        sensing = ["--sensing", "1,3"] if name.startswith("compressive") else []
+        argv = ["retrieve", str(x_path), str(y_path), "--method", name, *sensing]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == NEAR_RANGE_CODES[shape][run]
+    if code == 0:
+        assert err == ""
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert name == "check-sensing" or report["shift"] == 3
+    else:
+        assert out == ""
+        assert re.fullmatch(r"cycshift: error: .*(overflow|NaN or infinite).*\n", err)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ n = 64, one call at a time of:
   the two stacked measurements of its pairs delayed by 5: the stack
   path a bench cell runs (the ``_20x64`` rows), where one measurement
   (the rows at n = 4096) reads its m values as Python numbers;
+* ``cycshift.bench._draw`` of 20 noisy trials at n = 64
+  (``bench_draw_20x64``): the signals, shifts and noise of one sweep
+  cell, each trial from its own seeded generator;
 * ``oracle.brute_force_shift``, the O(n^2) reference;
 
 and at n = 4096, on one row, the compressive path:
@@ -74,9 +77,9 @@ N_COMPRESSIVE = 4096
 N_LONG = 1 << 20
 CALLS = ("crosscorr", "crosscorr_tiny", "ratio", "single_bin_auto", "single_bin_1", "single_bin_auto_20x64",
          "measure_1_3", "check_sensing_64", "measure_20x64", "compressive_argmax_20x64",
-         "compressive_ratio_20x64", "brute_force_shift", "measure_4096_4_bins", "compressive_argmax_4096",
-         "compressive_ratio_4096", "compressive_argmax_4096_fresh", "compressive_ratio_4096_fresh",
-         "check_sensing_4096_4_bins", "single_bin_1_2p20")
+         "compressive_ratio_20x64", "bench_draw_20x64", "brute_force_shift", "measure_4096_4_bins",
+         "compressive_argmax_4096", "compressive_ratio_4096", "compressive_argmax_4096_fresh",
+         "compressive_ratio_4096_fresh", "check_sensing_4096_4_bins", "single_bin_1_2p20")
 CELL_ROWS = 20
 BLOCKS = 10
 CHECK_SHARE = 25  # a 4096-point check costs ~100 one-row estimates
@@ -96,7 +99,7 @@ def _worker(calls: int) -> dict:
     """Microseconds per call of each timed call, from the tree on sys.path."""
     import numpy as np
 
-    from cycshift import (SensingSet, check_sensing_conditions, measure, oracle, shift_by_compressive_argmax,
+    from cycshift import (SensingSet, bench, check_sensing_conditions, measure, oracle, shift_by_compressive_argmax,
                           shift_by_compressive_ratio, shift_by_crosscorr, shift_by_ratio, shift_single_bin)
 
     rng = np.random.default_rng(17)
@@ -130,6 +133,7 @@ def _worker(calls: int) -> dict:
         "measure_20x64": lambda: measure(cell_x, sensing),
         "compressive_argmax_20x64": lambda: shift_by_compressive_argmax(cell_z, cell_v),
         "compressive_ratio_20x64": lambda: shift_by_compressive_ratio(cell_z, cell_v),
+        "bench_draw_20x64": lambda: bench._draw(17, range(CELL_ROWS), N, True),
         "brute_force_shift": lambda: oracle.brute_force_shift(x, y),
         "measure_4096_4_bins": lambda: measure(long_x, bins),
         "compressive_argmax_4096": lambda: shift_by_compressive_argmax(z, v),
