@@ -34,10 +34,10 @@ import numpy as np
 # The method table and estimate, re-exported from the package that holds them.
 from . import METHOD_TABLE, METHODS, compressive, estimate
 from .errors import IdentifiabilityError, as_index, as_tuple, real_floats
-from .fileio import comma_list, flag, parse_snr, scalar
+from .fileio import comma_list, flag, scalar
 
 __all__ = ["METHODS", "METHOD_TABLE", "estimate", "ExperimentConfig",
-           "config_from_mapping", "parse_snr", "noise_sigma",
+           "config_from_mapping", "noise_sigma",
            "run_bench", "rows_to_csv", "rows_to_json"]
 
 CSV_COLUMNS = ("snr_db", "method", "n", "m", "trials", "success_rate", "mean_elapsed_us")
@@ -112,7 +112,7 @@ def config_from_mapping(raw) -> ExperimentConfig:
         n=scalar(raw["n"], "n", int),
         trials=scalar(raw["trials"], "trials", int),
         seed=scalar(raw["seed"], "seed", int),
-        snr_db_grid=comma_list(snr_raw, "snr_db_grid", parse_snr),
+        snr_db_grid=comma_list(snr_raw, "snr_db_grid", float),
         methods=comma_list(raw.get("methods", raw.get("method", "")), "methods") or METHODS,
         sensing=comma_list(raw.get("sensing", ""), "sensing", int) or None,
         output=output,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import as_index, finite, peak, real_array, real_rows
-from .spectral import dft, live, to_band
+from .errors import as_index, peak, real_array, real_rows
+from .spectral import live, scaled_back, to_band
 
 __all__ = ["Circulant", "make_shift", "ls_circulant_fit"]
 
@@ -57,7 +57,8 @@ class Circulant:
         ValueError naming the call.
         """
         col, e = to_band(self.first_column, self._peak)
-        return _scaled_back(np.sqrt(self.n) * dft(col), e, "Circulant.eigenvalues: the spectrum")
+        # The band keeps the transform finite: only the scaled-back spectrum is checked.
+        return scaled_back(np.sqrt(self.n) * np.fft.fft(col, norm="ortho"), e, "Circulant.eigenvalues: the spectrum")
 
     def apply(self, x) -> np.ndarray:
         """Multiply by a real vector via the Fourier diagonalization.
@@ -90,7 +91,7 @@ class Circulant:
         spec *= xs
         # The inverse lands in the spent spectrum of x.
         out = np.fft.irfft(spec, self.n, out=xs.view(np.float64)[: self.n])
-        return _scaled_back(out, a + b, "Circulant.apply: the product")
+        return scaled_back(out, a + b, "Circulant.apply: the product")
 
 
 def make_shift(n: int, s: int) -> Circulant:
@@ -152,22 +153,8 @@ def ls_circulant_fit(X, Y) -> tuple[Circulant, float]:
     (X, a), (Y, b) = to_band(X, peak(X)), to_band(Y, peak(Y))
     col, residual = _fit(X, Y)
     # C maps X * 2**-a to Y * 2**-b exactly when 2**(b - a) * C maps X to Y.
-    col = _scaled_back(col, b - a, "ls_circulant_fit: the fit")
-    return Circulant(col), float(_scaled_back(np.array(residual), b, "ls_circulant_fit: the fit"))
-
-
-def _scaled_back(out: np.ndarray, e, what: str) -> np.ndarray:
-    """``out`` (float or complex) times 2**e, in place; ValueError naming ``what`` if it is not finite.
-
-    ``e`` broadcasts against ``out``'s real values (its float64 view).
-    """
-    if np.any(e):
-        # An overflowed value is refused below, without numpy's warnings.
-        with np.errstate(over="ignore"):
-            np.ldexp(out.view(np.float64), e, out=out.view(np.float64))
-    if not finite(out):
-        raise ValueError(f"{what} is not finite")
-    return out
+    col = scaled_back(col, b - a, "ls_circulant_fit: the fit")
+    return Circulant(col), float(scaled_back(np.array(residual), b, "ls_circulant_fit: the fit"))
 
 
 def _fit(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, float]:

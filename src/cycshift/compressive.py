@@ -151,13 +151,17 @@ def measure(x, sensing: SensingSet) -> Measurement:
     :func:`~cycshift.retrieval.shift_single_bin` applies to its bin, is
     stored as an exact 0, so the measurement carries its own dead bins.
     Raises ValueError on complex, NaN or infinite samples, and on finite
-    ones whose norm overflows.
+    ones whose norm overflows. By the package's one overflow rule
+    (:mod:`cycshift.spectral`), an entry that is not finite is an
+    overflow, never a dead bin: finite samples whose sums for an entry
+    overflow to an infinity or to NaN raise ValueError naming the
+    measurement.
     """
     x = real_floats(x, "x")
     if x.ndim not in (1, 2) or x.shape[-1] != sensing.n or not x.size:
         real_array(x, "x")  # a NaN or an infinity is named before the shape
         raise ValueError(f"x: signal shape {x.shape} does not match ambient dimension {sensing.n}")
-    # An overflowed entry or norm is refused by live, without numpy's warnings.
+    # An overflowed entry or norm is refused below, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         # A finite sum of squares holds no NaN or infinity: only a norm that
         # is not finite sends the samples to the finiteness read, to name one.
@@ -167,16 +171,17 @@ def measure(x, sensing: SensingSet) -> Measurement:
         # entry is contracted on its own, with the bits of dft_entry(row, bin).
         vals = dft_entries(x, sensing._arrays[1])  # (m, 1) or (m, B)
         mags = np.abs(vals)
-    # A finite norm can still give an overflowed entry: it is live and kept,
-    # while a NaN one is dead and zeroed.
+    # A finite norm can still give an overflowed entry: an infinite one is
+    # live, a NaN one is not, and either is refused.
     if x.ndim == 1:  # one signal: its m magnitudes tested as Python numbers, a dead one read as 0
         vals, mags = vals.ravel(), [a if live(a, norm) else 0.0 for a in mags.ravel().tolist()]
         require_finite(max(mags), "measurement")
         if not all(mags):
+            require_finite(vals, "measurement")
             vals[[not a for a in mags]] = 0
         return Measurement._taken(vals, sensing)
     vals[~live(mags, norm)] = 0
-    require_finite(np.fmax.reduce(mags, axis=None, initial=0.0), "measurement")  # fmax passes over NaN
+    require_finite(mags.max(), "measurement")  # max propagates NaN
     return Measurement._taken(np.ascontiguousarray(vals.T).reshape(x.shape[:-1] + (sensing.m,)), sensing)
 
 
@@ -283,8 +288,11 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     pairs: about n**2/2 real differences in all, plus m complex ones
     for each pair they leave. Purely diagnostic:
     raises only on malformed input (wrong length, complex, NaN or
-    infinite samples) and on samples whose norm overflows. Takes one
-    signal; a (B, n) stack raises ValueError naming x.
+    infinite samples) and on samples whose norm or measured entries
+    overflow, as :func:`measure` does: an entry that is not finite is
+    an overflow, refused by name, never a bin left out of
+    ``qualifying_bins``. Takes one signal; a (B, n) stack raises
+    ValueError naming x.
     """
     v = measure(x, sensing).values  # validates x
     if v.ndim != 1:

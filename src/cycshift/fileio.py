@@ -66,14 +66,6 @@ def flag(text: str) -> bool:
     return ("false", "0", "no", "off", "true", "1", "yes", "on").index(text.lower()) > 3
 
 
-def parse_snr(token: str) -> float:
-    """Parse one SNR in dB; 'inf' means noiseless.
-
-    NaN and -inf parse; ``ExperimentConfig.validate`` refuses them.
-    """
-    return float(token)
-
-
 def _read(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -109,12 +101,6 @@ def read_config(path) -> dict:
     return dict(map(_pair, body))
 
 
-def _parse(path):
-    """Split a data file into (headers dict, data lines)."""
-    headers, data = _scan(_read(path))
-    return dict(pair for pair in map(_pair, headers) if pair), data
-
-
 def _signal_from(path, headers, data) -> np.ndarray:
     if not data:
         raise ValueError(f"{path} contains no values")
@@ -144,7 +130,8 @@ def _measurement_from(path, headers, data) -> Measurement:
 
 def _load(path, want=None):
     """Read a file once and build what its ``# K=`` header says it holds."""
-    headers, data = _parse(path)
+    headers, data = _scan(_read(path))
+    headers = dict(pair for pair in map(_pair, headers) if pair)
     kind = "measurement" if "K" in headers else "signal"
     if want not in (None, kind):
         raise ValueError(f"{path} is a {kind} file, not a {want} file")

@@ -204,11 +204,6 @@ def _estimate(method: str, n: int, shift: np.ndarray, score=None, scores=None, f
     return ShiftEstimate(method, n, shift, score, scores, flags)
 
 
-def _peak(method: str, scores: np.ndarray) -> ShiftEstimate:
-    """The estimate whose shift is the argmax of each row of ``scores``."""
-    return _estimate(method, scores.shape[-1], np.argmax(scores, axis=-1), scores=scores)
-
-
 def _lower(method: str, scores: np.ndarray, e) -> None:
     """Scale scores formed from inputs scaled up by 2**-e back down by 2**e, in place, row by row.
 
@@ -261,7 +256,7 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
         scores = np.fft.irfft(spec, n, out=ys.view(np.float64)[..., :n])
     if lift:
         _lower("crosscorr", scores, ex + ey)
-    return _peak("crosscorr", scores)
+    return _estimate("crosscorr", n, np.argmax(scores, axis=-1), scores=scores)
 
 
 def shift_by_ratio(x, y) -> ShiftEstimate:
@@ -279,7 +274,7 @@ def shift_by_ratio(x, y) -> ShiftEstimate:
     d, usable = _ratio_impulse(*_pair(real_array(x, "x"), real_array(y, "y")))
     if not usable.any(axis=-1).all():
         raise IdentifiabilityError("reference signal has no usable spectral bin (all zero)")
-    return _peak("ratio", d)
+    return _estimate("ratio", d.shape[-1], np.argmax(d, axis=-1), scores=d)
 
 
 def select_bin(xspec) -> int:
@@ -344,13 +339,15 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
     The estimate's score is |rho|, which equals 1 for exact shifts. If
     ``abs(|rho| - 1)`` exceeds ``MISFIT_TOL`` the estimate is flagged
     ``"model_misfit"`` (y is not a pure delay of x) but still returned.
-    A bin whose ratio overflows gives a score that is not finite, which
-    raises ValueError naming the overflow.
+    By the package's one overflow rule (:mod:`cycshift.spectral`), an
+    entry that is not finite is an overflow, never a dead bin: a
+    reference entry whose sums overflow to an infinity or to NaN, or a
+    ratio that overflows, raises ValueError naming the overflow.
     """
     x, y = _pair(real_array(x, "x"), real_array(y, "y"))
     n = x.shape[-1]
-    # An overflowed magnitude is refused by live, and an overflowed phase
-    # by the estimate's score, without numpy's warnings.
+    # An overflowed magnitude or entry is refused below, and an overflowed
+    # phase by the estimate's score, without numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         if i is None:
             i = _strongest_bin(np.abs(np.fft.rfft(x, norm="ortho")), n) if n >= 2 else 0
@@ -365,6 +362,8 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
         xi = dft_entries(x, phases)
         usable = live(np.abs(xi), _norm(x))
         if not usable.all():
+            if not finite(xi):
+                raise ValueError("single_bin: the reference entry is not finite (the inputs overflow)")
             dead = np.broadcast_to(i, usable.shape)[~usable][0]
             raise IdentifiabilityError(f"bin {dead} of the reference spectrum is numerically zero")
         rho = dft_entries(y, phases) / xi

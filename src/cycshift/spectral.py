@@ -6,7 +6,8 @@ transform matrix F satisfies F^H F = F F^H = I and the 2-norm of a
 vector is preserved. The forward kernel is exp(-2j*pi*a*b/n) for
 0-based indices a, b. Any length n >= 1 is supported, including primes.
 
-All functions are pure and never modify their inputs.
+The public functions are pure and never modify their inputs
+(:func:`scaled_back` scales its caller's own result in place).
 
 The public transforms keep the unitary convention. Package code that needs
 only a product of transforms may call ``numpy.fft`` directly and fold the
@@ -15,7 +16,9 @@ scale factors into its ``norm=`` argument instead of a separate pass.
 Only this module knows when a spectral magnitude counts as zero
 (:func:`live`), when an input row is too extreme to take unscaled into
 a transform or product and by which power of two it is scaled instead
-(:func:`to_band` and the band ``BAND`` it keeps), how a delay
+(:func:`to_band` and the band ``BAND`` it keeps), how a result formed
+from scaled rows is scaled back and refused if it is not finite
+(:func:`scaled_back`), how a delay
 becomes a unit phase (:func:`unit_phases`), how the phases of all n
 delays split into two factors of O(sqrt(n)) phases each
 (:func:`phase_factors`) and which phases a transform entry is
@@ -23,6 +26,17 @@ contracted against (:func:`entry_phases`): on long signals, those two
 factors themselves, the fine one read as (cos, -sin) pairs by one BLAS
 product per entry, split into chunks of rows where a product would
 exceed 2**18 samples (:func:`dft_entries`).
+
+One overflow rule holds for every entry and spectrum the package
+computes: one that is not finite is an overflow and is refused by name
+(ValueError), never read as zero or as a dead bin, and numpy issues no
+warning on the way. The spectral primitives refuse rather than scale:
+:func:`dft`, :func:`idft` and :func:`dft_entry` of a finite input whose
+sums leave the float64 range raise ValueError naming the call. Scaling
+into the band belongs to the callers that need it: the circulant core
+and the norms scale rows both ways, while crosscorr and compressive
+argmax lift their inputs only upward, so inputs near the top of the
+range still overflow there and are refused.
 """
 
 from __future__ import annotations
@@ -97,6 +111,21 @@ def to_band(a: np.ndarray, peaks):
     return (np.ldexp(a.view(np.float64), -e[..., None]).view(a.dtype) if e.any() else a), e
 
 
+def scaled_back(out: np.ndarray, e, what: str) -> np.ndarray:
+    """``out`` (float or complex) times 2**e, in place; ValueError naming ``what`` if it is not finite.
+
+    ``e`` broadcasts against ``out``'s real values (its float64 view); with
+    e = 0 only the finiteness check runs.
+    """
+    if np.any(e):
+        # An overflowed value is refused below, without numpy's warnings.
+        with np.errstate(over="ignore"):
+            np.ldexp(out.view(np.float64), e, out=out.view(np.float64))
+    if not finite(out):
+        raise ValueError(f"{what} is not finite")
+    return out
+
+
 def unit_phases(k, s, n: int) -> np.ndarray:
     """exp(-2j*pi*(k*s mod n)/n): the phase a delay by s puts on bin k.
 
@@ -110,13 +139,15 @@ def unit_phases(k, s, n: int) -> np.ndarray:
     return np.exp((-2j * np.pi / n) * arg)
 
 
-def _as_vector(x, name: str = "x") -> np.ndarray:
+def _unitary(fft, x, name: str, what: str) -> np.ndarray:
+    """``fft(x, norm="ortho")`` of the nonempty vector ``x`` (named ``name``), refused as ``what`` if not finite."""
     arr = np.asarray(x)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
-    return arr
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without numpy's warnings
+        return scaled_back(fft(arr, norm="ortho"), 0, what)
 
 
 def dft(x) -> np.ndarray:
@@ -132,17 +163,21 @@ def dft(x) -> np.ndarray:
     numpy.ndarray
         Complex spectrum X with X[a] = (1/sqrt(n)) * sum_b x[b] *
         exp(-2j*pi*a*b/n).
+
+    A spectrum that is not finite (an input holding NaN or an infinity,
+    or one whose sums overflow) raises ValueError naming it.
     """
-    return np.fft.fft(_as_vector(x), norm="ortho")
+    return _unitary(np.fft.fft, x, "x", "dft: the spectrum")
 
 
 def idft(X) -> np.ndarray:
     """Inverse of :func:`dft` under the same unitary convention.
 
     Uses the conjugate kernel with the identical 1/sqrt(n) scale, so
-    ``idft(dft(x))`` reproduces ``x`` to machine precision.
+    ``idft(dft(x))`` reproduces ``x`` to machine precision. A result
+    that is not finite raises ValueError naming it, as in :func:`dft`.
     """
-    return np.fft.ifft(_as_vector(X, "X"), norm="ortho")
+    return _unitary(np.fft.ifft, X, "X", "idft: the signal")
 
 
 def fourier_column(n: int, q: int) -> np.ndarray:
@@ -185,6 +220,8 @@ def dft_entry(x, k):
     is lost to large trig arguments.
 
     Returns a complex scalar for 1-D input, a complex vector for 2-D.
+    An entry that is not finite (NaN or infinite samples, or sums that
+    overflow) raises ValueError naming it, as in :func:`dft`.
     """
     arr = np.asarray(x)
     if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
@@ -194,9 +231,11 @@ def dft_entry(x, k):
         raise ValueError(f"k: expected one bin or one per row, got shape {k.shape}")
     for i in k.ravel().tolist():
         as_index(i, "bin index k", 0, arr.shape[-1])
-    if np.iscomplexobj(arr):  # the real and the imaginary part, each a real signal
-        return dft_entry(arr.real, k) + 1j * dft_entry(arr.imag, k)
-    return dft_entries(arr.astype(np.float64, copy=False), entry_phases(k, arr.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without numpy's warnings
+        # A complex signal is taken as its real and its imaginary part, each a real signal.
+        out = (dft_entry(arr.real, k) + 1j * dft_entry(arr.imag, k) if np.iscomplexobj(arr)
+               else dft_entries(arr.astype(np.float64, copy=False), entry_phases(k, arr.shape[-1])))
+    return scaled_back(out, 0, "dft_entry: the entry")
 
 
 def entry_phases(k, n: int, factors=None) -> tuple[np.ndarray, ...]:

@@ -25,7 +25,6 @@ from cycshift.bench import (
     config_from_mapping,
     estimate,
     noise_sigma,
-    parse_snr,
     rows_to_csv,
     rows_to_json,
     run_bench,
@@ -114,12 +113,6 @@ def test_noise_sigma_formula():
     assert noise_sigma(x, float("inf")) == 0.0
     # snr = ||x||^2 / (n sigma^2)  =>  sigma = sqrt(32 / (8 * 10)) at 10 dB
     assert noise_sigma(x, 10.0) == pytest.approx(np.sqrt(32 / 80))
-
-
-def test_parse_snr():
-    assert parse_snr("inf") == float("inf")
-    assert parse_snr(" INF ") == float("inf")
-    assert parse_snr("-3.5") == -3.5
 
 
 @pytest.mark.parametrize("snr", [float("-inf"), float("nan")])
@@ -394,3 +387,6 @@ def test_config_accepts_json_numbers_decimal_strings_and_flag_words():
                                    "sensing": [1, 3], "measure_time": False})
     assert as_text == as_json
     assert as_text.sensing == (1, 3) and as_text.measure_time is False
+    # An SNR token is read as a float, so 'inf' in any case is the noiseless sentinel.
+    grid = config_from_mapping({"n": 8, "trials": 2, "seed": 1, "snr_db": "inf, INF ,-3.5", "sensing": "1"}).snr_db_grid
+    assert grid == (float("inf"), float("inf"), -3.5)

@@ -377,8 +377,8 @@ def test_retrieve_reads_each_file_once(tmp_path, capsys, monkeypatch, kind):
         save_measurement(paths[0], measure(x, K))
         save_measurement(paths[1], measure(np.roll(x, 3), K))
     opened = []
-    parse = fileio._parse
-    monkeypatch.setattr(fileio, "_parse", lambda path: opened.append(path) or parse(path))
+    read = fileio._read
+    monkeypatch.setattr(fileio, "_read", lambda path: opened.append(path) or read(path))
     code, out, _ = run_cli(capsys, "retrieve", *map(str, paths), "--method", "compressive_ratio",
                            "--sensing", "1,3")
     assert code == 0
@@ -593,12 +593,12 @@ def _near_range_shapes():
 NEAR_RANGE_RUNS = ("crosscorr", "ratio", "single_bin", "compressive_argmax", "compressive_ratio",
                    "check-sensing")
 # The exit code of each run above, per shape, as the program gives it
-# now. The ramp's check-sensing answers because measure reads bin 1,
-# whose sums overflow to NaN though its entry is finite, as a dead bin.
+# now. The ramp's check-sensing refuses: the sums that give bin 1 of the
+# ramp overflow to NaN, which is an overflow, not a dead bin.
 NEAR_RANGE_CODES = {
     "alternating_8": (1, 1, 1, 1, 1, 1),
     "alternating_16": (1, 1, 1, 1, 1, 1),
-    "ramp": (1, 1, 1, 1, 1, 0),
+    "ramp": (1, 1, 1, 1, 1, 1),
     "one_sample": (1, 0, 0, 1, 0, 0),
     "two_samples": (1, 1, 1, 1, 1, 1),
     "among_subnormals": (1, 0, 0, 1, 0, 0),

@@ -8,16 +8,27 @@ scaled by 10**e for e from -300 to 307, x and y by the same power or by
 powers drawn apart; a third of the pairs carry noise.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cycshift
 from cycshift import (
     Circulant,
+    IdentifiabilityError,
+    Measurement,
+    SensingReport,
     SensingSet,
     check_sensing_conditions,
+    dft,
+    dft_entry,
+    embed,
+    idft,
     ls_circulant_fit,
     measure,
+    select_bin,
     shift_affine,
     shift_by_compressive_argmax,
     shift_by_compressive_ratio,
@@ -25,6 +36,8 @@ from cycshift import (
     shift_by_ratio,
     shift_single_bin,
 )
+from cycshift.spectral import live
+from test_cli import _near_range_shapes
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -114,3 +127,96 @@ def test_affine_on_a_near_range_ramp_refuses_the_overflow_by_name():
     ramp = np.linspace(-0.8e308, 0.8e308, 8)
     with pytest.raises(ValueError, match="the inputs overflow"):
         shift_affine(ramp, np.roll(ramp, 3))
+
+
+# The names of cycshift.__all__ that take no signal, spectrum or measurement values.
+NOT_VALUE_TAKING = {"__version__", "IdentifiabilityError", "fourier_column", "make_shift", "SensingSet",
+                    "ShiftEstimate", "AffineShiftModel", "SensingReport"}
+
+
+def _near_range_calls(x, y, K):
+    """Each value-taking call of cycshift.__all__ on signal x and its delay y, named by the call.
+
+    A "/stack" call takes the (2, n) stacks of the pairs (x, y) and
+    (y, its delay); measurement values are the first m samples.
+    """
+    X = np.stack((x, y))
+    Y = np.roll(X, 3, axis=-1)
+    z, v, Z, V = (Measurement(a[..., :K.m], K) for a in (y, x, Y, X))
+    return {
+        "dft": lambda: dft(x),
+        "idft": lambda: idft(x),
+        "dft_entry": lambda: dft_entry(x, 1),
+        "dft_entry/stack": lambda: dft_entry(X, 1),
+        "Circulant.apply": lambda: Circulant(x).apply(y),
+        "Circulant.eigenvalues": lambda: Circulant(x).eigenvalues(),
+        "ls_circulant_fit": lambda: ls_circulant_fit(X.T, Y.T),
+        "shift_by_crosscorr": lambda: shift_by_crosscorr(x, y),
+        "shift_by_crosscorr/stack": lambda: shift_by_crosscorr(X, Y),
+        "shift_by_ratio": lambda: shift_by_ratio(x, y),
+        "shift_by_ratio/stack": lambda: shift_by_ratio(X, Y),
+        "select_bin": lambda: select_bin(x),
+        "shift_single_bin": lambda: shift_single_bin(x, y),
+        "shift_single_bin/stack": lambda: shift_single_bin(X, Y),
+        "shift_single_bin/bin_1": lambda: shift_single_bin(x, y, 1),
+        "shift_single_bin/bin_1/stack": lambda: shift_single_bin(X, Y, 1),
+        "shift_affine": lambda: shift_affine(x, y),
+        "Measurement": lambda: Measurement(x[:K.m], K),
+        "measure": lambda: measure(x, K),
+        "measure/stack": lambda: measure(X, K),
+        "embed": lambda: embed(x[:K.m], K),
+        "check_sensing_conditions": lambda: check_sensing_conditions(x, K),
+        "shift_by_compressive_argmax": lambda: shift_by_compressive_argmax(z, v),
+        "shift_by_compressive_argmax/stack": lambda: shift_by_compressive_argmax(Z, V),
+        "shift_by_compressive_ratio": lambda: shift_by_compressive_ratio(z, v),
+        "shift_by_compressive_ratio/stack": lambda: shift_by_compressive_ratio(Z, V),
+    }
+
+
+NEAR_RANGE_CALLS = tuple(_near_range_calls(np.ones(8), np.ones(8), SensingSet(8, (1, 3))))
+
+
+def test_the_near_range_calls_cover_every_value_taking_name():
+    names = {re.split(r"[./]", call)[0] for call in NEAR_RANGE_CALLS}
+    assert names == set(cycshift.__all__) - NOT_VALUE_TAKING
+
+
+def _dead_reading(outcome):
+    """What ``outcome`` (a result or an exception) reads as dead: an entry, a bin left out, no bin at all."""
+    if isinstance(outcome, IdentifiabilityError):
+        return "unidentifiable"
+    if isinstance(outcome, Measurement):  # measure stores a dead entry as 0
+        return (~live(np.abs(outcome.values))).tolist()
+    if isinstance(outcome, SensingReport):
+        return outcome.qualifying_bins
+    return None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("call", NEAR_RANGE_CALLS)
+@pytest.mark.parametrize("shape", sorted(_near_range_shapes()))
+def test_near_range_calls_answer_finitely_or_refuse_the_overflow_by_name(shape, call):
+    # Each value-taking call answers with finite values or raises ValueError
+    # naming the overflow (or, where samples are subnormal, the underflow),
+    # with no numpy warning. An entry that overflows is never read as dead:
+    # what a call reads as dead (an IdentifiabilityError, a dead entry, a bin
+    # left out of the qualifying ones) it reads so on the same inputs scaled
+    # by 2**-8, whose sums stay inside the float64 range. That scale is exact
+    # but for subnormal samples, which lie far below any live entry.
+    x = _near_range_shapes()[shape]
+    K = SensingSet(x.size, (1, 3))
+    got = _outcome(_near_range_calls(x, np.roll(x, 3), K)[call])
+    if isinstance(got, ValueError) and not isinstance(got, IdentifiabilityError):
+        assert re.search("overflow|underflow|not finite|NaN or infinite", str(got)), got
+        return
+    scaled = _outcome(_near_range_calls(x * 2.0**-8, np.roll(x, 3) * 2.0**-8, K)[call])
+    assert _dead_reading(got) == _dead_reading(scaled), (got, scaled)
+    if not isinstance(got, IdentifiabilityError):
+        bad = [v for v in _numbers(got) if not np.isfinite(v)]
+        assert not bad, f"{call} returned non-finite values {bad[:3]}"

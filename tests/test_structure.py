@@ -330,7 +330,7 @@ def test_one_builder_makes_every_estimate_and_unwraps_one_pair():
     trees = {name: _tree(PACKAGE / name) for name in ("retrieval.py", "compressive.py")}
     builders = {name: _callers(tree, "ShiftEstimate") for name, tree in trees.items()}
     assert builders == {"retrieval.py": {"_estimate"}, "compressive.py": set()}
-    estimators = ("_peak", "_settle", "shift_single_bin")
+    estimators = ("shift_by_crosscorr", "shift_by_ratio", "_settle", "shift_single_bin")
     assert set(estimators) <= set().union(*(_callers(tree, "_estimate") for tree in trees.values()))
     functions = {node.name: node for tree in trees.values() for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name in estimators}
