@@ -82,6 +82,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
+        if not isinstance(self.output, (str, type(None))):
+            raise ValueError(f"output: expected a path, got {self.output!r}")
+        if not isinstance(self.measure_time, bool):
+            raise ValueError(f"measure_time: expected a bool, got {self.measure_time!r}")
         if self.sensing is not None:
             compressive.SensingSet(self.n, self.sensing)  # raises if invalid
         elif any(METHOD_TABLE[m][2] for m in self.methods):
@@ -105,9 +109,6 @@ def config_from_mapping(raw) -> ExperimentConfig:
     snr_raw = raw.get("snr_db_grid", raw.get("snr_db"))
     if snr_raw is None:
         raise ValueError("config needs snr_db_grid (comma list; 'inf' for noiseless)")
-    output = raw.get("output", raw.get("out"))
-    if not isinstance(output, (str, type(None))):
-        raise ValueError(f"output: expected a path, got {output!r}")
     return ExperimentConfig(
         n=scalar(raw["n"], "n", int),
         trials=scalar(raw["trials"], "trials", int),
@@ -115,7 +116,7 @@ def config_from_mapping(raw) -> ExperimentConfig:
         snr_db_grid=comma_list(snr_raw, "snr_db_grid", float),
         methods=comma_list(raw.get("methods", raw.get("method", "")), "methods") or METHODS,
         sensing=comma_list(raw.get("sensing", ""), "sensing", int) or None,
-        output=output,
+        output=raw.get("output", raw.get("out")),
         fmt=scalar(raw.get("format", "csv"), "format"),
         measure_time=scalar(raw.get("measure_time", True), "measure_time", flag),
     )

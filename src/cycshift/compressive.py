@@ -205,50 +205,30 @@ def _duplicate_groups(values: np.ndarray, indices, n: int) -> tuple[tuple[int, .
     Column t of the (m, n) measured-shift matrix is
     values * exp(-2j*pi*k*t/n). Two columns coincide, and their shifts
     cannot be told apart from these measurements, when their largest
-    difference is not live against the largest |value|.
-
-    When s leads, every shift below it is already grouped, so s is
-    compared with the free shifts from it on alone. As |Re d| <= |d|, t
-    can join s only where the real parts of one row differ by an amount
-    that is not live against the same peak; the scan takes the row that
-    leaves shift 0 the fewest such shifts. It runs in blocks. A block's
-    leaders are the next free shifts: at most 2**15 // n of them (at
-    least one), and at most twice as many as led in the block before
-    (one at first). One (leaders, n - s) float difference on that row
-    finds their candidate pairs. Where each leader is its own only
-    candidate, each leads a group of one. Otherwise the pairs are cut
-    to the leaders whose candidates fit in n // m pairs (at least one
-    leader's), and only those are compared on every row, as complex
-    differences, which decides each pair as the largest difference over
-    rows does. Groups form in leader order: a leader still free takes
-    its confirmed partners still free, in ascending order. The cost is
-    about n**2/2 real differences on one row plus m complex ones per
-    candidate pair, in a few array calls per block rather than per
-    leader.
+    difference is not live against the largest |value|. A delay acts on
+    bin k as a unit phase alone, so columns t and s differ on it by
+    |values_k| * |1 - exp(-2j*pi*k*d/n)|, d = t - s: an amount set by d
+    alone. One (m, n) table of those amounts for d = 0..n-1, read once,
+    gives the differences at which columns coincide, and no two columns
+    are compared. Groups form in one pass over the shifts: a shift s
+    still free leads, and takes the free shifts s + d, for each such d
+    with s + d < n, in ascending order. A live bin too weak to move
+    nearby columns apart leaves their differences among those, so its
+    shifts merge. The cost is the O(m*n) table and one slice of those
+    differences per leader. Each difference is judged once: only where a
+    bin measures a few subnormal units can a pairwise comparison round
+    one difference differently from pair to pair.
     """
-    cols = values[:, None] * unit_phases(np.asarray(indices)[:, None], np.arange(n), n)
-    peak = np.abs(values).max()
-    row = cols.real[np.argmin(np.count_nonzero(~live(np.abs(cols.real - cols.real[:, :1]), peak), axis=1))].copy()
-    groups, free, size, s = [], np.ones(n, dtype=bool), 1, 0
-    while (lead := s + np.flatnonzero(free[s:])[:size]).size:
-        s, led = lead[0], len(groups)
-        near = free[s:] & ~live(np.abs(d := row[lead, None] - row[s:], out=d), peak)
-        if (pairs := np.flatnonzero(near)).size == lead.size:  # each leader matches itself alone
-            groups += [(u,) for u in lead.tolist()]
-            free[lead] = False
-        else:
-            if pairs.size > n // len(cols):  # keep the leaders whose pairs fit in n // m, at least one
-                pairs = np.flatnonzero(near[:max(1, pairs[n // len(cols)] // (n - s))])
-            li, t = pairs // (n - s), pairs % (n - s) + s
-            same = ~live(np.abs(cols.take(t, axis=1) - cols.take(lead[li], axis=1)).max(axis=0), peak)
-            # Every candidate was free at the block's start: only this block's groups take shifts.
-            ts, ends, taken = t[same].tolist(), np.cumsum(np.bincount(li[same])).tolist(), set()
-            for u, a, b in zip(lead.tolist(), [0, *ends], ends):
-                if u not in taken:
-                    groups.append(g := tuple(v for v in ts[a:b] if v not in taken))
-                    taken.update(g)
-            free[list(taken)] = False
-        size = min(max(1, 2**15 // n), 2 * (len(groups) - led))
+    mags = np.abs(values)
+    gaps = mags[:, None] * np.abs(1 - unit_phases(np.asarray(indices)[:, None], np.arange(n), n))
+    same = np.flatnonzero(~live(gaps.max(axis=0), mags.max()))  # ascending
+    groups, free = [], np.ones(n, dtype=bool)
+    for s in range(n):
+        if free[s]:
+            t = s + same[same < n - s]
+            t = t[free[t]]
+            free[t] = False
+            groups.append(tuple(t.tolist()))
     return tuple(groups)
 
 
@@ -281,12 +261,12 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
     of the measured-shift matrix pairwise distinct against the largest
     measured value. Its groups are the compressive estimators' gcd
     classes, except where a live bin is too weak to move the columns of
-    nearby shifts apart: the scan merges those. The scan compares each
-    group's leader, the lowest shift not yet grouped, only with the
-    free shifts from it on, leaders taken in blocks. One row's real
-    parts, which differ by no more than the columns do, rule out most
-    pairs: about n**2/2 real differences in all, plus m complex ones
-    for each pair they leave. Purely diagnostic:
+    nearby shifts apart: those shifts merge. Columns t and s differ by
+    an amount set by t - s alone, so one (m, n) table of the amounts for
+    each difference gives the groups, with no two columns compared and
+    no O(n**2) work: each group's leader, the lowest shift not yet
+    grouped, takes the free shifts at the coinciding differences from
+    it. Purely diagnostic:
     raises only on malformed input (wrong length, complex, NaN or
     infinite samples) and on samples whose norm or measured entries
     overflow, as :func:`measure` does: an entry that is not finite is
@@ -299,7 +279,7 @@ def check_sensing_conditions(x, sensing: SensingSet) -> SensingReport:
         raise ValueError(f"x must be one signal, got a stack of shape {v.shape[:1] + (sensing.n,)}")
     n = sensing.n
     qualifying = tuple(k for k, vk in zip(sensing.indices, v) if gcd(k, n) == 1 and vk != 0)
-    with np.errstate(over="ignore"):  # columns near the float64 range differ by an infinity, which is live
+    with np.errstate(over="ignore"):  # an amount near the float64 range overflows to +inf, which is live
         dup = tuple(g for g in _duplicate_groups(v, sensing.indices, n) if len(g) > 1)
     return SensingReport(n=n, indices=sensing.indices, qualifying_bins=qualifying, guarantee_holds=bool(qualifying),
                          ambiguous=bool(dup), duplicate_shift_groups=dup)

@@ -46,11 +46,11 @@ def peak(a: np.ndarray, axis=None):
 def finite(values) -> bool:
     """Whether ``values`` (a float, or floats or complex values in an array or sequence) are all finite.
 
-    The one finiteness test. A float is tested directly: the zero rule
-    tests one scale per candidate shift of a compressive estimate.
-    Anything else goes through numpy's isfinite, which with its boolean
-    temporary costs less than the max and min of :func:`peak` at every
-    size timed (4 to 2**20 values), where no peak is wanted.
+    The one finiteness test. A float is tested directly, as the zero
+    rule's scale and a one-pair score often are. Anything else goes
+    through numpy's isfinite, which with its boolean temporary costs
+    less than the max and min of :func:`peak` at every size timed (4 to
+    2**20 values), where no peak is wanted.
     """
     return isfinite(values) if isinstance(values, float) else bool(np.isfinite(values).all())
 

@@ -45,7 +45,7 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .errors import as_index, finite
+from .errors import as_index, finite, require_finite
 
 __all__ = ["dft", "idft", "fourier_column", "dft_entry"]
 
@@ -147,7 +147,12 @@ def _unitary(fft, x, name: str, what: str) -> np.ndarray:
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without numpy's warnings
-        return scaled_back(fft(arr, norm="ortho"), 0, what)
+        out = fft(arr, norm="ortho")
+    try:
+        return scaled_back(out, 0, what)
+    except ValueError:  # the input is read only to name a NaN or an infinity in it
+        require_finite(arr, name)
+        raise
 
 
 def dft(x) -> np.ndarray:
@@ -164,8 +169,9 @@ def dft(x) -> np.ndarray:
         Complex spectrum X with X[a] = (1/sqrt(n)) * sum_b x[b] *
         exp(-2j*pi*a*b/n).
 
-    A spectrum that is not finite (an input holding NaN or an infinity,
-    or one whose sums overflow) raises ValueError naming it.
+    An input holding NaN or an infinity raises ValueError naming ``x``;
+    a finite one whose sums overflow raises ValueError naming the
+    spectrum.
     """
     return _unitary(np.fft.fft, x, "x", "dft: the spectrum")
 
@@ -174,8 +180,9 @@ def idft(X) -> np.ndarray:
     """Inverse of :func:`dft` under the same unitary convention.
 
     Uses the conjugate kernel with the identical 1/sqrt(n) scale, so
-    ``idft(dft(x))`` reproduces ``x`` to machine precision. A result
-    that is not finite raises ValueError naming it, as in :func:`dft`.
+    ``idft(dft(x))`` reproduces ``x`` to machine precision. A NaN or an
+    infinity in ``X``, or a result that is not finite, raises ValueError
+    naming it, as in :func:`dft`.
     """
     return _unitary(np.fft.ifft, X, "X", "idft: the signal")
 
@@ -220,8 +227,9 @@ def dft_entry(x, k):
     is lost to large trig arguments.
 
     Returns a complex scalar for 1-D input, a complex vector for 2-D.
-    An entry that is not finite (NaN or infinite samples, or sums that
-    overflow) raises ValueError naming it, as in :func:`dft`.
+    NaN or infinite samples raise ValueError naming ``x``, and finite
+    ones whose sums overflow ValueError naming the entry, as in
+    :func:`dft`.
     """
     arr = np.asarray(x)
     if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
@@ -235,7 +243,11 @@ def dft_entry(x, k):
         # A complex signal is taken as its real and its imaginary part, each a real signal.
         out = (dft_entry(arr.real, k) + 1j * dft_entry(arr.imag, k) if np.iscomplexobj(arr)
                else dft_entries(arr.astype(np.float64, copy=False), entry_phases(k, arr.shape[-1])))
-    return scaled_back(out, 0, "dft_entry: the entry")
+    try:
+        return scaled_back(out, 0, "dft_entry: the entry")
+    except ValueError:  # as in dft
+        require_finite(arr, "x")
+        raise
 
 
 def entry_phases(k, n: int, factors=None) -> tuple[np.ndarray, ...]:

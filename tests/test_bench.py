@@ -137,6 +137,18 @@ def test_config_refuses_a_negative_seed_by_name():
         small_config(seed=-1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("output", 5, "^output: expected a path, got 5$"),
+    ("output", b"out.csv", "^output: expected a path, got b'out.csv'$"),
+    ("measure_time", "no", "^measure_time: expected a bool, got 'no'$"),
+    ("measure_time", 0, "^measure_time: expected a bool, got 0$"),
+])
+def test_a_config_built_in_python_refuses_a_non_path_output_and_a_non_bool_measure_time(field, value, message):
+    # The string "no" is truthy, so a config that took it would keep timing on.
+    with pytest.raises(ValueError, match=message):
+        small_config(**{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(trials=0).validate()
@@ -358,7 +370,10 @@ def test_rolling_both_inputs_leaves_the_shift_unchanged(n, seed, s, r, bins):
     period = n // np.gcd.reduce([n, *K.indices])
 
     def shifts(a, b):
-        out = {"affine": shift_affine(a, b)[0].shift}
+        report = check_sensing_conditions(a, K)
+        out = {"affine": shift_affine(a, b)[0].shift,
+               "check": (report.duplicate_shift_groups, report.guarantee_holds, report.ambiguous,
+                         report.qualifying_bins)}
         for method in METHODS:
             if METHOD_TABLE[method][2]:
                 out[method] = estimate(method, measure(a, K), measure(b, K)).shift % period

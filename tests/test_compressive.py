@@ -293,11 +293,19 @@ def closed_form_groups(values, indices, n):
 @settings(max_examples=200, deadline=None)
 def test_duplicate_groups_are_the_residues_mod_n_over_the_live_gcd(n, seed, log_c, bins):
     # Groundwork for the closed-form class rule: on measure's output of a
-    # short-period signal, the O(n^2) scan finds exactly these classes.
+    # short-period signal, the check's groups are exactly these classes.
     x = short_period_signal(n, seed, log_c)
     K = SensingSet(n, tuple(sorted({k % n for k in bins})))
     v = measure(x, K).values
     assert _duplicate_groups(v, K.indices, n) == closed_form_groups(v, K.indices, n)
+
+
+@pytest.mark.parametrize("K", [(3, 8192), (2, 6), (4, 8192)])
+def test_duplicate_groups_are_the_residues_mod_n_over_the_live_gcd_at_n_16384(K):
+    # Beyond every other test's n: singletons (g = 1), pairs (g = 2) and
+    # groups of four (g = 4) on a Gaussian signal, whose bins are all live.
+    v = measure(np.random.default_rng(sum(K)).standard_normal(16384), SensingSet(16384, K)).values
+    assert _duplicate_groups(v, K, 16384) == closed_form_groups(v, K, 16384)
 
 
 def all_columns_groups(values, indices, n):
@@ -337,12 +345,11 @@ def rescaled(v, peak):
 
 @pytest.mark.parametrize("kind", ["gaussian", "periodic", "weak"])
 def test_the_scan_from_each_leader_on_groups_as_the_all_columns_scan(kind):
-    # A leader's lower shifts are all grouped already, so comparing it with
-    # the shifts from it on alone, and only where one row's real parts
-    # leave it a candidate, must give the same groups, bit for bit. A
-    # block holds at most 2**15 // n leaders, all of n when n <= 181;
-    # n in 257..1024 meets that cap. Rescaled to a peak of 1e-310 the
-    # tolerance is subnormal; at 1e307 the differences near the float64 range.
+    # Columns differ by an amount set by the shift difference alone, so
+    # reading one table of those amounts, rather than comparing columns
+    # pair by pair, must give the same groups. n runs up to 1024.
+    # Rescaled to a peak of 1e-310 the tolerance is subnormal; at 1e307
+    # the differences near the float64 range.
     cases = [(seed, *scan_case(kind, seed)) for seed in range(100)]
     cases += [(seed, *scan_case(kind, seed, 257, 1024)) for seed in range(100, 112)]
     for seed, v, K, n in cases:
@@ -357,25 +364,24 @@ def test_the_scan_from_each_leader_on_groups_as_the_all_columns_scan(kind):
 def test_the_scan_from_each_leader_on_groups_as_the_all_columns_scan_at_n_4096(K):
     # The last four sets share a large factor with n, so leaders have
     # partners; (2048,) and (1024, 2048) leave a few leaders with huge
-    # groups, and the scan's blocks shrink to the leaders that lead.
+    # groups.
     v = measure(np.random.default_rng(len(K)).standard_normal(4096), SensingSet(4096, K)).values
     assert _duplicate_groups(v, K, 4096) == all_columns_groups(v, K, 4096)
 
 
 def test_the_scan_groups_a_weak_live_bin_as_the_all_columns_scan_at_n_4096():
-    # Bin 2, live at 5e-11 of the peak, leaves each leader dozens of
-    # candidates on its row's real parts; most of them join other groups.
+    # Bin 2, live at 5e-11 of the peak, leaves a few dozen coinciding
+    # differences; a leader takes those of its shifts still free.
     v = Measurement([5e-11, 1.0], SensingSet(4096, (2, 2048))).values
     assert _duplicate_groups(v, (2, 2048), 4096) == all_columns_groups(v, (2, 2048), 4096)
 
 
 @pytest.mark.parametrize("n,weak", [(128, 2e-11), (512, 5e-11)])
 def test_the_scan_groups_as_the_all_columns_scan_where_blocks_are_cut(n, weak):
-    # Bin n/2 gives each shift's real part one of two values, and the weak
-    # bin 1 moves nearby real parts apart by about its tolerance alone: a
-    # block of many leaders holds more than n candidate pairs, and the scan
-    # cuts it to the leaders whose pairs fit in n // m, though every shift
-    # is a group of its own.
+    # Bin n/2 separates odd differences, and the weak bin 1 moves nearby
+    # columns apart by about its tolerance alone: the amounts of the even
+    # differences lie near the threshold, yet every shift is a group of
+    # its own.
     v, K = np.array([weak * 1j, 1.0]), (1, n // 2)
     groups = _duplicate_groups(v, K, n)
     assert groups == all_columns_groups(v, K, n)

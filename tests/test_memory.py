@@ -13,16 +13,13 @@ ratio call holds one (B, m, a*b) complex difference, a*b being n or a
 little more, and a few (B, n)-sized float arrays: no (m, n) phase table
 and no complex temporaries beside the difference.
 
-The duplicate-group scan of ``check_sensing_conditions`` holds its
-(m, n) measured-shift columns, the phase table that built them, and
-one row's real parts. Each block of leaders adds one float difference
-of at most 2**15 samples on that row, and the complex differences of
-its candidate pairs on all m rows, n values a row at most (or one
-leader's pairs): a few (m, n) arrays, never one per leader nor an
-(n, n) table. That holds where groups are huge and each leader has
-many candidates too: sets whose bins share a large factor with n, a
-live bin too weak to move nearby columns apart, and an all-zero
-measurement.
+The duplicate groups of ``check_sensing_conditions`` come from one
+(m, n) table of the amounts by which columns differ at each shift
+difference, built from an (m, n) phase table, and one pass over the
+shifts that holds one group's shifts at a time: a few (m, n) arrays,
+never one per leader nor an (n, n) table. That holds where groups are
+huge too: sets whose bins share a large factor with n, a live bin too
+weak to move nearby columns apart, and an all-zero measurement.
 """
 
 import tracemalloc
@@ -98,18 +95,16 @@ def test_compressive_ratio_stack_holds_one_difference():
 
 
 def test_check_scan_holds_its_buffers_once_per_scan():
-    # In units of m*n complex values (3.3 here): the columns and the
-    # phase table that built them, one block's float difference, and the
-    # n groups found. Buffers kept per leader, or an (n, n) table, would
-    # break the bound.
+    # In units of m*n complex values: the phase table, the table of
+    # amounts per shift difference built from it, and the n groups found.
+    # Buffers kept per leader, or an (n, n) table, would break the bound.
     n, K = 4096, (8, 100, 1001, 2048)
     x = np.random.default_rng(3).standard_normal(n)
     S = SensingSet(n, K)
     assert traced_peak(check_sensing_conditions, x, S) * 8 * N / (16 * len(K) * n) < 5
 
 
-# Sets at n = 4096 whose groups are huge or whose leaders have many
-# candidate pairs: bins sharing a large factor with n, a Gaussian signal
+# Sets at n = 4096 whose groups are huge or many-sized: bins sharing a large factor with n, a Gaussian signal
 # on K = (2, 2048), a live bin 2 at ~5e-11 of the peak (its nearby even
 # shifts merge), and an all-zero signal.
 _T = np.arange(4096)
@@ -127,7 +122,7 @@ DEGENERATE = {
 @pytest.mark.parametrize("name", list(DEGENERATE))
 def test_check_scan_stays_within_the_m_4_bound_on_degenerate_sets(name):
     # The same bound as the m = 4 set above, 5 units of 4*n complex values
-    # (1,280 KB), whatever m: blocks shrink to the leaders that lead, and
-    # a block's candidate pairs are cut to n // m.
+    # (1,280 KB), whatever m: the pass over the shifts holds one group at
+    # a time, however large.
     x, K = DEGENERATE[name]
     assert traced_peak(check_sensing_conditions, x, SensingSet(4096, K)) * 8 * N < 5 * 16 * 4 * 4096

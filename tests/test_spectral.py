@@ -162,3 +162,21 @@ def test_errors():
         dft_entry([1.0, 2.0], 2)
     with pytest.raises(ValueError):
         dft([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("call, bad, message", [
+    (dft, [1.0, np.nan], "^x contains NaN or infinite values$"),
+    (dft, [1.0, 1j * np.inf], "^x contains NaN or infinite values$"),
+    (idft, [np.inf, 1.0], "^X contains NaN or infinite values$"),
+    (lambda x: dft_entry(x, 1), [np.nan, 1.0, 2.0], "^x contains NaN or infinite values$"),
+    (lambda x: dft_entry(x, 1), [[1.0, 2.0, 3.0], [1.0, -np.inf, 0.0]], "^x contains NaN or infinite values$"),
+    (lambda x: dft_entry(x, [1, 2]), [[1.0, 2.0, 3.0], [1.0, 2.0, np.nan + 1j]], "^x contains NaN or infinite values$"),
+    # Finite inputs whose sums overflow are refused as the result, as before.
+    (dft, [1.7e308, 1.7e308], "^dft: the spectrum is not finite$"),
+    (idft, [1.7e308, 1.7e308], "^idft: the signal is not finite$"),
+    (lambda x: dft_entry(x, 0), [[1.0, 2.0], [1.7e308, 1.7e308]], "^dft_entry: the entry is not finite$"),
+], ids=["dft-nan", "dft-complex-inf", "idft-inf", "dft_entry-nan", "dft_entry-stack-inf",
+        "dft_entry-complex-stack-nan", "dft-overflow", "idft-overflow", "dft_entry-stack-overflow"])
+def test_non_finite_input_is_named_and_an_overflow_is_named_as_the_result(call, bad, message):
+    with pytest.raises(ValueError, match=message):
+        call(np.array(bad))

@@ -6,7 +6,7 @@ counts as zero (no other production module holds a tolerance below
 the only one that turns input text into values; ``errors`` is the only
 one that turns an array argument into float64 values or an index
 argument into an int in range, and the only one that tests finiteness.
-The O(n^2) duplicate-group scan serves ``check_sensing_conditions``
+The duplicate-group table serves ``check_sensing_conditions``
 alone; the compressive estimators settle their shift without it, on
 the paper's gcd condition, which ``compressive._class_rule`` alone reads.
 ``run_bench`` measures each block of trials in one call per side, and
@@ -275,9 +275,8 @@ def _users(tree: ast.Module, name: str) -> set[str]:
 
 def test_only_check_sensing_conditions_scans_for_duplicate_groups():
     # The estimators settle on the gcd class of their winning shift; the
-    # O(n^2) scan, which compares blocks of leaders with the free shifts
-    # from them on (about n^2/2 real differences on one row, plus m
-    # complex ones per candidate pair), serves the diagnostic alone.
+    # duplicate groups, read from one (m, n) table of the amounts by which
+    # columns differ at each shift difference, serve the diagnostic alone.
     users = {p.name: _users(_tree(p), "_duplicate_groups") for p in MODULES}
     assert {name: fns for name, fns in users.items() if fns} == {
         "compressive.py": {"check_sensing_conditions"}}

@@ -30,8 +30,13 @@ and at n = 4096, on one row, the compressive path:
   freshly built ``SensingSet`` with the same bins, ``measure`` of both
   sides of the pair, then the estimate (the ``_fresh`` rows);
 * ``check_sensing_conditions`` with the same bins
-  (``check_sensing_4096_4_bins``), whose duplicate-group scan makes
-  about n^2/2 comparisons, so its blocks make ``CHECK_SHARE`` times
+  (``check_sensing_4096_4_bins``), with the twice-odd bins
+  K = (6, 102, 1002, 2046), which pair each shift with s + n/2
+  (``check_sensing_4096_even``), and with K = (2, 2048) on a signal
+  whose bin 2 is 5e-11 of bin 2048's, a live bin too weak to move
+  nearby shifts apart (``check_sensing_4096_weak``). Each check builds
+  an (m, n) table and makes one pass over the n shifts, a few numpy
+  calls per group, so the check rows' blocks make ``CHECK_SHARE`` times
   fewer calls than the others' (at least one);
 
 and at n = 2^20, on one row, ``shift_single_bin`` with bin 1
@@ -79,7 +84,8 @@ CALLS = ("crosscorr", "crosscorr_tiny", "ratio", "single_bin_auto", "single_bin_
          "measure_1_3", "check_sensing_64", "measure_20x64", "compressive_argmax_20x64",
          "compressive_ratio_20x64", "bench_draw_20x64", "brute_force_shift", "measure_4096_4_bins",
          "compressive_argmax_4096", "compressive_ratio_4096", "compressive_argmax_4096_fresh",
-         "compressive_ratio_4096_fresh", "check_sensing_4096_4_bins", "single_bin_1_2p20")
+         "compressive_ratio_4096_fresh", "check_sensing_4096_4_bins", "check_sensing_4096_even",
+         "check_sensing_4096_weak", "single_bin_1_2p20")
 CELL_ROWS = 20
 BLOCKS = 10
 CHECK_SHARE = 25  # a 4096-point check costs ~100 one-row estimates
@@ -111,6 +117,11 @@ def _worker(calls: int) -> dict:
     bins = SensingSet(N_COMPRESSIVE, (8, 100, 1001, 2048))
     long_y = np.roll(long_x, 5)
     z, v = measure(long_y, bins), measure(long_x, bins)
+    even_bins = SensingSet(N_COMPRESSIVE, (6, 102, 1002, 2046))
+    t = np.arange(N_COMPRESSIVE)
+    # Bin 2 measures 1e-10 * sqrt(n) / 2, 5e-11 of bin 2048's sqrt(n).
+    weak_x = 1e-10 * np.cos(4 * np.pi * t / N_COMPRESSIVE) + (-1.0) ** t
+    weak_bins = SensingSet(N_COMPRESSIVE, (2, 2048))
 
     def fresh(estimator):
         fresh_bins = SensingSet(N_COMPRESSIVE, bins.indices)
@@ -141,10 +152,12 @@ def _worker(calls: int) -> dict:
         "compressive_argmax_4096_fresh": lambda: fresh(shift_by_compressive_argmax),
         "compressive_ratio_4096_fresh": lambda: fresh(shift_by_compressive_ratio),
         "check_sensing_4096_4_bins": lambda: check_sensing_conditions(long_x, bins),
+        "check_sensing_4096_even": lambda: check_sensing_conditions(long_x, even_bins),
+        "check_sensing_4096_weak": lambda: check_sensing_conditions(weak_x, weak_bins),
         "single_bin_1_2p20": lambda: shift_single_bin(very_long_x, very_long_y, 1),
     }
     block = max(1, calls // BLOCKS)
-    blocks = {name: max(1, block // CHECK_SHARE) if name == "check_sensing_4096_4_bins" else block
+    blocks = {name: max(1, block // CHECK_SHARE) if name.startswith("check_sensing_4096") else block
               for name in CALLS}
     for name, body in bodies.items():
         for _ in range(min(blocks[name], 50)):
@@ -198,7 +211,7 @@ def main(argv=None) -> None:
         "what": f"one-pair calls and ({CELL_ROWS}, {N}) stacks at n = {N}, compressive calls at "
                 f"n = {N_COMPRESSIVE} and a single-bin call at n = {N_LONG}: per process, the fastest of {BLOCKS} blocks of "
                 f"{max(1, args.calls // BLOCKS)} calls ({max(1, args.calls // BLOCKS // CHECK_SHARE)} for the "
-                f"4096-point check), in microseconds per call; "
+                f"4096-point checks), in microseconds per call; "
                 f"{args.rounds} processes per tree" + (", alternating" if len(sides) > 1 else ""),
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "cpu_count": os.cpu_count(), "platform": platform.platform()},
