@@ -309,7 +309,12 @@ def test_duplicate_groups_are_the_residues_mod_n_over_the_live_gcd_at_n_16384(K)
 
 
 def all_columns_groups(values, indices, n):
-    """Reference scan: each leader against all n columns, in fresh temporaries."""
+    """Reference scan: each leader against all n columns, in fresh temporaries.
+
+    It matches the check's table of differences only away from subnormal
+    rounding: where a bin measures a few subnormal units, its pairwise
+    differences at one shift difference can round apart by position.
+    """
     cols = values[:, None] * unit_phases(np.asarray(indices)[:, None], np.arange(n), n)
     peak = np.abs(values).max()
     groups = []
@@ -386,6 +391,27 @@ def test_the_scan_groups_as_the_all_columns_scan_where_blocks_are_cut(n, weak):
     groups = _duplicate_groups(v, K, n)
     assert groups == all_columns_groups(v, K, n)
     assert len(groups) == n
+
+
+def test_the_table_judges_each_shift_difference_once_where_pairs_round_apart():
+    # Bin 212 measures 5 - 15j units of the smallest subnormal under a
+    # peak of 1e-310, so its pairwise differences round by the pair's
+    # position: the all-columns scan puts 288 with 4, a shift difference
+    # of 284 at which it keeps 0 apart from 284. The table judges each
+    # difference once: the group led by 0 takes the coinciding ones, and
+    # every leader takes its free shifts at those and at no other.
+    n, K = 923, (26, 212)
+    v = np.ldexp([15493455700740, 5], -1074) + 1j * np.ldexp([13023807119578, -15], -1074)
+    groups = _duplicate_groups(v, K, n)
+    same = groups[0]
+    assert same == (0, 213, 426, 497, 710)
+    taken = set()
+    for g in groups:
+        assert g == tuple(t for t in (g[0] + d for d in same) if t < n and t not in taken)
+        taken.update(g)
+    assert taken == set(range(n))
+    assert groups[4] == (4, 217, 430, 501, 714)
+    assert all_columns_groups(v, K, n)[4] == (4, 217, 288, 430, 501, 714)
 
 
 def test_an_all_zero_measurement_puts_every_shift_in_one_group():

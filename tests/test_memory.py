@@ -104,9 +104,15 @@ def test_check_scan_holds_its_buffers_once_per_scan():
     assert traced_peak(check_sensing_conditions, x, S) * 8 * N / (16 * len(K) * n) < 5
 
 
-# Sets at n = 4096 whose groups are huge or many-sized: bins sharing a large factor with n, a Gaussian signal
-# on K = (2, 2048), a live bin 2 at ~5e-11 of the peak (its nearby even
-# shifts merge), and an all-zero signal.
+# Sets at n = 4096 that load the table's pass over the shifts. Bins
+# whose gcd with n is g make every multiple of n/g a coinciding
+# difference, so each of n/g leaders takes g shifts: huge groups for
+# (2048,), (1024, 2048) and the four multiples of 512 (2, 4 and 8
+# groups), many small ones for (4,) and, on a Gaussian signal, (2, 2048)
+# (1024 groups of 4, 2048 pairs). "weak": bin 2, live at ~5e-11 of the
+# peak, leaves a few even differences near 0 and n coinciding, so nearby
+# even shifts merge: 512 groups of 2 to 14 shifts. "zero": an all-zero
+# measurement makes every difference coincide, one group of all n.
 _T = np.arange(4096)
 DEGENERATE = {
     "2048": (np.random.default_rng(1).standard_normal(4096), (2048,)),
