@@ -41,8 +41,8 @@ from math import gcd
 import numpy as np
 
 from .errors import IdentifiabilityError, as_index, as_tuple, finite, real_array, real_floats, require_finite
-from .retrieval import ShiftEstimate, _estimate, _lower, _norm
-from .spectral import BAND, dft_entries, entry_phases, live, phase_factors, to_band, unit_phases
+from .retrieval import ShiftEstimate, _estimate
+from .spectral import FLOOR, dft_entries, entry_phases, lift, live, lower, phase_factors, row_norm, unit_phases
 
 __all__ = [
     "SensingSet",
@@ -165,7 +165,7 @@ def measure(x, sensing: SensingSet) -> Measurement:
     with np.errstate(over="ignore", invalid="ignore"):
         # A finite sum of squares holds no NaN or infinity: only a norm that
         # is not finite sends the samples to the finiteness read, to name one.
-        if not finite(norm := _norm(x)):
+        if not finite(norm := row_norm(x)):
             real_array(x, "x")
         # One pass takes every bin, bins on a leading axis; each (bin, row)
         # entry is contracted on its own, with the bits of dft_entry(row, bin).
@@ -355,10 +355,11 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     n = 4096, g = 2, yet the estimate is certain only modulo 2, not 2048;
     :func:`shift_by_compressive_ratio` divides by v_i and keeps such a bin.
     An overflowed |v_i| raises ValueError
-    naming the overflow. A row of z or v peaking below 2**-BAND in
-    modulus is scaled before any product, as in
-    :func:`~cycshift.retrieval.shift_by_crosscorr`: up by a power of
-    two, with ValueError if the scores then underflow.
+    naming the overflow. A row of z or v peaking below the band in
+    modulus is scaled up by a power of two before any product
+    (:func:`~cycshift.spectral.lift`), as in
+    :func:`~cycshift.retrieval.shift_by_crosscorr`, with ValueError if
+    the scores then underflow.
 
     (B, m) stacks z and v score row b of z against row b of v in one
     call, and give the stacked estimate described at
@@ -374,21 +375,16 @@ def shift_by_compressive_argmax(z: Measurement, v: Measurement) -> ShiftEstimate
     # as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         _, g, peak = _class_rule(v)
-        lift = peak is None or min(peak, max(np.abs(z.values).tolist())) < 2.0 ** -BAND
-        if lift:  # a stack, or one pair peaking below the band
-            zv = np.array((np.conj(z.values), v.values))  # scaled as one array, row by row
-            # Only upward (a peak above 1 reads as 1): an overflowing row stays as it is.
-            peaks = np.minimum(np.abs(zv).max(axis=-1), 1.0)
-            zv, e = to_band(zv, peaks) if (lift := (peaks < 2.0 ** -BAND).any()) else (zv, 0)
-            w = zv[0] * zv[1]
-        else:
-            w = np.conj(z.values) * v.values
+        zc, vv, ez, ev = np.conj(z.values), v.values, 0, 0
+        # One pair inside the band is told by its peaks as Python numbers; a stack goes to lift.
+        if peak is None or min(peak, max(np.abs(z.values).tolist())) < FLOOR:
+            (zc, ez), (vv, ev) = lift(zc, np.abs(zc).max(axis=-1)), lift(vv, np.abs(vv).max(axis=-1))
+        w = zc * vv
         # Shift i*b + j scores Re sum_k w_k * coarse[k, i] * fine[k, j]:
         # one (a, m) @ (m, b) product per row, cut to the n shifts.
         scores = (w[..., None, :] * coarse.T) @ fine
         scores = scores.reshape(scores.shape[:-2] + (-1,))[..., :sensing.n].real
-    if lift:
-        _lower("compressive_argmax", scores, e.sum(axis=0))
+    lower("compressive_argmax", scores, ez + ev)
     return _settle("compressive_argmax", scores, np.argmax(scores, axis=-1), g, sensing.n)
 
 

@@ -35,12 +35,12 @@ stack's are arrays; both give the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf, sqrt
+from math import gcd
 
 import numpy as np
 
-from .errors import IdentifiabilityError, as_index, finite, peak, real_array, real_rows
-from .spectral import BAND, dft_entries, entry_phases, live, to_band
+from .errors import IdentifiabilityError, as_index, finite, real_array, real_rows
+from .spectral import dft_entries, entry_phases, lift, live, lower, row_norm
 
 __all__ = [
     "ShiftEstimate",
@@ -54,9 +54,6 @@ __all__ = [
 
 # shift_single_bin flags "model_misfit" when abs(|rho| - 1) exceeds this.
 MISFIT_TOL = 1e-6
-
-# A sum of squares below the smallest normal float has lost bits to underflow.
-_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,32 +122,6 @@ def _pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _norm(v: np.ndarray):
-    """Euclidean norm along the last axis: a float, or one per row of a stack.
-
-    Each row takes its own path, so a row of a stack gets the bits it
-    gets alone (up to n = 8192: beyond numpy's 8192-element buffer,
-    einsum sums the rows of a stack in another order). The norm is
-    finite only if every value is: a NaN or an infinity makes the sum of
-    squares NaN or infinite.
-    """
-    # einsum's single-threaded loop; np.linalg.norm goes through BLAS,
-    # whose thread start-up dominates on long signals. Beyond ~1e154 the
-    # sum of squares overflows and below ~1e-154 it underflows (as it is
-    # for a zero row), so such a row is then scaled into the band first.
-    # One signal whose sum is normal takes the (1, n) row's bits without the row bookkeeping.
-    if v.ndim == 1 and (sq := float(np.einsum("i,i->", v, v))) >= _TINY and sq < inf:
-        return sqrt(sq)
-    rows = v.reshape(-1, v.shape[-1])
-    sq = np.einsum("ij,ij->i", rows, rows)
-    norm = np.sqrt(sq)
-    odd = (sq < _TINY) | (sq == inf)
-    if odd.any():
-        u, e = to_band(rows[odd], peak(rows[odd], -1))
-        norm[odd] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", u, u)), e)
-    return norm if v.ndim > 1 else norm.item()
-
-
 def _coprime_mask(size: int, n: int) -> np.ndarray:
     """Boolean mask of gcd(i, n) == 1 for i in 0..size-1.
 
@@ -204,20 +175,6 @@ def _estimate(method: str, n: int, shift: np.ndarray, score=None, scores=None, f
     return ShiftEstimate(method, n, shift, score, scores, flags)
 
 
-def _lower(method: str, scores: np.ndarray, e) -> None:
-    """Scale scores formed from inputs scaled up by 2**-e back down by 2**e, in place, row by row.
-
-    Raises ValueError naming the underflow if that rounding moves the
-    argmax of a row, or leaves all zero a row whose scores were not: the
-    scores of such inputs are too small for float64 to tell the shifts
-    apart.
-    """
-    s, nonzero = np.argmax(scores, axis=-1), scores.any(axis=-1)
-    np.ldexp(scores, e[..., None], out=scores)
-    if (np.argmax(scores, axis=-1) != s).any() or (nonzero > scores.any(axis=-1)).any():
-        raise ValueError(f"{method}: the scores underflow (the inputs are too small)")
-
-
 def shift_by_crosscorr(x, y) -> ShiftEstimate:
     """Classic estimator: peak of the circular cross-correlation.
 
@@ -230,21 +187,20 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
     inverse lands in the spent spectrum of y, so the call holds two
     spectrum-sized buffers.
 
-    An input row peaking below 2**-BAND is scaled up by a power of two
-    before the transforms (:func:`~cycshift.spectral.to_band`), and the
-    scores are scaled back; if they then underflow so far that their
-    argmax moves or they all vanish, the call raises ValueError naming
-    the underflow. The row peaks come from the finiteness check's own
-    read, which also gives the zero test.
+    An input row peaking below the band is scaled up by a power of two
+    before the transforms (:func:`~cycshift.spectral.lift`), and the
+    scores are scaled back (:func:`~cycshift.spectral.lower`); if they
+    then underflow so far that their argmax moves or they all vanish,
+    the call raises ValueError naming the underflow. The row peaks come
+    from the finiteness check's own read, which also gives the zero
+    test.
     """
     (x, px), (y, py) = real_rows(x, "x"), real_rows(y, "y")
     _pair(x, y)
     if not (px.all() and py.all()):
         raise IdentifiabilityError("cross-correlation needs nonzero signals")
     n = x.shape[-1]
-    if lift := (np.minimum(px, py) < 2.0 ** -BAND).any():
-        # Only upward (a peak above 1 reads as 1): an overflowing row stays as it is.
-        (x, ex), (y, ey) = to_band(x, np.minimum(px, 1.0)), to_band(y, np.minimum(py, 1.0))
+    (x, ex), (y, ey) = lift(x, px), lift(y, py)
     # An overflowed product shows as a score that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         # Unscaled forward transforms and the 1/n inverse give the inner products.
@@ -254,8 +210,7 @@ def shift_by_crosscorr(x, y) -> ShiftEstimate:
         spec *= ys
         # The inverse lands in the spent spectrum of y.
         scores = np.fft.irfft(spec, n, out=ys.view(np.float64)[..., :n])
-    if lift:
-        _lower("crosscorr", scores, ex + ey)
+    lower("crosscorr", scores, ex + ey)
     return _estimate("crosscorr", n, np.argmax(scores, axis=-1), scores=scores)
 
 
@@ -360,7 +315,7 @@ def shift_single_bin(x, y, i: int | None = None) -> ShiftEstimate:
         # All rows in one pass; the bins are checked above, so dft_entries does not check them again.
         phases = entry_phases(i, n)  # built once for x and y
         xi = dft_entries(x, phases)
-        usable = live(np.abs(xi), _norm(x))
+        usable = live(np.abs(xi), row_norm(x))
         if not usable.all():
             if not finite(xi):
                 raise ValueError("single_bin: the reference entry is not finite (the inputs overflow)")
@@ -428,7 +383,7 @@ def shift_affine(x, y) -> tuple[AffineShiftModel, float]:
         np.multiply(x[n - s:], alpha, out=buf[:s])
         np.subtract(y, buf, out=buf)
         buf -= beta
-        residual = _norm(buf)
+        residual = row_norm(buf)
     if not finite((alpha, beta, residual)):
         raise ValueError("shift_affine: the fit is not finite (the inputs overflow)")
 

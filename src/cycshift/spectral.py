@@ -16,9 +16,11 @@ scale factors into its ``norm=`` argument instead of a separate pass.
 Only this module knows when a spectral magnitude counts as zero
 (:func:`live`), when an input row is too extreme to take unscaled into
 a transform or product and by which power of two it is scaled instead
-(:func:`to_band` and the band ``BAND`` it keeps), how a result formed
-from scaled rows is scaled back and refused if it is not finite
-(:func:`scaled_back`), how a delay
+(:func:`to_band` and the band ``BAND`` it keeps; :func:`lift`, the same
+rule upward only), how a result formed from scaled rows is scaled back
+and refused if it is not finite (:func:`scaled_back`) or if its scores
+underflow (:func:`lower`), how a Euclidean norm is taken whose sum of
+squares would leave the float64 range (:func:`row_norm`), how a delay
 becomes a unit phase (:func:`unit_phases`), how the phases of all n
 delays split into two factors of O(sqrt(n)) phases each
 (:func:`phase_factors`) and which phases a transform entry is
@@ -33,19 +35,21 @@ computes: one that is not finite is an overflow and is refused by name
 warning on the way. The spectral primitives refuse rather than scale:
 :func:`dft`, :func:`idft` and :func:`dft_entry` of a finite input whose
 sums leave the float64 range raise ValueError naming the call. Scaling
-into the band belongs to the callers that need it: the circulant core
-and the norms scale rows both ways, while crosscorr and compressive
-argmax lift their inputs only upward, so inputs near the top of the
-range still overflow there and are refused.
+into the band belongs to the callers that need it, and each goes
+through the functions above: the circulant core and :func:`row_norm`
+scale rows both ways, while crosscorr and compressive argmax
+:func:`lift` their inputs only upward (so inputs near the top of the
+range still overflow there and are refused) and :func:`lower` their
+scores back.
 """
 
 from __future__ import annotations
 
-from math import isqrt, sqrt
+from math import inf, isqrt, sqrt
 
 import numpy as np
 
-from .errors import as_index, finite, require_finite
+from .errors import as_index, finite, peak, require_finite
 
 __all__ = ["dft", "idft", "fourier_column", "dft_entry"]
 
@@ -53,8 +57,13 @@ __all__ = ["dft", "idft", "fourier_column", "dft_entry"]
 # a single transform entry) counts as zero.
 ZERO_BIN_TOL = 1e-12
 
-# A row peaking outside 2**±BAND is scaled before any product (to_band).
+# A row peaking outside 2**±BAND is scaled before any product (to_band);
+# one peaking below FLOOR is lifted by the estimators that scale only upward.
 BAND = 400
+FLOOR = 2.0 ** -BAND
+
+# A sum of squares below the smallest normal float has lost bits to underflow.
+_TINY = np.finfo(np.float64).tiny
 
 # Up to this length dft_entry evaluates all n phases directly; beyond it,
 # blocked, from O(sqrt(n)) trigonometric calls. Timed against the
@@ -107,8 +116,68 @@ def to_band(a: np.ndarray, peaks):
     # Inside the band, squares and pairwise products of entries from
     # ZERO_BIN_TOL of the peak up, summed over fewer than 2^62 terms, stay
     # normal floats, between 2^-1022 and 2^1023: no scaling is needed.
-    e = np.where((peaks < 2.0 ** -BAND) | (peaks >= 2.0 ** BAND), np.frexp(peaks)[1], 0)
+    e = np.where((peaks < FLOOR) | (peaks >= 2.0 ** BAND), np.frexp(peaks)[1], 0)
     return (np.ldexp(a.view(np.float64), -e[..., None]).view(a.dtype) if e.any() else a), e
+
+
+def lift(a: np.ndarray, peaks):
+    """:func:`to_band` upward only: ``a`` with each row peaking below ``FLOOR`` scaled up, and the exponents.
+
+    A peak above 1 reads as 1, so a row peaking above the band stays as
+    it is: its products overflow as they would unscaled, and are
+    refused. ``peaks`` is one float, or one per row. When no row peaks
+    below the band, ``a`` itself comes back with the exponent 0, a
+    Python int, and :func:`lower` then does nothing. One float is
+    compared as it is and a stack by its smallest peak: a numpy
+    reduction costs a few microseconds on a scalar.
+    """
+    if (peaks if isinstance(peaks, float) else peaks.min()) >= FLOOR:
+        return a, 0
+    return to_band(a, np.minimum(peaks, 1.0))
+
+
+def lower(what: str, scores: np.ndarray, e) -> None:
+    """Scale scores formed from rows lifted by 2**-e back down by 2**e, in place, row by row.
+
+    ``e`` is the sum of the exponents :func:`lift` gave the factors of
+    the scores; the int 0, nothing lifted, leaves them as they are.
+    Raises ValueError naming ``what`` and the underflow if that rounding
+    moves the argmax of a row, or leaves all zero a row whose scores
+    were not: the scores of such inputs are too small for float64 to
+    tell the shifts apart.
+    """
+    if isinstance(e, int):
+        return
+    s, nonzero = np.argmax(scores, axis=-1), scores.any(axis=-1)
+    np.ldexp(scores, e[..., None], out=scores)
+    if (np.argmax(scores, axis=-1) != s).any() or (nonzero > scores.any(axis=-1)).any():
+        raise ValueError(f"{what}: the scores underflow (the inputs are too small)")
+
+
+def row_norm(v: np.ndarray):
+    """Euclidean norm along the last axis: a float, or one per row of a stack.
+
+    Each row takes its own path, so a row of a stack gets the bits it
+    gets alone (up to n = 8192: beyond numpy's 8192-element buffer,
+    einsum sums the rows of a stack in another order). The norm is
+    finite only if every value is: a NaN or an infinity makes the sum of
+    squares NaN or infinite.
+    """
+    # einsum's single-threaded loop; np.linalg.norm goes through BLAS,
+    # whose thread start-up dominates on long signals. Beyond ~1e154 the
+    # sum of squares overflows and below ~1e-154 it underflows (as it is
+    # for a zero row), so such a row is then scaled into the band first.
+    # One signal whose sum is normal takes the (1, n) row's bits without the row bookkeeping.
+    if v.ndim == 1 and (sq := float(np.einsum("i,i->", v, v))) >= _TINY and sq < inf:
+        return sqrt(sq)
+    rows = v.reshape(-1, v.shape[-1])
+    sq = np.einsum("ij,ij->i", rows, rows)
+    norm = np.sqrt(sq)
+    odd = (sq < _TINY) | (sq == inf)
+    if odd.any():
+        u, e = to_band(rows[odd], peak(rows[odd], -1))
+        norm[odd] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", u, u)), e)
+    return norm if v.ndim > 1 else norm.item()
 
 
 def scaled_back(out: np.ndarray, e, what: str) -> np.ndarray:

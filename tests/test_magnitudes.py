@@ -22,13 +22,13 @@ from cycshift import (
     circulant,
     ls_circulant_fit,
     measure,
-    retrieval,
     shift_affine,
     shift_by_compressive_argmax,
     shift_by_compressive_ratio,
     shift_by_crosscorr,
     shift_by_ratio,
     shift_single_bin,
+    spectral,
 )
 from cycshift.cli import main
 from cycshift.fileio import save_signal
@@ -207,10 +207,10 @@ def test_a_unit_row_beside_a_tiny_row_gets_its_one_row_norm_measurement_and_esti
     for _ in range(40):
         x = np.stack([rng.standard_normal(64), 2.0 ** -600 * rng.standard_normal(64)])
         y = np.roll(x, 5, axis=1)
-        norms, stacked = retrieval._norm(x), shift_single_bin(x, y, 3)
+        norms, stacked = spectral.row_norm(x), shift_single_bin(x, y, 3)
         measured = measure(x, sensing).values
         for b in range(2):
-            assert norms[b].tobytes() == np.float64(retrieval._norm(x[b])).tobytes()
+            assert norms[b].tobytes() == np.float64(spectral.row_norm(x[b])).tobytes()
             assert measured[b].tobytes() == measure(x[b], sensing).values.tobytes()
             alone = shift_single_bin(x[b], y[b], 3)
             assert (stacked.shift[b], stacked.flags[b]) == (alone.shift, alone.flags) == (5, ())
@@ -219,17 +219,17 @@ def test_a_unit_row_beside_a_tiny_row_gets_its_one_row_norm_measurement_and_esti
 
 def test_rows_of_a_stack_beyond_8192_samples_get_their_one_row_measurement_and_estimate():
     # Beyond n = 8192 einsum sums a stack's rows through its 8192-element
-    # buffer, in another order than one row alone, so _norm can give a row
+    # buffer, in another order than one row alone, so row_norm can give a row
     # other last bits. The norm only sets the zero rule's threshold: the
     # values, shifts and scores keep each row's own bits.
     n, sensing = 16384, SensingSet(16384, (1, 3, 4096, 8191))
     x = np.random.default_rng(16384).standard_normal((3, n))
     y = np.roll(x, 5, axis=1)
-    norms, measured = retrieval._norm(x), measure(x, sensing).values
+    norms, measured = spectral.row_norm(x), measure(x, sensing).values
     for i in (3, None):
         stacked = shift_single_bin(x, y, i)
         for b in range(3):
-            assert norms[b] == pytest.approx(retrieval._norm(x[b]), rel=1e-15)
+            assert norms[b] == pytest.approx(spectral.row_norm(x[b]), rel=1e-15)
             assert measured[b].tobytes() == measure(x[b], sensing).values.tobytes()
             alone = shift_single_bin(x[b], y[b], i)
             assert (stacked.shift[b], stacked.flags[b]) == (alone.shift, alone.flags) == (5, ())

@@ -5,8 +5,10 @@ transform or product, and the result is scaled back; both scales are
 exact while the values stay normal floats. So x * 2**ex and y * 2**ey
 give the unit-scale shift and flags, and the scores (or the product)
 of the unit-scale call times 2**(ex + ey), to the last bit, whether
-each input lies inside the band (ex = 0, -399) or below it. Scores
-that scale back to nothing at all are refused, aligned pair or not.
+each input lies inside the band (ex = 0, -399) or below it. In a
+(3, 8) stack whose other rows are lifted on one side only, each row
+gives its one-pair call bit for bit. Scores that scale back to nothing
+at all are refused, aligned pair or not.
 """
 
 import itertools
@@ -21,13 +23,17 @@ Y = np.roll(X, 3) + 0.1 * np.random.default_rng(22).standard_normal(8)
 K = SensingSet(8, (1, 2, 3))
 
 
+def _argmax_estimate(x, y):
+    return shift_by_compressive_argmax(measure(y, K), measure(x, K))
+
+
 def _crosscorr(x, y):
     est = shift_by_crosscorr(x, y)
     return est.scores, (est.shift, est.flags)
 
 
 def _compressive_argmax(x, y):
-    est = shift_by_compressive_argmax(measure(y, K), measure(x, K))
+    est = _argmax_estimate(x, y)
     return est.scores, (est.shift, est.flags)
 
 
@@ -38,11 +44,33 @@ def _apply(x, y):
 EXPONENTS = (0, -399, -401, -450, -520)
 # Every pair, together and apart, but -520 with -520: those scores are subnormal.
 PAIRS = [(ex, ey) for ex, ey in itertools.product(EXPONENTS, repeat=2) if ex + ey > -1000]
+# The other rows of a stack: one side below the band, the other inside it.
+ONE_SIDED = ((-401, -399), (0, -520))
+
+
+def _in_a_stack(estimate):
+    """``estimate`` of a pair as row 0 of a (3, 8) stack whose rows 1 and 2 take ``ONE_SIDED``.
+
+    Every row must give its one-pair call's shift, flags, score and
+    scores bit for bit; row 0's scores and answer are returned.
+    """
+    def call(x, y):
+        rows = [(x, y)] + [(np.ldexp(X, ex), np.ldexp(Y, ey)) for ex, ey in ONE_SIDED]
+        stacked = estimate(np.stack([x for x, _ in rows]), np.stack([y for _, y in rows]))
+        for b, row in enumerate(rows):
+            alone = estimate(*row)
+            assert (int(stacked.shift[b]), stacked.flags[b]) == (alone.shift, alone.flags)
+            assert stacked.score[b].tobytes() == np.float64(alone.score).tobytes()
+            assert stacked.scores[b].tobytes() == alone.scores.tobytes()
+        return stacked.scores[0], (int(stacked.shift[0]), stacked.flags[0])
+    return call
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("call", [_crosscorr, _compressive_argmax, _apply],
-                         ids=["crosscorr", "compressive_argmax", "apply"])
+@pytest.mark.parametrize("call", [_crosscorr, _compressive_argmax, _apply, _in_a_stack(shift_by_crosscorr),
+                                  _in_a_stack(_argmax_estimate)],
+                         ids=["crosscorr", "compressive_argmax", "apply", "crosscorr_stack",
+                              "compressive_argmax_stack"])
 @pytest.mark.parametrize("ex, ey", PAIRS)
 def test_power_of_two_scales_give_the_unit_scale_result_bit_for_bit(call, ex, ey):
     unit_scores, unit_answer = call(X, Y)

@@ -2,10 +2,13 @@
 
 ``spectral`` is the only module that knows when a spectral magnitude
 counts as zero (no other production module holds a tolerance below
-1e-6) and how a delay turns into a unit phase; ``fileio`` is
-the only one that turns input text into values; ``errors`` is the only
-one that turns an array argument into float64 values or an index
-argument into an int in range, and the only one that tests finiteness.
+1e-6), how a delay turns into a unit phase, and when and by which power
+of two a row is scaled: its ``lift``, ``lower`` and ``row_norm`` serve
+the estimators, and no other module names the band or a power-of-two
+scaling of its own. ``fileio`` is the only one that turns input text
+into values; ``errors`` is the only one that turns an array argument
+into float64 values or an index argument into an int in range, and the
+only one that tests finiteness.
 The duplicate-group table serves ``check_sensing_conditions``
 alone; the compressive estimators settle their shift without it, on
 the paper's gcd condition, which ``compressive._class_rule`` alone reads.
@@ -271,6 +274,16 @@ def _users(tree: ast.Module, name: str) -> set[str]:
     """The top-level definitions (or ``<module>``) that read ``name``, leaving out its own."""
     owners = ((getattr(node, "name", "<module>"), node) for node in tree.body)
     return {owner for owner, node in owners if owner != name and name in _names(node)}
+
+
+def test_only_spectral_scales_by_powers_of_two():
+    # The estimators lift, lower and take norms through spectral; none
+    # names the band or scales by a power of two itself.
+    users = {p.name for p in MODULES if _names(_tree(p)) & {"BAND", "ldexp", "frexp"}}
+    assert users == {"spectral.py"}
+    # compressive takes from retrieval only the estimate and its builder.
+    taken = [name for name in _imports(_tree(PACKAGE / "compressive.py")) if name.startswith(".retrieval:")]
+    assert sorted(taken) == [".retrieval:ShiftEstimate", ".retrieval:_estimate"]
 
 
 def test_only_check_sensing_conditions_scans_for_duplicate_groups():

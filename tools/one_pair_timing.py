@@ -26,6 +26,10 @@ and at n = 4096, on one row, the compressive path:
   bin pins the shift down;
 * ``shift_by_compressive_argmax`` and ``shift_by_compressive_ratio`` on
   the two measurements of a pair delayed by 5;
+* ``shift_by_compressive_argmax`` on the same pair scaled by 2^-450,
+  whose measurements peak below the band, so both are lifted before
+  the product and the scores lowered (``compressive_argmax_tiny``, the
+  only lifted compressive row);
 * each estimator as perfbench's compressive-fresh workload calls it: a
   freshly built ``SensingSet`` with the same bins, ``measure`` of both
   sides of the pair, then the estimate (the ``_fresh`` rows);
@@ -61,7 +65,10 @@ median over rounds of the ratio of a round's two processes; every
 process's figures; and the Python and numpy versions and the CPU count.
 
 No timing is asserted: ``--calls 50 --rounds 1`` is a quick smoke run
-(one process per tree); comparisons use the default 40 rounds.
+(one process per tree); comparisons use the default 40 rounds. Warning
+options given to Python (``python -W error::RuntimeWarning
+tools/one_pair_timing.py ...``) are passed on to every worker process,
+so a numpy warning on any timed path then fails the run.
 """
 
 from __future__ import annotations
@@ -83,9 +90,9 @@ N_LONG = 1 << 20
 CALLS = ("crosscorr", "crosscorr_tiny", "ratio", "single_bin_auto", "single_bin_1", "single_bin_auto_20x64",
          "measure_1_3", "check_sensing_64", "measure_20x64", "compressive_argmax_20x64",
          "compressive_ratio_20x64", "bench_draw_20x64", "brute_force_shift", "measure_4096_4_bins",
-         "compressive_argmax_4096", "compressive_ratio_4096", "compressive_argmax_4096_fresh",
-         "compressive_ratio_4096_fresh", "check_sensing_4096_4_bins", "check_sensing_4096_even",
-         "check_sensing_4096_weak", "single_bin_1_2p20")
+         "compressive_argmax_4096", "compressive_argmax_tiny", "compressive_ratio_4096",
+         "compressive_argmax_4096_fresh", "compressive_ratio_4096_fresh", "check_sensing_4096_4_bins",
+         "check_sensing_4096_even", "check_sensing_4096_weak", "single_bin_1_2p20")
 CELL_ROWS = 20
 BLOCKS = 10
 CHECK_SHARE = 25  # a 4096-point check costs ~100 one-row estimates
@@ -117,6 +124,7 @@ def _worker(calls: int) -> dict:
     bins = SensingSet(N_COMPRESSIVE, (8, 100, 1001, 2048))
     long_y = np.roll(long_x, 5)
     z, v = measure(long_y, bins), measure(long_x, bins)
+    tiny_z, tiny_v = measure(np.ldexp(long_y, -450), bins), measure(np.ldexp(long_x, -450), bins)
     even_bins = SensingSet(N_COMPRESSIVE, (6, 102, 1002, 2046))
     t = np.arange(N_COMPRESSIVE)
     # Bin 2 measures 1e-10 * sqrt(n) / 2, 5e-11 of bin 2048's sqrt(n).
@@ -148,6 +156,7 @@ def _worker(calls: int) -> dict:
         "brute_force_shift": lambda: oracle.brute_force_shift(x, y),
         "measure_4096_4_bins": lambda: measure(long_x, bins),
         "compressive_argmax_4096": lambda: shift_by_compressive_argmax(z, v),
+        "compressive_argmax_tiny": lambda: shift_by_compressive_argmax(tiny_z, tiny_v),
         "compressive_ratio_4096": lambda: shift_by_compressive_ratio(z, v),
         "compressive_argmax_4096_fresh": lambda: fresh(shift_by_compressive_argmax),
         "compressive_ratio_4096_fresh": lambda: fresh(shift_by_compressive_ratio),
@@ -175,7 +184,8 @@ def _worker(calls: int) -> dict:
 
 
 def _run_side(src: Path, calls: int) -> dict:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(src), "--calls", str(calls)]
+    warnings = [f"-W{option}" for option in sys.warnoptions]
+    cmd = [sys.executable, *warnings, str(Path(__file__).resolve()), "--worker", str(src), "--calls", str(calls)]
     return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
 
 
