@@ -5,31 +5,17 @@ cross-correlation peak, a spectral-ratio impulse, a single frequency
 bin, or compressed partial-Fourier measurements, all built on one
 unitary-DFT convention and a circulant-matrix core. Brute-force
 oracles, a Monte-Carlo benchmark harness and a CLI are included.
+
+Each public name is declared once, in its module's ``__all__``; the
+package re-exports those lists as they are.
 """
 
-from .circulant import Circulant, ls_circulant_fit, make_shift
-from .compressive import (
-    Measurement,
-    SensingReport,
-    SensingSet,
-    check_sensing_conditions,
-    embed,
-    measure,
-    shift_by_compressive_argmax,
-    shift_by_compressive_ratio,
-)
+from . import circulant, compressive, retrieval, spectral
+from .circulant import *
+from .compressive import *
 from .errors import IdentifiabilityError
-from .retrieval import (
-    AffineShiftModel,
-    ShiftEstimate,
-    select_bin,
-    shift_affine,
-    shift_by_crosscorr,
-    shift_by_ratio,
-    shift_single_bin,
-)
-from .spectral import dft, dft_entry, fourier_column, idft
-from . import compressive, retrieval
+from .retrieval import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
@@ -57,29 +43,5 @@ def estimate(method: str, x, y, *args):
     return getattr(module, name)(*((y, x) if measured else (x, y)), *args)
 
 
-__all__ = [
-    "__version__",
-    "IdentifiabilityError",
-    "dft",
-    "idft",
-    "fourier_column",
-    "dft_entry",
-    "Circulant",
-    "make_shift",
-    "ls_circulant_fit",
-    "ShiftEstimate",
-    "AffineShiftModel",
-    "shift_by_crosscorr",
-    "shift_by_ratio",
-    "select_bin",
-    "shift_single_bin",
-    "shift_affine",
-    "SensingSet",
-    "Measurement",
-    "SensingReport",
-    "measure",
-    "embed",
-    "check_sensing_conditions",
-    "shift_by_compressive_argmax",
-    "shift_by_compressive_ratio",
-]
+__all__ = ["__version__", "IdentifiabilityError", *spectral.__all__, *circulant.__all__,
+           *retrieval.__all__, *compressive.__all__]

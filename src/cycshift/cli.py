@@ -5,8 +5,8 @@ shift between two files), ``bench`` (Monte-Carlo success-rate sweep),
 ``check-sensing`` (diagnose a sensing set) and ``selftest`` (built-in
 consistency suites).
 
-Exit codes: 0 success, 1 usage or parse failure, 2 identifiability
-failure (no usable bin, ambiguous sensing).
+Exit codes: 0 success, 1 usage or parse failure or an input too large
+for memory, 2 identifiability failure (no usable bin, ambiguous sensing).
 """
 
 from __future__ import annotations
@@ -196,8 +196,9 @@ def main(argv=None) -> int:
     except IdentifiabilityError as exc:
         print(json.dumps({"error": str(exc)}))
         return EXIT_UNIDENTIFIABLE
-    except (ValueError, OSError) as exc:
-        print(f"cycshift: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # A bare MemoryError, as Python raises it, has no message of its own.
+        print(f"cycshift: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -7,7 +7,9 @@ the caller takes anyway, or to bench's SNR grid, where +inf is the
 noiseless sentinel),
 :func:`as_index` turns an index argument into an int in range,
 :func:`as_tuple` takes the items of a sequence argument,
-:func:`finite` tells whether values hold no NaN or infinity and
+:func:`finite` tells whether values hold no NaN or infinity,
+:func:`finite_result` refuses a result that does, naming its input if
+the NaN or infinity came from there, and
 :func:`peak` reads the largest magnitude of a real array;
 :func:`real_rows` reads finiteness off the peaks it hands back, so an
 input whose peaks are wanted is read once. No other module restates
@@ -64,6 +66,18 @@ def require_finite(values, what: str):
     if not finite(values):
         raise ValueError(f"{what} contains NaN or infinite values")
     return values
+
+
+def finite_result(out, what: str, values, name: str):
+    """``out``, computed from ``values``, or ValueError if it holds a NaN or an infinity.
+
+    The error names ``values`` as ``name`` when they hold a NaN or an
+    infinity themselves, and ``what`` otherwise: finite values whose
+    sums overflow. ``values`` are read only on that refusal path.
+    """
+    if not finite(out):
+        raise ValueError(f"{what} is not finite" if finite(values) else f"{name} contains NaN or infinite values")
+    return out
 
 
 def _asarray(values, what: str) -> np.ndarray:

@@ -49,7 +49,7 @@ from math import inf, isqrt, sqrt
 
 import numpy as np
 
-from .errors import as_index, finite, peak, require_finite
+from .errors import as_index, finite, finite_result, peak
 
 __all__ = ["dft", "idft", "fourier_column", "dft_entry"]
 
@@ -217,11 +217,7 @@ def _unitary(fft, x, name: str, what: str) -> np.ndarray:
         raise ValueError(f"{name} is empty")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without numpy's warnings
         out = fft(arr, norm="ortho")
-    try:
-        return scaled_back(out, 0, what)
-    except ValueError:  # the input is read only to name a NaN or an infinity in it
-        require_finite(arr, name)
-        raise
+    return finite_result(out, what, arr, name)
 
 
 def dft(x) -> np.ndarray:
@@ -312,11 +308,7 @@ def dft_entry(x, k):
         # A complex signal is taken as its real and its imaginary part, each a real signal.
         out = (dft_entry(arr.real, k) + 1j * dft_entry(arr.imag, k) if np.iscomplexobj(arr)
                else dft_entries(arr.astype(np.float64, copy=False), entry_phases(k, arr.shape[-1])))
-    try:
-        return scaled_back(out, 0, "dft_entry: the entry")
-    except ValueError:  # as in dft
-        require_finite(arr, "x")
-        raise
+    return finite_result(out, "dft_entry: the entry", arr, "x")
 
 
 def entry_phases(k, n: int, factors=None) -> tuple[np.ndarray, ...]:

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from cycshift import Measurement, SensingSet, measure
 from cycshift.cli import main
-from cycshift import fileio, spectral
+from cycshift import bench, cli, fileio, spectral
 from cycshift.fileio import load_signal, save_measurement, save_signal
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -73,6 +73,28 @@ def test_gen_out_of_range_exits_1_naming_the_flag(tmp_path, capsys, flag, value)
     assert code == 1
     assert out == ""
     assert err == f"cycshift: error: {flag} must be >= {1 if flag == '--n' else 0}, got {value}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 TiB for an array", ""])
+@pytest.mark.parametrize("argv, module, name", [
+    (["gen", "--n", "1099511627776"], cli, "_generate"),
+    (["bench", "--n", "1099511627776", "--trials", "1", "--snr-db", "inf", "--methods", "ratio"],
+     bench, "_draw"),
+])
+def test_an_n_too_large_for_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv, module, name,
+                                                          message):
+    # The allocation is stubbed: under memory overcommit a real 8 TiB
+    # request can succeed and fault only when its pages are touched.
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, name, refuse)
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"cycshift: error: {message or 'MemoryError'}\n"
     assert not out_path.exists()
 
 

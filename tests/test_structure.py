@@ -17,6 +17,8 @@ only ``_stack_hits`` scores trials one by one, after a stacked call
 refused.
 ``retrieval._estimate`` alone builds a ``ShiftEstimate`` from per-row
 results and alone tells one pair from a stack.
+Each public name is listed once, in its module's ``__all__``: the
+package re-exports those lists and names none of them itself.
 The checks walk the syntax tree of each package module, so docstrings
 and comments that describe the rules do not count; only code that
 restates them does.
@@ -348,3 +350,32 @@ def test_one_builder_makes_every_estimate_and_unwraps_one_pair():
                  if isinstance(node, ast.FunctionDef) and node.name in estimators}
     assert {name: _shape_branches(node) for name, node in functions.items()} == dict.fromkeys(
         estimators, [])
+
+
+# The modules whose ``__all__`` the package re-exports, in its order.
+PUBLIC = ("spectral", "circulant", "retrieval", "compressive")
+
+
+def test_the_package_imports_no_public_name_by_name():
+    tree = _tree(PACKAGE / "__init__.py")
+    named = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in PUBLIC
+             for alias in node.names if alias.name != "*"]
+    assert named == []
+
+
+def test_the_public_modules_declare_disjoint_names():
+    names = [name for module in PUBLIC for name in getattr(cycshift, module).__all__]
+    assert len(names) == len(set(names))
+
+
+def test_the_package_all_is_the_module_lists_joined_in_order():
+    assert cycshift.__all__ == ["__version__", "IdentifiabilityError",
+                                *(name for module in PUBLIC for name in getattr(cycshift, module).__all__)]
+
+
+def test_each_public_name_on_the_package_is_its_modules_own_object():
+    for module_name in PUBLIC:
+        module = getattr(cycshift, module_name)
+        for name in module.__all__:
+            assert getattr(cycshift, name) is getattr(module, name), f"{module.__name__}.{name}"

@@ -87,12 +87,6 @@ WORKING_SRC = Path(__file__).resolve().parent.parent / "src"
 N = 64
 N_COMPRESSIVE = 4096
 N_LONG = 1 << 20
-CALLS = ("crosscorr", "crosscorr_tiny", "ratio", "single_bin_auto", "single_bin_1", "single_bin_auto_20x64",
-         "measure_1_3", "check_sensing_64", "measure_20x64", "compressive_argmax_20x64",
-         "compressive_ratio_20x64", "bench_draw_20x64", "brute_force_shift", "measure_4096_4_bins",
-         "compressive_argmax_4096", "compressive_argmax_tiny", "compressive_ratio_4096",
-         "compressive_argmax_4096_fresh", "compressive_ratio_4096_fresh", "check_sensing_4096_4_bins",
-         "check_sensing_4096_even", "check_sensing_4096_weak", "single_bin_1_2p20")
 CELL_ROWS = 20
 BLOCKS = 10
 CHECK_SHARE = 25  # a 4096-point check costs ~100 one-row estimates
@@ -167,15 +161,15 @@ def _worker(calls: int) -> dict:
     }
     block = max(1, calls // BLOCKS)
     blocks = {name: max(1, block // CHECK_SHARE) if name.startswith("check_sensing_4096") else block
-              for name in CALLS}
+              for name in bodies}
     for name, body in bodies.items():
         for _ in range(min(blocks[name], 50)):
             body()
-    best = dict.fromkeys(CALLS, float("inf"))
+    best = dict.fromkeys(bodies, float("inf"))
     # The kinds take turns block by block, so each sees the same drift of the host.
     for _ in range(BLOCKS):
-        for name in CALLS:
-            body, calls_here = bodies[name], blocks[name]
+        for name, body in bodies.items():
+            calls_here = blocks[name]
             t0 = time.perf_counter_ns()
             for _ in range(calls_here):
                 body()
@@ -227,7 +221,7 @@ def main(argv=None) -> None:
                     "cpu_count": os.cpu_count(), "platform": platform.platform()},
         "trees": {"working": "src/ of this checkout", **({"against": args.against} if args.against else {})},
         "calls": {name: {side: _summary([run[name] for run in runs[side]]) for side in sides}
-                  for name in CALLS},
+                  for name in runs["working"][0]},
     }
     if "against" in sides:
         for name, entry in report["calls"].items():
